@@ -349,8 +349,7 @@ class Checker:
             label = join(init_label, ctx.pc)
         ctx.locals[s.name] = (typ, label)
 
-    def check_assign(self, info: ClassInfo, ctx: MethodContext, s: ast.Assign) -> list[Diagnostic]:
-        before = len(self.diagnostics)
+    def check_assign(self, info: ClassInfo, ctx: MethodContext, s: ast.Assign) -> None:
         target_type, target_label, extra, desc = self._target(info, ctx, s.target)
         vtype, vlabel = self.check_expr(info, ctx, s.value)
         if target_type is not None:
@@ -358,7 +357,6 @@ class Checker:
                 self.add("E-TYPE", s.span,
                          f"cannot assign a {vtype} value to {desc} of type {target_type}")
             self._flow_check(info, ctx, s.span, join(vlabel, extra), target_label, desc)
-        return self.diagnostics[before:]
 
     def _target(self, info: ClassInfo, ctx: MethodContext, target: ast.Expr):
         """Resolve an assignment target: (type, label, extra source label, description).
@@ -423,8 +421,7 @@ class Checker:
                      from_label=full, to_label=target)
 
     def check_branch(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
-                     s: "ast.If | ast.While") -> list[Diagnostic]:
-        before = len(self.diagnostics)
+                     s: "ast.If | ast.While") -> None:
         ctype, clabel = self.check_expr(info, ctx, s.cond)
         if not _types_match(ctype, ast.BOOLEAN):
             self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
@@ -437,11 +434,9 @@ class Checker:
         else:
             self._check_block(info, mi, ctx, s.body)
         ctx.pc = saved_pc
-        return self.diagnostics[before:]
 
     def check_return(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
-                     s: ast.Return) -> list[Diagnostic]:
-        before = len(self.diagnostics)
+                     s: ast.Return) -> None:
         h = info.hierarchy
         if s.value is None:
             if not isinstance(mi.return_type, (ast.VoidType, ErrorType)):
@@ -462,7 +457,6 @@ class Checker:
             self.add("E-PC-END", s.span,
                      "program counter does not flow to the method end-label",
                      from_label=ctx.pc, to_label=mi.end_label)
-        return self.diagnostics[before:]
 
     # ------------------------------------------------------------ expressions
 
@@ -508,7 +502,7 @@ class Checker:
 
     def check_call(self, info: ClassInfo, ctx: MethodContext,
                    e: ast.Call) -> tuple[ast.Type, Label]:
-        rtype, _rlabel = self.check_expr(info, ctx, e.receiver)
+        rtype, rlabel = self.check_expr(info, ctx, e.receiver)
         resolved = self._member_class(info, rtype, e.span)
         arg_results = [self.check_expr(info, ctx, a) for a in e.args]
         if resolved is None:
@@ -519,11 +513,13 @@ class Checker:
             self.add("E-UNKNOWN-METHOD", e.span,
                       f"class '{cls.decl.name}' has no method '{e.method}'")
             return ERROR, EMPTY
+        # the receiver picks the object the callee runs on: it bounds its pc and taints its result
         begin = substitute_label(callee.begin_label, sub)
-        if not flows_to(ctx.pc, begin, info.hierarchy):
+        call_pc = join(ctx.pc, rlabel)
+        if not flows_to(call_pc, begin, info.hierarchy):
             self.add("E-PC-CALL", e.span,
                      f"program counter does not flow to the begin-label of '{e.method}'",
-                     from_label=ctx.pc, to_label=begin)
+                     from_label=call_pc, to_label=begin)
         if len(e.args) != len(callee.params):
             self.add("E-ARITY", e.span,
                      f"method '{e.method}' takes {len(callee.params)} argument(s), "
@@ -540,7 +536,8 @@ class Checker:
                     self.add("E-FLOW", arg.span,
                              f"argument does not flow to parameter '{p.name}' of '{e.method}'",
                              from_label=source, to_label=target)
-        return substitute_type(callee.return_type, sub), substitute_label(callee.return_label, sub)
+        return (substitute_type(callee.return_type, sub),
+                join(rlabel, substitute_label(callee.return_label, sub)))
 
     def _check_new(self, info: ClassInfo, ctx: MethodContext,
                    e: ast.New) -> tuple[ast.Type, Label]:

@@ -35,7 +35,7 @@ def _load_hierarchy(path: "str | None") -> PrincipalHierarchy:
         return PrincipalHierarchy()
     try:
         return parse_hierarchy(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read hierarchy file: {exc}") from exc
     except HierarchyParseError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
@@ -55,7 +55,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for path in sorted(args.files):
         try:
             source = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
@@ -131,9 +131,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         return 0
     failures = 0
     for path in files:
-        expected = _read_expectations(path.with_suffix(".expect"))
         try:
-            program = parse_program(path.read_text(encoding="utf-8"), file=str(path))
+            expected = _read_expectations(path.with_suffix(".expect"))
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"FAIL {path}: cannot read: {exc}")
+            return 2
+        try:
+            program = parse_program(source, file=str(path))
             diagnostics = check_program(program)
         except (LexError, ParseError) as exc:
             print(f"FAIL {path}: parse error: {exc}")

@@ -81,22 +81,20 @@ class SemLabel:
     writers: frozenset[PrincipalId]
 
 
+def _members(owner: PrincipalId, listed: tuple[PrincipalId, ...],
+             h: PrincipalHierarchy) -> frozenset[PrincipalId]:
+    """Anyone acting for the owner or for a listed principal."""
+    return h.actors(owner).union(*map(h.actors, listed))
+
+
 def interpret_conf(p: ConfPolicy, h: PrincipalHierarchy) -> frozenset[PrincipalId]:
     """Principals that may read: anyone acting for the owner or for a listed reader."""
-    return frozenset(
-        q
-        for q in h.all_principals()
-        if h.acts_for(q, p.owner) or any(h.acts_for(q, r) for r in p.readers)
-    )
+    return _members(p.owner, p.readers, h)
 
 
 def interpret_integ(p: IntegPolicy, h: PrincipalHierarchy) -> frozenset[PrincipalId]:
     """Principals that may write: anyone acting for the owner or for a listed writer."""
-    return frozenset(
-        q
-        for q in h.all_principals()
-        if h.acts_for(q, p.owner) or any(h.acts_for(q, w) for w in p.writers)
-    )
+    return _members(p.owner, p.writers, h)
 
 
 # labels and hierarchies are immutable values, so interpretation is cacheable

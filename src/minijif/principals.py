@@ -2,7 +2,8 @@
 
 The hierarchy is a closed world: the universe is exactly the declared
 principals plus the distinguished top (``*``) and bottom (``_``) principals.
-All values are immutable; operations return new hierarchies.
+All values are immutable; operations return new hierarchies.  Each computes
+once who acts for each principal: acts-for and policy members read those sets.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ PrincipalId = Named | Top | Bottom
 
 TOP = Top()
 BOTTOM = Bottom()
+_TOP_ONLY = frozenset({TOP})
 
 
 def principal_sort_key(p: PrincipalId) -> tuple[int, str]:
@@ -74,21 +76,21 @@ class PrincipalHierarchy:
         return frozenset(self.declared) | {TOP, BOTTOM}
 
     @cached_property
-    def _reach(self) -> dict[PrincipalId, frozenset[PrincipalId]]:
-        # Transitive closure over explicit edges plus the top/bottom axiom
-        # edges; exotic declarations such as p >= * are honored transitively,
-        # otherwise the relation would not stay a preorder.
-        universe = set(self._universe)
-        adj: dict[PrincipalId, set[PrincipalId]] = {p: {BOTTOM} for p in universe}
-        adj[TOP] |= universe
+    def _actors(self) -> dict[PrincipalId, frozenset[PrincipalId]]:
+        # Who acts for each q: closure over the reversed explicit edges plus the
+        # top/bottom axiom edges; exotic declarations such as p >= * are honored
+        # transitively, otherwise the relation would not stay a preorder.
+        universe = self._universe
+        rev: dict[PrincipalId, set[PrincipalId]] = {q: {TOP} for q in universe}
+        rev[BOTTOM] |= universe
         for sup, inf in self.delegations:
-            adj[sup].add(inf)
+            rev[inf].add(sup)
         closure: dict[PrincipalId, frozenset[PrincipalId]] = {}
         for start in universe:
             seen = {start}
             todo = [start]
             while todo:
-                for nxt in adj[todo.pop()]:
+                for nxt in rev[todo.pop()]:
                     if nxt not in seen:
                         seen.add(nxt)
                         todo.append(nxt)
@@ -110,12 +112,15 @@ class PrincipalHierarchy:
                 raise UnknownPrincipal(f"undeclared principal: {p.name}")
         return replace(self, delegations=self.delegations | {(superior, inferior)})
 
+    def actors(self, q: PrincipalId) -> frozenset[PrincipalId]:
+        """Principals of the universe that act for ``q``; only top for an outsider."""
+        return self._actors.get(q, _TOP_ONLY)
+
     def acts_for(self, p: PrincipalId, q: PrincipalId) -> bool:
         """Total query: reflexive-transitive delegation with top/bottom axioms."""
         if p == q or isinstance(p, Top) or isinstance(q, Bottom):
             return True
-        reach = self._reach.get(p)
-        return reach is not None and q in reach
+        return p in self.actors(q)
 
 
 def declare_principal(h: PrincipalHierarchy, name: str) -> PrincipalHierarchy:

@@ -219,7 +219,7 @@ def test_c3_randomized_flow_oracle():
 # ---------------------------------------------------------------- criterion 4
 
 def _acts_for_suite(h) -> dict:
-    """Reflexivity, top/bottom laws, transitivity, and oracle agreement."""
+    """Reflexivity, top/bottom laws, transitivity, oracle agreement, actors sets."""
     universe = all_principals(h)
     rel = {(p, q): acts_for(h, p, q) for p in universe for q in universe}
     oracle_pairs = oracle_closure(h)
@@ -229,6 +229,8 @@ def _acts_for_suite(h) -> dict:
         assert rel[(p, BOTTOM)]
     for pq, got in rel.items():
         assert got == (pq in oracle_pairs)
+    for q in universe:
+        assert h.actors(q) == {p for p in universe if rel[(p, q)]}
     for p in universe:
         for q in universe:
             if not rel[(p, q)]:

@@ -88,7 +88,8 @@ class TestCheckExpr:
         )
         typ, label = checker.check_expr(info, ctx, parse_expr("booking1.getFullCardNumber()"))
         assert typ == ast.STRING
-        assert label_to_text(label) == "{Alice->*}"
+        # {Owner->*} with Owner:=Alice, behind the receiver's label as for a field read
+        assert label_to_text(label) == "{Alice->Chuck; Alice->*}"
 
     def test_binop_label_is_join_of_operands(self):
         checker, info, ctx = checker_with_ctx(BOOKING, "Application", "main")
@@ -284,6 +285,36 @@ class TestCalls:
             "class Application {",
         )
         assert codes(src) == ["E-PC-CALL"]
+
+    def test_receiver_label_bounds_pc_and_taints_result(self):
+        # o is picked under a secret branch: reading v through get() leaks
+        # exactly as much as reading o.v does
+        src = (
+            "principal Alice;\n"
+            "class K {\n"
+            "    int v;\n"
+            "    int get{}() {\n"
+            "        return v;\n"
+            "    }\n"
+            "}\n"
+        ) + wrap(
+            "        int{Alice->*} s = 17;\n"
+            "        K a = new K(1);\n"
+            "        K b = new K(2);\n"
+            "        K{Alice->*} o = a;\n"
+            "        if (s > 8) {\n"
+            "            o = b;\n"
+            "        }\n"
+            "        int{} p = o.get();\n"
+            "        int{} q = o.v;",
+            prelude="",
+        )
+        diags = check_program(parse_program(src))
+        assert [(d.code, d.span.start[0], d.from_label) for d in diags] == [
+            ("E-FLOW", 17, "{Alice->*}"),
+            ("E-PC-CALL", 17, "{Alice->*}"),
+            ("E-FLOW", 18, "{Alice->*}"),
+        ]
 
     def test_argument_flow_checked(self):
         src = self.HELPER + wrap(

@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from minijif.cli import main
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, corpus_files
+
+NOT_UTF8 = b"\xff\xfe"
 
 
 def run_cli(*argv, capsys=None):
@@ -95,6 +97,24 @@ class TestCheck:
         assert code == 2
         assert "Ghost" in err
 
+    def test_non_utf8_source_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mjif"
+        bad.write_bytes(NOT_UTF8)
+        code, out, err = run_cli("check", str(bad), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_utf8_hierarchy_exits_two(self, tmp_path, capsys):
+        trust = tmp_path / "trust.hier"
+        trust.write_bytes(NOT_UTF8)
+        code, out, err = run_cli(
+            "check", "--hierarchy", str(trust), str(CORPUS_DIR / "booking_ok.mjif"), capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read hierarchy file") and err.count("\n") == 1
+
     def test_multiple_files_sorted_output(self, capsys):
         paths = [str(CORPUS_DIR / "undefined_names.mjif"), str(CORPUS_DIR / "arity.mjif")]
         code, out, _ = run_cli("check", *paths, capsys=capsys)
@@ -171,8 +191,9 @@ class TestQuery:
 class TestCorpus:
     def test_shipped_corpus_passes(self, capsys):
         code, out, _ = run_cli("corpus", str(CORPUS_DIR), capsys=capsys)
+        n = len(corpus_files())
         assert code == 0
-        assert "17/17" in out
+        assert f"{n}/{n} corpus files matched" in out
 
     def test_tampered_expectation_fails(self, tmp_path, capsys):
         work = tmp_path / "corpus"
@@ -187,6 +208,16 @@ class TestCorpus:
         code, out, _ = run_cli("corpus", str(tmp_path), capsys=capsys)
         assert code == 0
         assert "warning" in out
+
+    @pytest.mark.parametrize("suffix", [".mjif", ".expect"])
+    def test_non_utf8_file_exits_two(self, tmp_path, suffix, capsys):
+        (tmp_path / "ok.mjif").write_text("principal Alice;\n")
+        (tmp_path / "ok.expect").write_text("")
+        (tmp_path / "ok").with_suffix(suffix).write_bytes(NOT_UTF8)
+        code, out, err = run_cli("corpus", str(tmp_path), capsys=capsys)
+        assert code == 2
+        assert out.startswith("FAIL ") and out.count("\n") == 1
+        assert err == ""
 
     def test_missing_directory_exits_two(self, capsys):
         code, _, err = run_cli("corpus", "does/not/exist", capsys=capsys)

@@ -95,6 +95,12 @@ class TestLabelInterpretation:
         sem = interpret_label(EMPTY, self.h)
         assert sem == SemLabel(self.h.all_principals(), frozenset({TOP}))
 
+    def test_empty_writers_stay_top_when_everyone_acts_for_top(self):
+        # under _ >= * every principal acts for top, yet {} admits top alone as writer
+        h = hierarchy_from_edges(["Alice"], [(BOTTOM, TOP)])
+        assert h.actors(TOP) == h.all_principals()
+        assert interpret_label(EMPTY, h).writers == {TOP}
+
     def test_conf_leaf_is_writer_unrestricted(self):
         sem = interpret_label(conf(ALICE, TOP), self.h)
         assert sem.writers == self.h.all_principals()

@@ -93,6 +93,7 @@ class TestActsFor:
         assert acts_for(h, TOP, ghost)
         assert acts_for(h, ghost, BOTTOM)
         assert not acts_for(h, ghost, Named("Other"))
+        assert h.actors(ghost) == {TOP}
 
     def test_delegating_to_top_grants_everything(self):
         # Alice >= * makes Alice act for everyone, transitively through top.
