@@ -5,7 +5,11 @@ as rigid, otherwise-unrelated principals.  Call sites substitute the concrete
 principal arguments of the receiver's static type into the callee's labels.
 The program-counter label starts at a method's begin-label and is only ever
 raised (by joining branch-condition labels); it is restored when the branch
-construct ends.
+construct ends, unless the construct's body may return: whether the code after
+it runs then depends on the condition, so the raised pc stays for the rest of
+the method (JFlow's path labels in their simplest sound form).  In a loop
+the raised pc also covers the statements before the return on later
+iterations, so such a loop is checked again until its pc stops rising.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .labels import (
     join,
     join_all,
     label_to_text,
+    leaves,
 )
 from .principals import (
     Named,
@@ -74,8 +79,8 @@ class MethodContext:
 
     pc: Label
     authority: frozenset[PrincipalId]
-    substitution: dict[str, PrincipalId]
     locals: dict[str, tuple[ast.Type, Label]] = field(default_factory=dict)
+    returned: bool = False  # a `return` was checked in the current branch body
 
 
 @dataclass(frozen=True)
@@ -264,12 +269,12 @@ class Checker:
         if label is None:
             return EMPTY
         ok = True
-        for node in ast.walk(label):
+        for node in leaves(label):
             if isinstance(node, LabelVar):
                 self.add("E-UNSUPPORTED", span,
                          f"label variable '{node.name}' is not supported")
                 ok = False
-            elif isinstance(node, (ConfPolicy, IntegPolicy)):
+            else:
                 members = node.readers if isinstance(node, ConfPolicy) else node.writers
                 for p in (node.owner, *members):
                     ok = self._principal_known(info, p, span) and ok
@@ -301,7 +306,6 @@ class Checker:
             ctx = MethodContext(
                 pc=mi.begin_label,
                 authority=mi.authority,
-                substitution={p: Named(p) for p in info.decl.principal_params},
                 locals={p.name: (p.type, p.label) for p in mi.params},
             )
             self._check_block(info, mi, ctx, mi.decl.body)
@@ -422,22 +426,37 @@ class Checker:
 
     def check_branch(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
                      s: "ast.If | ast.While") -> None:
-        ctype, clabel = self.check_expr(info, ctx, s.cond)
-        if not _types_match(ctype, ast.BOOLEAN):
-            self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
-        saved_pc = ctx.pc
-        ctx.pc = join(saved_pc, clabel)
-        if isinstance(s, ast.If):
-            self._check_block(info, mi, ctx, s.then)
-            if s.orelse is not None:
-                self._check_block(info, mi, ctx, s.orelse)
-        else:
+        saved_pc, returned = ctx.pc, ctx.returned
+        mark = len(self.diagnostics)
+        while True:
+            ctype, clabel = self.check_expr(info, ctx, s.cond)
+            if not _types_match(ctype, ast.BOOLEAN):
+                self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
+            body_pc = join(ctx.pc, clabel)
+            ctx.pc, ctx.returned = body_pc, False
+            if isinstance(s, ast.If):
+                self._check_block(info, mi, ctx, s.then)
+                if s.orelse is not None:
+                    self._check_block(info, mi, ctx, s.orelse)
+                break
             self._check_block(info, mi, ctx, s.body)
-        ctx.pc = saved_pc
+            # A return in the body raised the pc; the condition and the
+            # statements before the return run again on later iterations, so
+            # check the loop again at the raised pc until it stops rising,
+            # keeping only the last pass's diagnostics.
+            if (not ctx.returned or ctx.pc is body_pc
+                    or flows_to(ctx.pc, body_pc, info.hierarchy)):
+                break
+            del self.diagnostics[mark:]
+        # a body that may return keeps the raised pc (see the module docstring)
+        if not ctx.returned:
+            ctx.pc = saved_pc
+        ctx.returned |= returned
 
     def check_return(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
                      s: ast.Return) -> None:
         h = info.hierarchy
+        ctx.returned = True
         if s.value is None:
             if not isinstance(mi.return_type, (ast.VoidType, ErrorType)):
                 self.add("E-TYPE", s.span, f"method '{mi.decl.name}' must return a value")

@@ -1,7 +1,7 @@
 """Command-line interface: check, query, and corpus subcommands.
 
 Exit codes: 0 success (no diagnostics / query answered), 1 diagnostics or
-corpus mismatches, 2 usage, IO, or parse-level failure.
+corpus mismatches, 2 usage, IO, or parse-level failure, or an internal error.
 """
 
 from __future__ import annotations
@@ -156,6 +156,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+_ARITY = {"actsfor": 2, "leq": 2, "join": 2, "meet": 2, "readers": 1, "writers": 1}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minijif",
@@ -174,16 +177,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query", help="label-algebra and hierarchy queries")
     query.add_argument("--hierarchy", metavar="FILE")
-    query.add_argument("subcommand",
-                       choices=["actsfor", "leq", "join", "meet", "readers", "writers"])
+    query.add_argument("subcommand", choices=list(_ARITY))
     query.add_argument("args", nargs="+")
 
     corpus = sub.add_parser("corpus", help="run .mjif files against .expect sidecars")
     corpus.add_argument("dir")
     return parser
-
-
-_ARITY = {"actsfor": 2, "leq": 2, "join": 2, "meet": 2, "readers": 1, "writers": 1}
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -200,6 +199,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return cmd_corpus(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # last resort: exit 1 means diagnostics or corpus mismatches only
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 from .principals import PrincipalHierarchy, PrincipalId, TOP
 
@@ -151,31 +151,28 @@ def join_all(labels: "list[Label] | tuple[Label, ...]") -> Label:
     return out
 
 
+def leaves(label: Label) -> Iterator[Label]:
+    """Policies and label variables of the tree, left to right."""
+    stack = [label]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (JoinNode, MeetNode)):
+            stack += (node.right, node.left)
+        elif not isinstance(node, EmptyLabel):
+            yield node
+
+
 def conf_owners(label: Label) -> list[PrincipalId]:
     """Owners of all confidentiality policies in the tree, in syntactic order."""
-    match label:
-        case ConfPolicy(owner, _):
-            return [owner]
-        case JoinNode(left, right) | MeetNode(left, right):
-            seen: list[PrincipalId] = []
-            for o in conf_owners(left) + conf_owners(right):
-                if o not in seen:
-                    seen.append(o)
-            return seen
-        case _:
-            return []
-
-
-def _principal_text(p: PrincipalId) -> str:
-    return str(p)
+    return list(dict.fromkeys(p.owner for p in leaves(label) if isinstance(p, ConfPolicy)))
 
 
 def _policy_text(label: Label) -> str:
     match label:
         case ConfPolicy(owner, readers):
-            return f"{owner}->" + ",".join(map(_principal_text, readers))
+            return f"{owner}->" + ",".join(map(str, readers))
         case IntegPolicy(owner, writers):
-            return f"{owner}<-" + ",".join(map(_principal_text, writers))
+            return f"{owner}<-" + ",".join(map(str, writers))
         case LabelVar(name):
             return name
         case MeetNode(left, right):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .span import Span
@@ -21,6 +22,16 @@ SYMBOLS = [
 
 ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
+# ASCII classes on purpose: \d and \w would also accept non-ASCII digits and letters.
+# A string without its closing quote stops before the newline, EOF or bad escape.
+_TOKEN = re.compile(
+    r'(?P<SKIP>[ \t\r]+|//[^\n]*)|(?P<NEWLINE>\n)|(?P<INT>[0-9]+)'
+    r'|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)'
+    r'|(?P<STRING>"(?:[^"\\\n]|\\[nt"\\])*(?P<close>")?)'
+    r'|(?P<SYM>' + "|".join(map(re.escape, SYMBOLS)) + ")"
+)
+_ESCAPE = re.compile(r"\\(.)")
+
 
 class LexError(Exception):
     def __init__(self, span: Span, message: str):
@@ -39,88 +50,31 @@ class Token:
 
 def tokenize(source: str, file: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
+    line, line_start, pos = 1, 0, 0
 
-    def span_from(l0: int, c0: int) -> Span:
-        return Span(file, (l0, c0), (line, col))
+    def span(start: int, end: int) -> Span:
+        return Span(file, (line, start - line_start + 1), (line, end - line_start + 1))
 
-    def is_letter(c: str) -> bool:
-        return "a" <= c <= "z" or "A" <= c <= "Z"
-
-    def is_digit(c: str) -> bool:
-        return "0" <= c <= "9"
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        l0, c0 = line, col
-        if is_digit(ch):
-            j = i
-            while j < n and is_digit(source[j]):
-                j += 1
-            text = source[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("INT", text, span_from(l0, c0), int(text)))
-            continue
-        if is_letter(ch):
-            j = i
-            while j < n and (is_letter(source[j]) or is_digit(source[j]) or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            col += j - i
-            i = j
-            kind = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, span_from(l0, c0)))
-            continue
-        if ch == '"':
-            j = i + 1
-            chars: list[str] = []
-            while True:
-                if j >= n or source[j] == "\n":
-                    col += j - i
-                    raise LexError(span_from(l0, c0), "unterminated string literal")
-                c = source[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n or source[j + 1] not in ESCAPES:
-                        col += j - i + 1
-                        raise LexError(span_from(l0, c0), "bad string escape")
-                    chars.append(ESCAPES[source[j + 1]])
-                    j += 2
-                else:
-                    chars.append(c)
-                    j += 1
-            text = source[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("STRING", text, span_from(l0, c0), "".join(chars)))
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                i += len(sym)
-                col += len(sym)
-                tokens.append(Token(sym, sym, span_from(l0, c0)))
-                break
-        else:
-            col += 1
-            raise LexError(span_from(l0, c0), f"unexpected character {ch!r}")
-
-    tokens.append(Token("EOF", "", Span(file, (line, col), (line, col))))
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        if m is None:
+            raise LexError(span(pos, pos + 1), f"unexpected character {source[pos]!r}")
+        kind, text, end = m.lastgroup, m.group(), m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, end
+        elif kind != "SKIP":
+            value: object = None
+            if kind == "STRING":
+                if m["close"] is None:
+                    if source.startswith("\\", end):
+                        raise LexError(span(pos, end + 1), "bad string escape")
+                    raise LexError(span(pos, end), "unterminated string literal")
+                value = _ESCAPE.sub(lambda e: ESCAPES[e[1]], text[1:-1])
+            elif kind == "INT":
+                value = int(text)
+            elif kind == "SYM" or text in KEYWORDS:
+                kind = text
+            tokens.append(Token(kind, text, span(pos, end), value))
+        pos = end
+    tokens.append(Token("EOF", "", span(pos, pos)))
     return tokens

@@ -71,33 +71,30 @@ class _Parser:
 
     # ------------------------------------------------------------ principals
 
-    def principal(self) -> tuple[PrincipalId, Span]:
+    def principal(self) -> PrincipalId:
         tok = self.expect("IDENT", "*", "_")
         if tok.kind == "*":
-            return TOP, tok.span
+            return TOP
         if tok.kind == "_":
-            return BOTTOM, tok.span
-        return Named(tok.text), tok.span
+            return BOTTOM
+        return Named(tok.text)
 
     def principal_list(self) -> tuple[PrincipalId, ...]:
-        out = [self.principal()[0]]
+        out = [self.principal()]
         while self.at(","):
             self.advance()
-            out.append(self.principal()[0])
+            out.append(self.principal())
         return tuple(out)
 
     # ---------------------------------------------------------------- labels
 
-    def label(self) -> tuple[Label, Span]:
-        start = self.expect("{")
-        if self.at("}"):
-            end = self.advance()
-            return EMPTY, start.span.cover(end.span)
-        lab = self.label_components("}")
-        end = self.expect("}")
-        return lab, start.span.cover(end.span)
+    def label(self) -> Label:
+        self.expect("{")
+        lab = EMPTY if self.at("}") else self.label_components()
+        self.expect("}")
+        return lab
 
-    def label_components(self, closer: str) -> Label:
+    def label_components(self) -> Label:
         lab = self.label_component()
         while self.at(";"):
             self.advance()
@@ -115,23 +112,17 @@ class _Parser:
         # parenthesized group (pretty-printer output for joins under a meet)
         if self.at("("):
             self.advance()
-            if self.at(")"):
-                self.advance()
-                return EMPTY
-            lab = self.label_components(")")
+            lab = EMPTY if self.at(")") else self.label_components()
             self.expect(")")
             return lab
         if self.at("IDENT") and not self.peek(1).kind in ("->", "<-"):
             return LabelVar(self.advance().text)
-        owner, _ = self.principal()
+        owner = self.principal()
         arrow = self.expect("->", "<-")
-        members = [self.principal()[0]]
-        while self.at(","):
-            self.advance()
-            members.append(self.principal()[0])
+        members = self.principal_list()
         if arrow.kind == "->":
-            return ConfPolicy(owner, tuple(members))
-        return IntegPolicy(owner, tuple(members))
+            return ConfPolicy(owner, members)
+        return IntegPolicy(owner, members)
 
     # ----------------------------------------------------------------- types
 
@@ -220,9 +211,9 @@ class _Parser:
             self.expect("(")
             e = self.expr()
             self.expect(",")
-            from_label, _ = self.label()
+            from_label = self.label()
             self.expect("to")
-            to_label, _ = self.label()
+            to_label = self.label()
             end = self.expect(")")
             return ast.Declassify(e, from_label, to_label, tok.span.cover(end.span))
         if tok.kind == "IDENT":
@@ -296,7 +287,7 @@ class _Parser:
         typ, tspan = self.type()
         label = None
         if self.at("{"):
-            label, _ = self.label()
+            label = self.label()
         name = self.expect("IDENT")
         init = None
         if self.at("="):
@@ -324,9 +315,9 @@ class _Parser:
             return ast.PrincipalDecl(name.text, tok.span.cover(end.span))
         if tok.kind == "actsfor":
             self.advance()
-            sup, _ = self.principal()
+            sup = self.principal()
             self.expect(">=")
-            inf, _ = self.principal()
+            inf = self.principal()
             end = self.expect(";")
             return ast.ActsForDecl(sup, inf, tok.span.cover(end.span))
         if tok.kind == "class":
@@ -374,14 +365,14 @@ class _Parser:
         typ, tspan = self.type()
         label = None
         if self.at("{"):
-            label, _ = self.label()
+            label = self.label()
         name = self.expect("IDENT")
         if self.at(";"):
             end = self.advance()
             return ast.FieldDecl(typ, label, name.text, tspan.cover(end.span))
         begin_label = None
         if self.at("{"):
-            begin_label, _ = self.label()
+            begin_label = self.label()
         self.expect("(")
         params: list[ast.Param] = []
         if not self.at(")"):
@@ -389,7 +380,7 @@ class _Parser:
                 ptyp, pspan = self.type()
                 plabel = None
                 if self.at("{"):
-                    plabel, _ = self.label()
+                    plabel = self.label()
                 pname = self.expect("IDENT")
                 params.append(ast.Param(ptyp, plabel, pname.text, pspan.cover(pname.span)))
                 if not self.at(","):
@@ -399,7 +390,7 @@ class _Parser:
         end_label = None
         if self.at(":"):
             self.advance()
-            end_label, _ = self.label()
+            end_label = self.label()
         authority: tuple[PrincipalId, ...] = ()
         if self.at("where"):
             self.advance()
@@ -422,6 +413,6 @@ def parse_program(source: str, file: str = "<string>") -> ast.Program:
 def parse_label(source: str, file: str = "<label>") -> Label:
     """Parse a standalone label such as ``{Owner->*}``."""
     parser = _Parser(tokenize(source, file))
-    label, _ = parser.label()
+    label = parser.label()
     parser.expect("EOF")
     return label

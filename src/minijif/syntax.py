@@ -267,14 +267,3 @@ def strip_spans(node: object) -> object:
 def ast_equal(a: object, b: object) -> bool:
     """Structural equality ignoring spans."""
     return strip_spans(a) == strip_spans(b)
-
-
-def walk(node: object):
-    """Yield every dataclass node in the tree, depth-first."""
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        yield node
-        for f in dataclasses.fields(node):
-            yield from walk(getattr(node, f.name))
-    elif isinstance(node, tuple):
-        for x in node:
-            yield from walk(x)

@@ -1,10 +1,10 @@
 """Random class-free MiniJif programs for differential noninterference testing.
 
 Each program declares a secret input ``s`` (label ``{A->*}``), a public
-observable ``p`` (label ``{}``), and a soup of temporaries, branches, and
-bounded loops that may or may not mix them.  The checker decides which
-programs are safe; the harness then runs accepted programs under two secret
-inputs and requires identical public results.
+observable ``p`` (label ``{}``), and a soup of temporaries, branches, bounded
+loops and early returns from nested blocks that may or may not mix them.  The
+checker decides which programs are safe; the harness then runs accepted
+programs under two secret inputs and requires identical public results.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ class _Gen:
             if self.budget <= 0:
                 return
             self.budget -= 1
+            if indent > 2 and self.rng.random() < 0.2:
+                # an early exit ends its nested block; what follows the branch
+                # must not run at a public pc
+                lines.append(f"{pad}return;")
+                return
             roll = self.rng.random()
             if roll < 0.35:
                 lines.append(f"{pad}{self.rng.choice(assignable)} = {self.int_expr(scope, 2)};")

@@ -67,7 +67,6 @@ def checker_with_ctx(src: str, cls: str, method: str):
     ctx = MethodContext(
         pc=mi.begin_label,
         authority=mi.authority,
-        substitution={p: Named(p) for p in info.decl.principal_params},
         locals={p.name: (p.type, p.label) for p in mi.params},
     )
     return checker, info, ctx
@@ -472,6 +471,39 @@ class TestReturn:
             "}\n"
         )
         assert codes(src) == ["E-PC-END"]
+
+    @pytest.mark.parametrize("branch, leaks", [
+        ("if (s > 8) { return; }", True),
+        # two branches deep, secret on the outside or on the inside
+        ("if (s > 8) { if (p < 1) { return; } }", True),
+        ("if (p < 1) { while (s > 8) { return; } }", True),
+        ("if (p < 1) { return; }", False),
+        ("if (s > 8) { int t = 1; } else { return; }", True),
+        ("if (s > 8) { int t = 1; }", False),
+        # a later branch that does not return neither forgets nor invents a return
+        ("if (s > 8) { if (p < 1) { return; } if (p < 2) { } }", True),
+        ("if (p < 1) { return; } if (s > 8) { int t = 1; }", False),
+    ])
+    def test_early_return_keeps_the_raised_pc(self, branch, leaks):
+        # whether `p = 1` runs reveals the condition of any branch that may return
+        body = f"        int{{Alice->*}} s = 17;\n        int{{}} p = 0;\n        {branch}\n        p = 1;"
+        found = [(d.code, d.span.start[0]) for d in check_program(parse_program(wrap(body)))]
+        assert found == ([("E-FLOW-IMPLICIT", 8)] if leaks else [])
+
+    @pytest.mark.parametrize("loop, leaks", [
+        # the return fires on the first iteration or not: `p = c` and
+        # `c = c + 1` before it reveal which, on later iterations
+        ("while (c < 3) { p = c; c = c + 1; if (s > 8) { return; } }", 2),
+        # two loops deep, the return under the inner loop's secret branch
+        ("while (c < 3) { p = c; c = c + 1; while (c < 2) { if (s > 8) { return; } } }", 2),
+        # a return under a public condition reveals nothing
+        ("while (c < 3) { p = c; c = c + 1; if (p > 8) { return; } }", 0),
+        ("while (c < 3) { if (p > 8) { while (c < 2) { return; } } p = c; c = c + 1; }", 0),
+    ])
+    def test_loop_return_raises_the_pc_of_earlier_statements(self, loop, leaks):
+        body = ("        int{Alice->*} s = 17;\n        int{} p = 0;\n        int c = 0;\n"
+                f"        {loop}")
+        assert codes(wrap(body)) == ["E-FLOW-IMPLICIT"] * leaks
 
 
 class TestDeclarations:

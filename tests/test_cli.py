@@ -115,6 +115,17 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: cannot read hierarchy file") and err.count("\n") == 1
 
+    def test_internal_error_is_one_line_and_exits_two(self, tmp_path, capsys):
+        # 400 nested ifs exhaust the recursive-descent parser's stack
+        depth = 400
+        body = "if (true) {\n" * depth + "}\n" * depth
+        deep = tmp_path / "deep.mjif"
+        deep.write_text(f"class C {{\n void m{{}}() {{\n{body} }}\n}}\n")
+        code, out, err = run_cli("check", str(deep), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("internal error: RecursionError") and err.count("\n") == 1
+
     def test_multiple_files_sorted_output(self, capsys):
         paths = [str(CORPUS_DIR / "undefined_names.mjif"), str(CORPUS_DIR / "arity.mjif")]
         code, out, _ = run_cli("check", *paths, capsys=capsys)

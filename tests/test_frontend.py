@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minijif.labels import ConfPolicy, EMPTY, IntegPolicy, JoinNode, LabelVar, MeetNode
 from minijif.lexer import LexError, tokenize
@@ -43,6 +44,40 @@ class TestLexer:
     def test_maximal_munch(self):
         kinds = [t.kind for t in tokenize("a->b<-c>=d==e")]
         assert kinds == ["IDENT", "->", "IDENT", "<-", "IDENT", ">=", "IDENT", "==", "IDENT", "EOF"]
+
+    @pytest.mark.parametrize("source, start, end, message", [
+        ("x @", (1, 3), (1, 4), "unexpected character '@'"),
+        ("a\n \u00e9", (2, 2), (2, 3), "unexpected character '\u00e9'"),
+        ("ab\u00e9", (1, 3), (1, 4), "unexpected character '\u00e9'"),
+        ("1\u0663", (1, 2), (1, 3), "unexpected character '\u0663'"),
+        ("x\x0cy", (1, 2), (1, 3), "unexpected character '\\x0c'"),
+        ('x = "ab\ny', (1, 5), (1, 8), "unterminated string literal"),
+        ('\n  "oops', (2, 3), (2, 8), "unterminated string literal"),
+        ('"a\\q"', (1, 1), (1, 4), "bad string escape"),
+        ('f(\n "ok\\n" "\\', (2, 9), (2, 11), "bad string escape"),
+    ])
+    def test_error_spans(self, source, start, end, message):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert err.value.message == message
+        assert (err.value.span.start, err.value.span.end) == (start, end)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet='aZz_09 \t\r\n"\\/{}-<>=!&|;,.:*+()[]@#n\u00e9\u0663', max_size=40))
+    def test_spans_slice_back_to_token_text(self, source):
+        try:
+            toks = tokenize(source)
+        except LexError:
+            return
+        lines = source.split("\n")
+        prev = (1, 1)
+        for tok in toks[:-1]:
+            (l0, c0), (l1, c1) = tok.span.start, tok.span.end
+            assert l0 == l1 and lines[l0 - 1][c0 - 1:c1 - 1] == tok.text
+            assert prev <= tok.span.start < tok.span.end
+            prev = tok.span.end
+        eof = (len(lines), len(lines[-1]) + 1)
+        assert toks[-1].kind == "EOF" and toks[-1].span.start == toks[-1].span.end == eof
 
 
 class TestParseLabel:

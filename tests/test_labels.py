@@ -11,6 +11,7 @@ from minijif.labels import (
     LabelVar,
     MeetNode,
     SemLabel,
+    conf_owners,
     equivalent,
     flows_to,
     interpret_conf,
@@ -19,6 +20,7 @@ from minijif.labels import (
     join,
     join_all,
     label_to_text,
+    leaves,
     meet,
 )
 from minijif.principals import BOTTOM, Named, TOP
@@ -198,6 +200,19 @@ class TestJoinMeet:
             assert (sem_join.readers, sem_join.writers) == (ra & rb, wa | wb)
             sem_meet = interpret_label(meet(a, b), h)
             assert (sem_meet.readers, sem_meet.writers) == (ra | rb, wa & wb)
+
+
+class TestLeaves:
+    def test_leaves_left_to_right_through_joins_and_meets(self):
+        var = LabelVar("L")
+        lab = JoinNode(MeetNode(conf(BOB, TOP), integ(ALICE, TOP)), JoinNode(EMPTY, var))
+        assert list(leaves(lab)) == [conf(BOB, TOP), integ(ALICE, TOP), var]
+
+    def test_conf_owners_first_occurrence_order(self):
+        lab = join_all([conf(BOB, TOP), integ(CHUCK, TOP),
+                        meet(conf(ALICE, TOP), conf(BOB, ALICE)), conf(CHUCK, BOB)])
+        assert conf_owners(lab) == [BOB, ALICE, CHUCK]
+        assert conf_owners(EMPTY) == []
 
 
 class TestEquivalence:
