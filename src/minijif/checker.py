@@ -629,9 +629,18 @@ class Checker:
 
     def _check_binop(self, info: ClassInfo, ctx: MethodContext,
                      e: ast.BinOp) -> tuple[ast.Type, Label]:
-        ltype, llabel = self.check_expr(info, ctx, e.left)
-        rtype, rlabel = self.check_expr(info, ctx, e.right)
-        label = join(llabel, rlabel)
+        # left-nested chains such as 1 + 2 + ... + 1 are walked iteratively,
+        # innermost operator first, so their length does not grow the stack
+        spine = [e]
+        while isinstance(spine[-1].left, ast.BinOp):
+            spine.append(spine[-1].left)
+        ltype, label = self.check_expr(info, ctx, spine[-1].left)
+        for b in reversed(spine):
+            rtype, rlabel = self.check_expr(info, ctx, b.right)
+            ltype, label = self._binop_type(b, ltype, rtype), join(label, rlabel)
+        return ltype, label
+
+    def _binop_type(self, e: ast.BinOp, ltype, rtype) -> ast.Type:
         if e.op in ("+", "-", "*", "/"):
             want, result = ast.INT, ast.INT
         elif e.op in ("<", "<=", ">", ">="):
@@ -641,12 +650,12 @@ class Checker:
         else:  # == and != compare equal primitive types
             if not _types_match(ltype, rtype) or isinstance(ltype, ast.ClassType):
                 self.add("E-TYPE", e.span, f"cannot compare {ltype} and {rtype} with '{e.op}'")
-            return ast.BOOLEAN, label
+            return ast.BOOLEAN
         for side in ((ltype, e.left), (rtype, e.right)):
             if not _types_match(side[0], want):
                 self.add("E-TYPE", side[1].span,
                          f"operator '{e.op}' expects {want} operands, got {side[0]}")
-        return result, label
+        return result
 
 
 def check_program(program: ast.Program, trust: TrustConfig | None = None) -> list[Diagnostic]:

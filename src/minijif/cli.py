@@ -46,6 +46,8 @@ def _principal_set_text(principals) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.max_errors is not None and args.max_errors < 0:
+        raise _UsageError(f"--max-errors must be non-negative, got {args.max_errors}")
     trust = TrustConfig(
         grant_main_authority=not args.no_trust_main,
         extra_delegations=tuple(_load_hierarchy(args.hierarchy).delegations),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .span import Span
 
@@ -22,13 +22,16 @@ SYMBOLS = [
 
 ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
+# Source is matched one line at a time: no token spans a newline, and a `//`
+# comment ends at one. Each match skips the blanks before a token, so a match
+# without a token group ends the line or stops at a character no token starts.
 # ASCII classes on purpose: \d and \w would also accept non-ASCII digits and letters.
-# A string without its closing quote stops before the newline, EOF or bad escape.
+# A string without its closing quote stops before the end of line or a bad escape.
 _TOKEN = re.compile(
-    r'(?P<SKIP>[ \t\r]+|//[^\n]*)|(?P<NEWLINE>\n)|(?P<INT>[0-9]+)'
+    r'[ \t\r]*(?:(?P<COMMENT>//)|(?P<INT>[0-9]+)'
     r'|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)'
-    r'|(?P<STRING>"(?:[^"\\\n]|\\[nt"\\])*(?P<close>")?)'
-    r'|(?P<SYM>' + "|".join(map(re.escape, SYMBOLS)) + ")"
+    r'|(?P<STRING>"(?:[^"\\]|\\[nt"\\])*(?P<close>")?)'
+    r'|(?P<SYM>' + "|".join(map(re.escape, SYMBOLS)) + "))?"
 )
 _ESCAPE = re.compile(r"\\(.)")
 
@@ -40,8 +43,7 @@ class LexError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, STRING, EOF, a keyword, or a symbol
     text: str
     span: Span
@@ -50,31 +52,34 @@ class Token:
 
 def tokenize(source: str, file: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-
-    def span(start: int, end: int) -> Span:
-        return Span(file, (line, start - line_start + 1), (line, end - line_start + 1))
-
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            raise LexError(span(pos, pos + 1), f"unexpected character {source[pos]!r}")
-        kind, text, end = m.lastgroup, m.group(), m.end()
-        if kind == "NEWLINE":
-            line, line_start = line + 1, end
-        elif kind != "SKIP":
+    lines = source.split("\n")
+    for line_no, line in enumerate(lines, 1):
+        for m in _TOKEN.finditer(line):
+            kind = m.lastgroup
+            if kind is None:  # blanks only: end of line or a stray character
+                col = m.end()
+                if col < len(line):
+                    raise LexError(Span(file, (line_no, col + 1), (line_no, col + 2)),
+                                   f"unexpected character {line[col]!r}")
+                break
+            if kind == "COMMENT":
+                break
+            start, end = m.span(kind)
+            text = line[start:end]
             value: object = None
-            if kind == "STRING":
-                if m["close"] is None:
-                    if source.startswith("\\", end):
-                        raise LexError(span(pos, end + 1), "bad string escape")
-                    raise LexError(span(pos, end), "unterminated string literal")
-                value = _ESCAPE.sub(lambda e: ESCAPES[e[1]], text[1:-1])
+            if kind == "SYM" or (kind == "IDENT" and text in KEYWORDS):
+                kind = text
             elif kind == "INT":
                 value = int(text)
-            elif kind == "SYM" or text in KEYWORDS:
-                kind = text
-            tokens.append(Token(kind, text, span(pos, end), value))
-        pos = end
-    tokens.append(Token("EOF", "", span(pos, pos)))
+            elif kind == "STRING":
+                if m["close"] is None:
+                    if line.startswith("\\", end):
+                        raise LexError(Span(file, (line_no, start + 1), (line_no, end + 2)),
+                                       "bad string escape")
+                    raise LexError(Span(file, (line_no, start + 1), (line_no, end + 1)),
+                                   "unterminated string literal")
+                value = _ESCAPE.sub(lambda e: ESCAPES[e[1]], text[1:-1])
+            tokens.append(Token(kind, text, Span(file, (line_no, start + 1), (line_no, end + 1)), value))
+    eof = (len(lines), len(lines[-1]) + 1)
+    tokens.append(Token("EOF", "", Span(file, eof, eof)))
     return tokens

@@ -30,28 +30,28 @@ class ParseError(Exception):
 
 _TYPE_KEYWORDS = {"int": ast.INT, "boolean": ast.BOOLEAN, "String": ast.STRING, "void": ast.VOID}
 
-_BIN_LEVELS = [
-    ("||",),
-    ("&&",),
-    ("==", "!="),
-    ("<", "<=", ">", ">="),
-    ("+", "-"),
-    ("*", "/"),
-]
+# Blocks, parentheses, argument lists, `else if` arms, `.` member chains and
+# a label's `;` and `meet` components each nest the tree one level deeper; the
+# checker and the pretty printer recurse on that nesting, so it is bounded
+# here, well inside Python's stack.
+MAX_NESTING = 150
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = 0  # never past the final EOF token
+        self.depth = 0
 
     # ------------------------------------------------------------- plumbing
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -68,6 +68,13 @@ class _Parser:
     def fail(self, *expected: str) -> ParseError:
         tok = self.peek()
         return ParseError(tok.span, expected, tok.kind)
+
+    def nest(self, tok: Token) -> Token:
+        """Count one more level of nesting, opened by ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(tok.span, (f"at most {MAX_NESTING} levels of nesting",), tok.kind)
+        return tok
 
     # ------------------------------------------------------------ principals
 
@@ -95,24 +102,29 @@ class _Parser:
         return lab
 
     def label_components(self) -> Label:
+        depth = self.depth
         lab = self.label_component()
         while self.at(";"):
-            self.advance()
+            self.nest(self.advance())
             lab = JoinNode(lab, self.label_component())
+        self.depth = depth
         return lab
 
     def label_component(self) -> Label:
+        depth = self.depth
         lab = self.label_term()
         while self.at("meet"):
-            self.advance()
+            self.nest(self.advance())
             lab = MeetNode(lab, self.label_term())
+        self.depth = depth
         return lab
 
     def label_term(self) -> Label:
         # parenthesized group (pretty-printer output for joins under a meet)
         if self.at("("):
-            self.advance()
+            self.nest(self.advance())
             lab = EMPTY if self.at(")") else self.label_components()
+            self.depth -= 1
             self.expect(")")
             return lab
         if self.at("IDENT") and not self.peek(1).kind in ("->", "<-"):
@@ -144,39 +156,38 @@ class _Parser:
 
     # ----------------------------------------------------------- expressions
 
-    def expr(self) -> ast.Expr:
-        return self.binary(0)
-
-    def binary(self, level: int) -> ast.Expr:
-        if level >= len(_BIN_LEVELS):
-            return self.postfix()
-        left = self.binary(level + 1)
-        while self.at(*_BIN_LEVELS[level]):
-            op = self.advance()
-            right = self.binary(level + 1)
-            left = ast.BinOp(op.kind, left, right, left.span.cover(right.span))
+    def expr(self, min_prec: int = 1) -> ast.Expr:
+        """Precedence climbing: operators binding at least ``min_prec``, to the left."""
+        left = self.postfix()
+        while (prec := ast.BINARY_PRECEDENCE.get(self.tokens[self.pos].kind, 0)) >= min_prec:
+            op = self.advance().kind
+            right = self.expr(prec + 1)
+            left = ast.BinOp(op, left, right, left.span.cover(right.span))
         return left
 
     def postfix(self) -> ast.Expr:
         e = self.primary()
+        depth = self.depth
         while self.at("."):
-            self.advance()
+            self.nest(self.advance())
             name = self.expect("IDENT")
             if self.at("("):
                 args, end = self.call_args()
                 e = ast.Call(e, name.text, args, e.span.cover(end))
             else:
                 e = ast.FieldAccess(e, name.text, e.span.cover(name.span))
+        self.depth = depth
         return e
 
     def call_args(self) -> tuple[tuple[ast.Expr, ...], Span]:
-        self.expect("(")
+        self.nest(self.expect("("))
         args: list[ast.Expr] = []
         if not self.at(")"):
             args.append(self.expr())
             while self.at(","):
                 self.advance()
                 args.append(self.expr())
+        self.depth -= 1
         end = self.expect(")")
         return tuple(args), end.span
 
@@ -192,8 +203,9 @@ class _Parser:
             self.advance()
             return ast.BoolLit(tok.kind == "true", tok.span)
         if tok.kind == "(":
-            self.advance()
+            self.nest(self.advance())
             e = self.expr()
+            self.depth -= 1
             self.expect(")")
             return e
         if tok.kind == "new":
@@ -208,12 +220,13 @@ class _Parser:
             return ast.New(name.text, pargs, args, tok.span.cover(end))
         if tok.kind == "declassify":
             self.advance()
-            self.expect("(")
+            self.nest(self.expect("("))
             e = self.expr()
             self.expect(",")
             from_label = self.label()
             self.expect("to")
             to_label = self.label()
+            self.depth -= 1
             end = self.expect(")")
             return ast.Declassify(e, from_label, to_label, tok.span.cover(end.span))
         if tok.kind == "IDENT":
@@ -227,10 +240,11 @@ class _Parser:
     # ------------------------------------------------------------ statements
 
     def block(self) -> ast.Block:
-        start = self.expect("{")
+        start = self.nest(self.expect("{"))
         stmts: list[ast.Stmt] = []
         while not self.at("}", "EOF"):
             stmts.append(self.stmt())
+        self.depth -= 1
         end = self.expect("}")
         return ast.Block(tuple(stmts), start.span.cover(end.span))
 
@@ -276,7 +290,9 @@ class _Parser:
         if self.at("else"):
             self.advance()
             if self.at("if"):
+                self.nest(self.peek())
                 nested = self.if_stmt()
+                self.depth -= 1
                 orelse = ast.Block((nested,), nested.span)
             else:
                 orelse = self.block()

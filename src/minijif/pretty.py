@@ -5,11 +5,6 @@ from __future__ import annotations
 from .labels import Label, label_to_text
 from . import syntax as ast
 
-_PREC = {
-    "||": 1, "&&": 2, "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6,
-}
 _ATOM = 10
 
 _STR_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
@@ -24,6 +19,8 @@ def _label_opt(label: "Label | None") -> str:
 
 
 def expr_to_text(e: ast.Expr, prec: int = 0) -> str:
+    if isinstance(e, ast.BinOp):
+        return _binop_text(e, prec)
     match e:
         case ast.IntLit(value, _):
             return str(value)
@@ -48,11 +45,23 @@ def expr_to_text(e: ast.Expr, prec: int = 0) -> str:
                 f"declassify({expr_to_text(inner)}, "
                 f"{label_to_text(from_label)} to {label_to_text(to_label)})"
             )
-        case ast.BinOp(op, left, right, _):
-            level = _PREC[op]
-            text = f"{expr_to_text(left, level)} {op} {expr_to_text(right, level + 1)}"
-            return f"({text})" if level < prec else text
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _binop_text(e: ast.BinOp, prec: int) -> str:
+    """Left-nested chains such as ``1 + 2 + 3`` are walked iteratively."""
+    spine = [e]
+    while isinstance(spine[-1].left, ast.BinOp):
+        spine.append(spine[-1].left)
+    # each operator's context is its parent's level; the outermost one's is ``prec``
+    contexts = [prec] + [ast.BINARY_PRECEDENCE[b.op] for b in spine[:-1]]
+    text = expr_to_text(spine[-1].left, ast.BINARY_PRECEDENCE[spine[-1].op])
+    for b, context in zip(reversed(spine), reversed(contexts)):
+        level = ast.BINARY_PRECEDENCE[b.op]
+        text = f"{text} {b.op} {expr_to_text(b.right, level + 1)}"
+        if level < context:
+            text = f"({text})"
+    return text
 
 
 def _stmt_lines(s: ast.Stmt, indent: int) -> list[str]:

@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open source region; line/column are 1-based, end is exclusive."""
 
     file: str
     start: tuple[int, int]
     end: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} after end {self.end}")
 
     def cover(self, other: "Span") -> "Span":
         """Smallest span containing both operands (same file)."""

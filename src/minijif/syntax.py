@@ -128,6 +128,14 @@ class BinOp:
     span: Span
 
 
+# Binding power of each binary operator, loosest first; all are left-associative.
+BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+
+
 Expr = Union[IntLit, StrLit, BoolLit, Var, FieldAccess, Call, New, Declassify, Builtin, BinOp]
 
 

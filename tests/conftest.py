@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -13,3 +14,11 @@ def corpus_dir() -> Path:
 
 def corpus_files() -> list[Path]:
     return sorted(CORPUS_DIR.glob("*.mjif"))
+
+
+def bench_gen():
+    """The benchmark's workload generators, ``bench/gen.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO_ROOT / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,12 +1,22 @@
+import io
 import json
+import random
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minijif.cli import main
-from conftest import CORPUS_DIR, corpus_files
+from minijif.lexer import KEYWORDS, SYMBOLS
+from minijif.parser import MAX_NESTING, parse_program
+from minijif.pretty import pretty_print
+from minijif import syntax as ast
+from conftest import CORPUS_DIR, bench_gen, corpus_files
 
 NOT_UTF8 = b"\xff\xfe"
 
@@ -70,6 +80,22 @@ class TestCheck:
         assert out.count("E-AUTH-CLAIM") == 1
         assert "2 more error(s) suppressed" in out
 
+    def test_negative_max_errors_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(
+            "check", "--max-errors", "-1", str(CORPUS_DIR / "booking_ok.mjif"), capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-errors must be non-negative, got -1\n"
+
+    def test_max_errors_zero_shows_none(self, capsys):
+        code, out, _ = run_cli(
+            "check", "--no-trust-main", "--max-errors", "0",
+            str(CORPUS_DIR / "booking_ok.mjif"), capsys=capsys,
+        )
+        assert code == 1
+        assert out == "... 3 more error(s) suppressed\n"
+
     def test_hierarchy_enables_flow(self, tmp_path, capsys):
         src = tmp_path / "memo.mjif"
         src.write_text(
@@ -115,22 +141,151 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: cannot read hierarchy file") and err.count("\n") == 1
 
-    def test_internal_error_is_one_line_and_exits_two(self, tmp_path, capsys):
-        # 400 nested ifs exhaust the recursive-descent parser's stack
-        depth = 400
-        body = "if (true) {\n" * depth + "}\n" * depth
-        deep = tmp_path / "deep.mjif"
-        deep.write_text(f"class C {{\n void m{{}}() {{\n{body} }}\n}}\n")
-        code, out, err = run_cli("check", str(deep), capsys=capsys)
+    def test_internal_error_is_one_line_and_exits_two(self, monkeypatch, capsys):
+        def fault(*args):
+            raise RuntimeError("checker fault")
+
+        monkeypatch.setattr("minijif.cli.check_program", fault)
+        code, out, err = run_cli("check", str(CORPUS_DIR / "booking_ok.mjif"), capsys=capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("internal error: RecursionError") and err.count("\n") == 1
+        assert err == "internal error: RuntimeError('checker fault')\n"
 
     def test_multiple_files_sorted_output(self, capsys):
         paths = [str(CORPUS_DIR / "undefined_names.mjif"), str(CORPUS_DIR / "arity.mjif")]
         code, out, _ = run_cli("check", *paths, capsys=capsys)
         assert code == 1
         assert out.index("arity.mjif") < out.index("undefined_names.mjif")
+
+
+def _method_body(body):
+    return f"class C {{\n    void m{{}}() {{\n{body}\n    }}\n}}\n"
+
+
+class TestOverDeepInput:
+    """Input nested past the parser's limit is a parse error, never a crash."""
+
+    def _check(self, tmp_path, capsys, source, *flags):
+        path = tmp_path / "deep.mjif"
+        path.write_text(source)
+        return (str(path), *run_cli("check", *flags, str(path), capsys=capsys))
+
+    def test_nested_ifs(self, tmp_path, capsys):
+        depth = 400
+        body = "if (true) {\n" * depth + "}\n" * depth
+        # the method body is level 1, so the 150th if opens level 151 on line 152
+        path, code, out, err = self._check(tmp_path, capsys, _method_body(body))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}:152:11: expected at most {MAX_NESTING} "
+                       "levels of nesting, got {\n")
+
+    def test_nested_parentheses(self, tmp_path, capsys):
+        depth = 150
+        body = "int x = " + "(" * depth + "1" + ")" * depth + ";"
+        path, code, out, err = self._check(tmp_path, capsys, _method_body(body))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}:3:{8 + depth}: expected at most {MAX_NESTING} "
+                       "levels of nesting, got (\n")
+
+    def test_deep_nesting_workload_past_the_limit(self, tmp_path, capsys):
+        source, _ = bench_gen().deep_nesting(random.Random("deep_nesting:1"), depth=200)
+        path, code, out, err = self._check(tmp_path, capsys, source)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+        assert f"expected at most {MAX_NESTING} levels of nesting" in err
+
+    def test_deep_nesting_workload_within_the_limit(self, tmp_path, capsys):
+        source, expected = bench_gen().deep_nesting(random.Random("deep_nesting:1"), depth=120)
+        path, code, out, err = self._check(tmp_path, capsys, source, "--json")
+        assert (code, err) == (1, "")
+        assert sorted((d["code"], d["span"]["start"][0]) for d in json.loads(out)) == expected
+        program = parse_program(source)
+        assert ast.ast_equal(parse_program(pretty_print(program)), program)
+
+    def test_long_operator_chain(self, tmp_path, capsys):
+        body = "int x = " + " + ".join(["1"] * 1000) + ";"
+        _, code, out, err = self._check(tmp_path, capsys, _method_body(body))
+        assert (code, out, err) == (0, "", "")
+        program = parse_program(_method_body(body))
+        assert pretty_print(program) == _method_body("        " + body)
+
+
+_WORDS = sorted(KEYWORDS) + SYMBOLS + ["x", "y", "Alice", "C", "m", "0", "17", '"s"', "\n"]
+_SOUP = st.lists(st.sampled_from(_WORDS), max_size=60).map(" ".join)
+
+# Mostly well-formed programs, so that most of them reach the checker.
+_LABEL = st.sampled_from([
+    "", "{}", "{P->*}", "{Alice->*}", "{Alice<-*}", "{Alice->Bob; Bob<-*}", "{Bob->_}",
+    "{L}", "{Ghost->*}", "{(Alice->*; P->*) meet Bob->*}",
+])
+_TYPE = st.sampled_from(["int", "boolean", "String", "void", "C[Alice]", "C[*]", "C", "D"])
+_EXPR = st.recursive(
+    st.sampled_from(["x", "y", "o", "f", "g", "1", "true", '"t"', "nobody"]),
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from(sorted(ast.BINARY_PRECEDENCE)), e).map(" ".join),
+        e.map("({})".format),
+        e.map("{}.f".format),
+        st.tuples(e, e).map(lambda t: f"{t[0]}.m({t[1]})"),
+        st.tuples(st.sampled_from(["C[Alice]", "C[Bob]", "C", "D"]), e).map(
+            lambda t: f"new {t[0]}({t[1]})"),
+        st.tuples(e, _LABEL, _LABEL).map(lambda t: f"declassify({t[0]}, {t[1]} to {t[2]})"),
+        st.tuples(st.sampled_from(["length", "concat", "nope"]), st.lists(e, max_size=3)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"),
+    ),
+    max_leaves=8,
+)
+_STMT = st.recursive(
+    st.one_of(
+        st.tuples(_TYPE, _LABEL, st.sampled_from("xyzo"), _EXPR).map(
+            lambda t: f"{t[0]}{t[1]} {t[2]} = {t[3]};"),
+        st.tuples(st.sampled_from(["x", "y", "o.f", "f", "g"]), _EXPR).map(
+            lambda t: f"{t[0]} = {t[1]};"),
+        _EXPR.map("return {};".format),
+        st.just("return;"),
+        _EXPR.map("{};".format),
+    ),
+    lambda s: st.tuples(st.sampled_from(["if", "while"]), _EXPR, st.lists(s, max_size=3),
+                        st.lists(s, max_size=2)).map(
+        lambda t: f"{t[0]} ({t[1]}) {{ {' '.join(t[2])} }}"
+        + (f" else {{ {' '.join(t[3])} }}" if t[0] == "if" and t[3] else "")),
+    max_leaves=10,
+)
+_METHOD = st.tuples(_TYPE, _LABEL, _LABEL, _TYPE, _LABEL, _LABEL,
+                    st.sampled_from(["", " where authority(P)", " where authority(Alice)"]),
+                    st.lists(_STMT, max_size=5)).map(
+    lambda t: f"    {t[0]}{t[1]} m{t[2]}({t[3]}{t[4]} x) "
+    + (f": {t[5]}" if t[5] else "") + f"{t[6]} {{\n        " + "\n        ".join(t[7]) + "\n    }")
+_CLASSES = st.tuples(st.sampled_from(["[principal P]", "[principal P, principal Q]", ""]),
+                     st.sampled_from(["", " authority(P)", " authority(Alice)"]),
+                     st.lists(_METHOD, min_size=1, max_size=2)).map(
+    lambda t: "principal Alice;\nprincipal Bob;\nactsfor Alice >= Bob;\n"
+    f"class C{t[0]}{t[1]} {{\n    int{{P->*}} f;\n    int{{}} g;\n    C[P]{{}} o;\n"
+    + "\n".join(t[2]) + "\n}\nclass D {\n    void main{}() {\n"
+    "        C[Alice] c = new C[Alice]();\n        int{Alice->*} y = c.m(1);\n    }\n}\n")
+
+_PROGRAMS = st.one_of(
+    st.text(max_size=80),
+    _SOUP,
+    _SOUP.map(lambda soup: "principal Alice;\nclass C {\n" + soup + "\n}\n"),
+    _SOUP.map(lambda soup: "principal Alice;\n" + _method_body(soup)),
+    _CLASSES,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PROGRAMS)
+def test_check_never_crashes(source):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.mjif"
+        path.write_text(source, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    assert "internal error" not in err.getvalue()
+    # exit 2 always says why on stderr; 0 and 1 never write there
+    assert (code == 2) == (err.getvalue() != "")
+    assert (code == 1) == (out.getvalue() != "")
 
 
 class TestQuery:

@@ -180,6 +180,19 @@ class TestParseProgram:
         assert init.op == "+"
         assert init.right.op == "*"
 
+    def test_binop_chain_spans(self):
+        #          0        1         2
+        #          123456789012345678901234
+        source = "x = 1 + 22 * 3 - (y + 4);"
+        program = parse_program("class C { void m{}() {\n" + source + "\n} }")
+        e = program.decls[0].methods[0].body.stmts[0].value
+        assert (e.op, e.left.op, e.left.right.op, e.right.op) == ("-", "+", "*", "+")
+        # a chain spans its outermost operands; parentheses are not part of a span
+        assert (e.span.start, e.span.end) == ((2, 5), (2, 24))
+        assert (e.left.span.start, e.left.span.end) == ((2, 5), (2, 15))
+        assert (e.left.right.span.start, e.left.right.span.end) == ((2, 9), (2, 15))
+        assert (e.right.span.start, e.right.span.end) == ((2, 19), (2, 24))
+
     def test_new_with_principal_args(self):
         program = parse_program(
             "class C { void m{}() { Booking[Alice, Chuck] b = new Booking[Alice, Chuck](\"n\"); } }"
@@ -278,3 +291,32 @@ def test_parse_error_span_points_into_source():
     lines = source.splitlines()
     assert 1 <= line <= len(lines)
     assert 1 <= col <= len(lines[line - 1]) + 1
+
+
+# Binding power of each binary operator, loosest first; all are left-associative.
+_PRECEDENCE = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+
+
+def _var(name):
+    return ast.Var(name, None)
+
+
+def _bin(op, left, right):
+    return ast.BinOp(op, left, right, None)
+
+
+@pytest.mark.parametrize("first, second", [
+    (a, b) for a in _PRECEDENCE for b in _PRECEDENCE
+], ids=lambda op: op)
+def test_binary_precedence_and_associativity(first, second):
+    program = parse_program(f"class C {{ void m{{}}() {{ x = a {first} b {second} c; }} }}")
+    parsed = program.decls[0].methods[0].body.stmts[0].value
+    a, b, c = _var("a"), _var("b"), _var("c")
+    if _PRECEDENCE[first] >= _PRECEDENCE[second]:
+        expected = _bin(second, _bin(first, a, b), c)
+    else:
+        expected = _bin(first, a, _bin(second, b, c))
+    assert ast.strip_spans(parsed) == ast.strip_spans(expected)
