@@ -131,7 +131,7 @@ def substitute_label(label: Label, sub: dict[str, PrincipalId]) -> Label:
         case IntegPolicy(owner, writers):
             return IntegPolicy(pr(owner), tuple(pr(w) for w in writers))
         case JoinNode(left, right):
-            return JoinNode(substitute_label(left, sub), substitute_label(right, sub))
+            return join(substitute_label(left, sub), substitute_label(right, sub))
         case MeetNode(left, right):
             return MeetNode(substitute_label(left, sub), substitute_label(right, sub))
         case _:
@@ -354,41 +354,38 @@ class Checker:
         ctx.locals[s.name] = (typ, label)
 
     def check_assign(self, info: ClassInfo, ctx: MethodContext, s: ast.Assign) -> None:
-        target_type, target_label, extra, desc = self._target(info, ctx, s.target)
+        target_type, target_label, receiver, desc = self._lookup(info, ctx, s.target)
         vtype, vlabel = self.check_expr(info, ctx, s.value)
         if target_type is not None:
             if not _types_match(vtype, target_type):
                 self.add("E-TYPE", s.span,
                          f"cannot assign a {vtype} value to {desc} of type {target_type}")
-            self._flow_check(info, ctx, s.span, join(vlabel, extra), target_label, desc)
+            self._flow_check(info, ctx, s.span, join(vlabel, receiver), target_label, desc)
 
-    def _target(self, info: ClassInfo, ctx: MethodContext, target: ast.Expr):
-        """Resolve an assignment target: (type, label, extra source label, description).
+    def _lookup(self, info: ClassInfo, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
+        """Resolve a local or field: (type, label, receiver label, description).
 
-        Type is None when the target itself failed to resolve.
+        Type is None when the name failed to resolve.  The receiver's label
+        taints both a read and a write of the field.
         """
-        if isinstance(target, ast.Var):
-            if target.name in ctx.locals:
-                t, l = ctx.locals[target.name]
-                return t, l, EMPTY, f"'{target.name}'"
-            fi = self._field(info, target.name)
-            if fi is not None:
-                return fi.type, fi.label, EMPTY, f"field '{target.name}'"
-            self.add("E-UNDEF", target.span, f"unknown variable '{target.name}'")
-            return None, EMPTY, EMPTY, ""
-        # field access target: the receiver's label taints the write
-        rtype, rlabel = self.check_expr(info, ctx, target.obj)
-        resolved = self._member_class(info, rtype, target.span)
-        if resolved is None:
-            return None, EMPTY, EMPTY, ""
-        cls, sub = resolved
-        fi = self._field(cls, target.name)
+        if isinstance(e, ast.Var):
+            if e.name in ctx.locals:
+                return (*ctx.locals[e.name], EMPTY, f"'{e.name}'")
+            cls, sub, rlabel = info, {}, EMPTY
+            missing = f"unknown variable '{e.name}'"
+        else:
+            rtype, rlabel = self.check_expr(info, ctx, e.obj)
+            resolved = self._member_class(info, rtype, e.span)
+            if resolved is None:
+                return None, EMPTY, rlabel, ""
+            cls, sub = resolved
+            missing = f"class '{cls.decl.name}' has no field '{e.name}'"
+        fi = self._field(cls, e.name)
         if fi is None:
-            self.add("E-UNDEF", target.span,
-                     f"class '{cls.decl.name}' has no field '{target.name}'")
-            return None, EMPTY, EMPTY, ""
+            self.add("E-UNDEF", e.span, missing)
+            return None, EMPTY, rlabel, ""
         return (substitute_type(fi.type, sub), substitute_label(fi.label, sub),
-                rlabel, f"field '{target.name}'")
+                rlabel, f"field '{e.name}'")
 
     def _field(self, info: ClassInfo, name: str) -> "FieldInfo | None":
         for fi in info.fields:
@@ -488,25 +485,9 @@ class Checker:
                 return ast.STRING, EMPTY
             case ast.BoolLit():
                 return ast.BOOLEAN, EMPTY
-            case ast.Var(name, span):
-                if name in ctx.locals:
-                    return ctx.locals[name]
-                fi = self._field(info, name)
-                if fi is not None:
-                    return fi.type, fi.label
-                self.add("E-UNDEF", span, f"unknown variable '{name}'")
-                return ERROR, EMPTY
-            case ast.FieldAccess(obj, name, span):
-                rtype, rlabel = self.check_expr(info, ctx, obj)
-                resolved = self._member_class(info, rtype, span)
-                if resolved is None:
-                    return ERROR, rlabel
-                cls, sub = resolved
-                fi = self._field(cls, name)
-                if fi is None:
-                    self.add("E-UNDEF", span, f"class '{cls.decl.name}' has no field '{name}'")
-                    return ERROR, rlabel
-                return substitute_type(fi.type, sub), join(rlabel, substitute_label(fi.label, sub))
+            case ast.Var() | ast.FieldAccess():
+                t, label, receiver, _ = self._lookup(info, ctx, e)
+                return (ERROR if t is None else t), join(receiver, label)
             case ast.Call():
                 return self.check_call(info, ctx, e)
             case ast.New():

@@ -1,17 +1,19 @@
 """Security labels: owner-based policies combined by join (``;``) and meet.
 
-A label is a syntactic tree; all flow decisions go through its semantic
-interpretation under a principal hierarchy, which is a pair of effective
-reader/writer sets over the closed principal universe.  The empty label is
-the distinguished public-trusted bottom element: readable by everyone,
-writable only by the top principal.
+A label is a syntactic tree.  A join is the union of two sets of ``;``
+components, so ``join`` keeps labels join-normal: a left-nested join spine
+whose components are distinct, in first-occurrence order.  All flow decisions
+go through a label's semantic interpretation under a principal hierarchy,
+which is a pair of effective reader/writer sets over the closed universe.
+The empty label is the distinguished public-trusted bottom element: readable
+by everyone, writable only by the top principal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from .principals import PrincipalHierarchy, PrincipalId, TOP
 
@@ -130,12 +132,17 @@ def equivalent(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
 
 
 def join(l1: Label, l2: Label) -> Label:
-    """Syntactic least upper bound; simplifies only duplicates and the empty identity."""
+    """Least upper bound: appends ``l2``'s components missing from ``l1``."""
     if l1 == l2 or isinstance(l2, EmptyLabel):
         return l1
     if isinstance(l1, EmptyLabel):
         return l2
-    return JoinNode(l1, l2)
+    seen = set(_flatten(l1, JoinNode))
+    for c in _flatten(l2, JoinNode):
+        if c not in seen:
+            seen.add(c)
+            l1 = JoinNode(l1, c)
+    return l1
 
 
 def meet(l1: Label, l2: Label) -> Label:
@@ -151,15 +158,21 @@ def join_all(labels: "list[Label] | tuple[Label, ...]") -> Label:
     return out
 
 
-def leaves(label: Label) -> Iterator[Label]:
-    """Policies and label variables of the tree, left to right."""
-    stack = [label]
+def _flatten(label: Label, through: "type | tuple[type, ...]") -> list[Label]:
+    """Components of the tree left to right, descending through ``through`` nodes; ``{}`` has none."""
+    out, stack = [], [label]
     while stack:
         node = stack.pop()
-        if isinstance(node, (JoinNode, MeetNode)):
+        if isinstance(node, through):
             stack += (node.right, node.left)
         elif not isinstance(node, EmptyLabel):
-            yield node
+            out.append(node)
+    return out
+
+
+def leaves(label: Label) -> list[Label]:
+    """Policies and label variables of the tree, left to right."""
+    return _flatten(label, (JoinNode, MeetNode))
 
 
 def conf_owners(label: Label) -> list[PrincipalId]:
@@ -183,19 +196,10 @@ def _policy_text(label: Label) -> str:
 def _meet_operand_text(label: Label) -> str:
     # a join under a meet is not expressible in the base grammar; parenthesize
     if isinstance(label, (JoinNode, EmptyLabel)):
-        return "(" + "; ".join(map(_policy_text, _components(label))) + ")"
+        return "(" + "; ".join(map(_policy_text, _flatten(label, JoinNode))) + ")"
     return _policy_text(label)
-
-
-def _components(label: Label) -> list[Label]:
-    """Flatten the top-level join spine into ``;``-separated components."""
-    if isinstance(label, JoinNode):
-        return _components(label.left) + _components(label.right)
-    if isinstance(label, EmptyLabel):
-        return []
-    return [label]
 
 
 def label_to_text(label: Label) -> str:
     """Canonical surface syntax, echoing the programmer's notation."""
-    return "{" + "; ".join(map(_policy_text, _components(label))) + "}"
+    return "{" + "; ".join(map(_policy_text, _flatten(label, JoinNode))) + "}"

@@ -90,6 +90,13 @@ class TestCheckExpr:
         # {Owner->*} with Owner:=Alice, behind the receiver's label as for a field read
         assert label_to_text(label) == "{Alice->Chuck; Alice->*}"
 
+    def test_substitution_that_repeats_a_component_lists_it_once(self):
+        src = wrap("", "principal Alice;\nclass Box[principal P] { int{P->*; Alice->*} f; }\n")
+        checker, info, ctx = checker_with_ctx(src, "Main", "main")
+        ctx.locals["b"] = (ast.ClassType("Box", (Named("Alice"),)), EMPTY)
+        _, label = checker.check_expr(info, ctx, parse_expr("b.f"))
+        assert label_to_text(label) == "{Alice->*}"
+
     def test_binop_label_is_join_of_operands(self):
         checker, info, ctx = checker_with_ctx(BOOKING, "Application", "main")
         ctx.locals["x"] = (ast.STRING, parse_label("{Alice->*}"))

@@ -163,7 +163,8 @@ def _method_body(body):
 
 
 class TestOverDeepInput:
-    """Input nested past the parser's limit is a parse error, never a crash."""
+    """Input nested past the parser's limit is a parse error, never a crash;
+    long flat input is checked without a crash."""
 
     def _check(self, tmp_path, capsys, source, *flags):
         path = tmp_path / "deep.mjif"
@@ -208,6 +209,22 @@ class TestOverDeepInput:
         assert (code, out, err) == (0, "", "")
         program = parse_program(_method_body(body))
         assert pretty_print(program) == _method_body("        " + body)
+
+    # pc and value labels that join two policies hundreds of times list each once
+    def test_many_early_returns_on_alternating_labels(self, tmp_path, capsys):
+        body = "if (a > 1) { return 1; } if (b > 1) { return 2; }\n" * 250 + "return 0;"
+        source = ("principal A;\nprincipal B;\nclass C {\n"
+                  f"    int{{A->*; B->*}} m{{}}(int{{A->*}} a, int{{B->*}} b) {{\n{body}\n    }}\n}}\n")
+        _, code, out, err = self._check(tmp_path, capsys, source)
+        assert (code, out, err) == (0, "", "")
+
+    def test_long_operator_chain_over_two_labels(self, tmp_path, capsys):
+        chain = " + ".join(["a", "b"] * 400)
+        source = ("principal A;\nprincipal B;\nclass C {\n"
+                  "    void m{}(int{A->*} a, int{B->*} b) {\n"
+                  f"        int{{A->*; B->*}} x = {chain};\n    }}\n}}\n")
+        _, code, out, err = self._check(tmp_path, capsys, source)
+        assert (code, out, err) == (0, "", "")
 
 
 _WORDS = sorted(KEYWORDS) + SYMBOLS + ["x", "y", "Alice", "C", "m", "0", "17", '"s"', "\n"]

@@ -30,6 +30,7 @@ from oracles import (
     oracle_sem,
     random_hierarchy,
     random_label,
+    random_policy,
 )
 
 ALICE, BOB, CHUCK = Named("Alice"), Named("Bob"), Named("Chuck")
@@ -200,6 +201,60 @@ class TestJoinMeet:
             assert (sem_join.readers, sem_join.writers) == (ra & rb, wa | wb)
             sem_meet = interpret_label(meet(a, b), h)
             assert (sem_meet.readers, sem_meet.writers) == (ra | rb, wa & wb)
+
+
+def join_parts(label):
+    """``;`` components of a label tree, left to right, repeats kept."""
+    if isinstance(label, JoinNode):
+        return join_parts(label.left) + join_parts(label.right)
+    return [] if label == EMPTY else [label]
+
+
+class TestJoinNormalForm:
+    """A join is the union of two sets of components: a repeat is dropped."""
+
+    def operands(self, rng):
+        h = random_hierarchy(rng, max_principals=2)
+        pool = sorted(h.all_principals(), key=str)
+        a, b = random_label(rng, pool, 2), random_label(rng, pool, 2)
+        if rng.random() < 0.5:  # make the operands share a component
+            b = JoinNode(b, rng.choice(join_parts(a) or [EMPTY]))
+        return h, a, b
+
+    def test_join_means_the_join_node(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            h, a, b = self.operands(rng)
+            oracle = SemOracle(h)
+            assert oracle.sem(join(a, b)) == oracle.sem(JoinNode(a, b))
+
+    def test_join_text_drops_repeated_components(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            _, a, b = self.operands(rng)
+            parts = join_parts(a)
+            if a == EMPTY or len(set(parts)) < len(parts):
+                continue
+            kept = dict.fromkeys(join_parts(JoinNode(a, b)))
+            expected = "{" + "; ".join(label_to_text(p)[1:-1] for p in kept) + "}"
+            assert label_to_text(join(a, b)) == expected
+
+    def test_join_with_a_contained_label_is_the_same_object(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            _, a, b = self.operands(rng)
+            ab = join(a, b)
+            assert join(ab, b) is ab
+
+    def test_join_all_lists_each_component_once(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            pool = [ALICE, BOB, TOP]
+            policies = [random_policy(rng, pool) for _ in range(3)]
+            items = policies + [join(policies[0], policies[1])]
+            labels = rng.choices(items, k=8)
+            parts = join_parts(join_all(labels))
+            assert parts == list(dict.fromkeys(p for l in labels for p in join_parts(l)))
 
 
 class TestLeaves:

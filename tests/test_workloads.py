@@ -10,6 +10,8 @@ import json
 import pytest
 
 from minijif.cli import main
+from minijif.labels import JoinNode
+from minijif.parser import parse_label
 from conftest import bench_gen
 
 gen = bench_gen()
@@ -24,5 +26,14 @@ def test_workload_verdict_matches_generator(workload, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert code == (1 if expected else 0)
-    actual = sorted((d["code"], d["span"]["start"][0]) for d in json.loads(out))
+    diagnostics = json.loads(out)
+    actual = sorted((d["code"], d["span"]["start"][0]) for d in diagnostics)
     assert actual == expected
+    # a label the checker computes lists each `;` component once
+    for text in {d[k] for d in diagnostics for k in ("from", "to") if d[k] is not None}:
+        parts, label = [], parse_label(text)
+        while isinstance(label, JoinNode):
+            parts.append(label.right)
+            label = label.left
+        parts.append(label)
+        assert len(set(parts)) == len(parts), text
