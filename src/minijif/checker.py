@@ -10,6 +10,9 @@ it runs then depends on the condition, so the raised pc stays for the rest of
 the method (JFlow's path labels in their simplest sound form).  In a loop
 the raised pc also covers the statements before the return on later
 iterations, so such a loop is checked again until its pc stops rising.
+The right operand of ``&&`` and ``||`` runs only for some values of the left
+one, so it is checked at the pc joined with the left operand's label, which
+charges its effects (a call that writes a field) to that operand.
 """
 
 from __future__ import annotations
@@ -617,7 +620,12 @@ class Checker:
             spine.append(spine[-1].left)
         ltype, label = self.check_expr(info, ctx, spine[-1].left)
         for b in reversed(spine):
+            saved_pc = ctx.pc
+            if b.op in ("&&", "||"):
+                # the right operand runs only for some values of the left one
+                ctx.pc = join(ctx.pc, label)
             rtype, rlabel = self.check_expr(info, ctx, b.right)
+            ctx.pc = saved_pc
             ltype, label = self._binop_type(b, ltype, rtype), join(label, rlabel)
         return ltype, label
 

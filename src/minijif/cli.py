@@ -7,6 +7,7 @@ corpus mismatches, 2 usage, IO, or parse-level failure, or an internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -190,6 +191,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    # Checking builds only acyclic data (tokens, spans, AST nodes, labels),
+    # which reference counting frees; the cyclic collector would only rescan
+    # it again and again while it grows.  Callers in the same process get
+    # their collector state back.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "check":
             return cmd_check(args)
@@ -205,6 +212,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except Exception as exc:  # last resort: exit 1 means diagnostics or corpus mismatches only
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -145,7 +145,8 @@ class _Evaluator:
         if op in ("&&", "||"):
             left = self.eval(left_expr)
             _check_type(left, ast.BOOLEAN, f"'{op}' operand")
-            # short-circuit; the checker joins both operand labels regardless
+            # short-circuit; the checker joins both operand labels into the result
+            # and checks the right operand under the left operand's label
             if op == "&&" and not left:
                 return False
             if op == "||" and left:

@@ -1,10 +1,15 @@
-"""Span-annotated AST for MiniJif programs."""
+"""Span-annotated AST for MiniJif programs.
+
+AST nodes are ``typing.NamedTuple``s, which are cheap to define and to build.
+Two nodes of different kinds with equal fields therefore compare equal, so
+compare ASTs with ``ast_equal``, never with ``==``.  Types stay frozen
+dataclasses, whose equality includes the class: ``INT != BOOLEAN``.
+"""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .labels import Label
 from .principals import PrincipalId
@@ -58,70 +63,60 @@ VOID = VoidType()
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(NamedTuple):
     value: int
     span: Span
 
 
-@dataclass(frozen=True)
-class StrLit:
+class StrLit(NamedTuple):
     value: str
     span: Span
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(NamedTuple):
     value: bool
     span: Span
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class FieldAccess:
+class FieldAccess(NamedTuple):
     obj: "Expr"
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     receiver: "Expr"
     method: str
     args: tuple["Expr", ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class New:
+class New(NamedTuple):
     class_name: str
     principal_args: tuple[PrincipalId, ...]
     args: tuple["Expr", ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class Declassify:
+class Declassify(NamedTuple):
     expr: "Expr"
     from_label: Label
     to_label: Label
     span: Span
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(NamedTuple):
     name: str
     args: tuple["Expr", ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Expr"
     right: "Expr"
@@ -141,14 +136,12 @@ Expr = Union[IntLit, StrLit, BoolLit, Var, FieldAccess, Call, New, Declassify, B
 
 # ---------------------------------------------------------------- statements
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     stmts: tuple["Stmt", ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(NamedTuple):
     type: Type
     label: Optional[Label]
     name: str
@@ -156,36 +149,31 @@ class VarDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     target: Expr  # Var or FieldAccess
     value: Expr
     span: Span
 
 
-@dataclass(frozen=True)
-class If:
+class If(NamedTuple):
     cond: Expr
     then: Block
     orelse: Optional[Block]
     span: Span
 
 
-@dataclass(frozen=True)
-class While:
+class While(NamedTuple):
     cond: Expr
     body: Block
     span: Span
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(NamedTuple):
     value: Optional[Expr]
     span: Span
 
 
-@dataclass(frozen=True)
-class ExprStmt:
+class ExprStmt(NamedTuple):
     expr: Expr
     span: Span
 
@@ -195,37 +183,32 @@ Stmt = Union[VarDecl, Assign, If, While, Return, ExprStmt]
 
 # ---------------------------------------------------------------- declarations
 
-@dataclass(frozen=True)
-class PrincipalDecl:
+class PrincipalDecl(NamedTuple):
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class ActsForDecl:
+class ActsForDecl(NamedTuple):
     superior: PrincipalId
     inferior: PrincipalId
     span: Span
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     type: Type
     label: Optional[Label]
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class FieldDecl:
+class FieldDecl(NamedTuple):
     type: Type
     label: Optional[Label]
     name: str
     span: Span
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(NamedTuple):
     return_type: Type
     return_label: Optional[Label]
     name: str
@@ -237,8 +220,7 @@ class MethodDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+class ClassDecl(NamedTuple):
     name: str
     principal_params: tuple[str, ...]
     authority: tuple[PrincipalId, ...]
@@ -250,26 +232,38 @@ class ClassDecl:
 Decl = Union[PrincipalDecl, ActsForDecl, ClassDecl]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     decls: tuple[Decl, ...]
     span: Span
 
 
 # ---------------------------------------------------------------- helpers
 
-def strip_spans(node: object) -> object:
-    """Structural skeleton with every span removed, for modulo-span comparison."""
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        fields = [
-            (f.name, strip_spans(getattr(node, f.name)))
-            for f in dataclasses.fields(node)
-            if f.name != "span"
-        ]
-        return (type(node).__name__, tuple(fields))
-    if isinstance(node, tuple):
-        return tuple(strip_spans(x) for x in node)
-    return node
+def strip_spans(node: object) -> tuple:
+    """Span-free skeleton of an AST, for comparison modulo spans.
+
+    The skeleton is a flat preorder tuple: each node becomes a
+    ``(type name, field count)`` marker followed by its fields, each plain
+    tuple a ``("tuple", length)`` marker followed by its items.  Every other
+    value is a leaf, so the skeleton is unambiguous, and neither building nor
+    comparing it recurses, however deep the program nests.
+    """
+    out: list = []
+    todo = [node]
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, tuple):
+            out.append(x)
+            continue
+        fields = getattr(x, "_fields", None)
+        if fields is None:
+            items = x
+            out.append(("tuple", len(x)))
+        else:
+            items = [v for f, v in zip(fields, x) if f != "span"]
+            out.append((type(x).__name__, len(items)))
+        todo.extend(reversed(items))
+    return tuple(out)
 
 
 def ast_equal(a: object, b: object) -> bool:

@@ -4,6 +4,7 @@ from minijif.checker import (
     Checker,
     MethodContext,
     TrustConfig,
+    _types_match,
     check_program,
 )
 from minijif.diagnostics import CATALOG, render_json
@@ -119,6 +120,12 @@ class TestCheckExpr:
         oracle = SemOracle(info.hierarchy)
         expect_r, _ = oracle.sem(parse_label("{Bob->*; Alice->*}"))
         assert sem.readers == expect_r
+
+
+    def test_primitive_types_are_distinct(self):
+        # types stay dataclasses: equal (empty) fields must not make them equal
+        assert ast.INT != ast.BOOLEAN
+        assert not _types_match(ast.INT, ast.BOOLEAN)
 
 
 class TestDemoScenarios:
@@ -321,6 +328,36 @@ class TestCalls:
             ("E-PC-CALL", 17, "{Alice->*}"),
             ("E-FLOW", 18, "{Alice->*}"),
         ]
+
+    @pytest.mark.parametrize("cond, leaks", [
+        # the right operand runs only for some values of the left one
+        ("s > 8 || c.inc()", True),
+        ("s > 8 && (p > 1 || c.inc())", True),
+        ("p > 8 || c.inc()", False),
+        # the left operand runs whatever its value
+        ("c.inc() || s > 8", False),
+    ])
+    def test_short_circuit_operand_runs_under_the_left_label(self, cond, leaks):
+        # the last call runs after the condition, at the caller's pc again
+        src = (
+            "principal Alice;\n"
+            "class Counter {\n"
+            "    int{} n;\n"
+            "    boolean{} inc{}() {\n"
+            "        n = n + 1;\n"
+            "        return true;\n"
+            "    }\n"
+            "}\n"
+        ) + wrap(
+            "        int{Alice->*} s = 17;\n"
+            "        int{} p = 0;\n"
+            "        Counter{} c = new Counter(0);\n"
+            f"        boolean{{Alice->*}} b = {cond};\n"
+            "        c.inc();",
+            prelude="",
+        )
+        found = [(d.code, d.span.start[0]) for d in check_program(parse_program(src))]
+        assert found == ([("E-PC-CALL", 14)] if leaks else [])
 
     def test_argument_flow_checked(self):
         src = self.HELPER + wrap(

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minijif.checker import check_program
 from minijif.cli import main
 from minijif.lexer import KEYWORDS, SYMBOLS
 from minijif.parser import MAX_NESTING, parse_program
@@ -303,6 +305,43 @@ def test_check_never_crashes(source):
     # exit 2 always says why on stderr; 0 and 1 never write there
     assert (code == 2) == (err.getvalue() != "")
     assert (code == 1) == (out.getvalue() != "")
+
+
+class TestCyclicCollector:
+    """A run turns the cyclic collector off, which is safe only while checking builds no cycles."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ["check", "--json", str(CORPUS_DIR / "booking_bob_leak.mjif")],
+        ["check", "--max-errors", "-1", str(CORPUS_DIR / "booking_ok.mjif")],
+        ["query", "join", "{A->*}", "{B->*}"],
+        ["corpus", str(CORPUS_DIR)],
+    ], ids=["check", "usage-error", "query", "corpus"])
+    def test_main_restores_the_collector_state(self, enabled, argv, capsys):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            run_cli(*argv, capsys=capsys)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_checking_leaves_no_cyclic_garbage(self):
+        # render_json is left out: the stdlib's indented encoder leaves a
+        # constant few objects per call, and a run calls it once
+        sources = [(str(path), path.read_text()) for path in corpus_files()]
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            for path, text in sources:  # warm-up: label caches and lazy imports
+                check_program(parse_program(text, file=path))
+            gc.collect()
+            for path, text in sources:
+                check_program(parse_program(text, file=path))
+                assert gc.collect() == 0, path
+        finally:
+            if was:
+                gc.enable()
 
 
 class TestQuery:

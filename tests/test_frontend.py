@@ -6,6 +6,7 @@ from minijif.lexer import LexError, tokenize
 from minijif.parser import ParseError, parse_label, parse_program
 from minijif.pretty import expr_to_text, pretty_print
 from minijif.principals import BOTTOM, Named, TOP
+from minijif.span import Span
 from minijif import syntax as ast
 from conftest import corpus_files
 
@@ -265,22 +266,53 @@ def test_corpus_round_trip(path):
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
 def test_corpus_span_nesting(path):
     program = parse_program(path.read_text(), file=str(path))
+    nested = 0
 
     def check(node, enclosing):
-        span = getattr(node, "span", None)
-        if span is not None:
+        nonlocal nested
+        if not isinstance(node, tuple):
+            return
+        fields = getattr(node, "_fields", None)
+        if fields is None:
+            children = node
+        else:
             if enclosing is not None:
-                assert enclosing.contains(span), f"{span} escapes {enclosing}"
-            enclosing = span
-        import dataclasses
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            for f in dataclasses.fields(node):
-                check(getattr(node, f.name), enclosing)
-        elif isinstance(node, tuple):
-            for x in node:
-                check(x, enclosing)
+                assert enclosing.contains(node.span), f"{node.span} escapes {enclosing}"
+                nested += 1
+            enclosing = node.span
+            children = [getattr(node, f) for f in fields if f != "span"]
+        for child in children:
+            check(child, enclosing)
 
     check(program, None)
+    assert nested > 0
+
+
+class TestAstEqual:
+    SPAN = Span("f.mjif", (1, 1), (1, 2))
+
+    def test_node_kind_is_compared(self):
+        # nodes are tuples: IntLit(1, s) == BoolLit(True, s), but they are different ASTs
+        assert not ast.ast_equal(ast.IntLit(1, self.SPAN), ast.BoolLit(True, self.SPAN))
+        assert not ast.ast_equal(ast.Var("x", self.SPAN), ast.StrLit("x", self.SPAN))
+
+    def test_spans_are_ignored(self):
+        other = Span("g.mjif", (3, 4), (3, 5))
+        assert ast.ast_equal(ast.Var("x", self.SPAN), ast.Var("x", other))
+        assert not ast.ast_equal(ast.Var("x", self.SPAN), ast.Var("y", self.SPAN))
+
+    def test_deepest_nesting_round_trips(self):
+        # the method body is level 1, so 147 nested ifs reach 148 levels, within the limit
+        depth = 147
+        body = "if (true) {\n" * depth + "}\n" * depth
+        program = parse_program(f"class C {{\n    void m{{}}() {{\n{body}    }}\n}}\n")
+        assert ast.ast_equal(parse_program(pretty_print(program)), program)
+
+    def test_long_operator_chain(self):
+        program = parse_program("class C { void m{}() { int x = " + " + ".join(["1"] * 1000) + "; } }")
+        skeleton = ast.strip_spans(program)
+        assert skeleton.count(("IntLit", 1)) == 1000
+        assert ast.ast_equal(parse_program(pretty_print(program)), program)
 
 
 def test_parse_error_span_points_into_source():
