@@ -2,7 +2,6 @@
 
 from .checker import TrustConfig, check_program
 from .diagnostics import Diagnostic
-from .interp import evaluate_program
 from .labels import (
     ConfPolicy,
     EMPTY,
@@ -19,7 +18,6 @@ from .labels import (
     meet,
 )
 from .parser import ParseError, parse_label, parse_program
-from .pretty import pretty_print
 from .principals import (
     BOTTOM,
     Named,
@@ -32,6 +30,19 @@ from .principals import (
 )
 
 __version__ = "0.1.0"
+
+# The evaluator and the pretty printer are not needed to check a program, so
+# they load on first use: importing ``minijif.cli`` does not import them.
+_LAZY = {"evaluate_program": "interp", "pretty_print": "pretty"}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BOTTOM",

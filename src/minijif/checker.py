@@ -7,9 +7,10 @@ The program-counter label starts at a method's begin-label and is only ever
 raised (by joining branch-condition labels); it is restored when the branch
 construct ends, unless the construct's body may return: whether the code after
 it runs then depends on the condition, so the raised pc stays for the rest of
-the method (JFlow's path labels in their simplest sound form).  In a loop
-the raised pc also covers the statements before the return on later
-iterations, so such a loop is checked again until its pc stops rising.
+the method (JFlow's path labels in their simplest sound form).  A loop's
+condition and body run again only if the last condition held, so a ``while``
+is checked as one fixpoint: each pass checks the condition, then the body, at
+the pc the last pass ended with, until the pc stops rising.
 The right operand of ``&&`` and ``||`` runs only for some values of the left
 one, so it is checked at the pc joined with the left operand's label, which
 charges its effects (a call that writes a field) to that operand.
@@ -427,26 +428,29 @@ class Checker:
     def check_branch(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
                      s: "ast.If | ast.While") -> None:
         saved_pc, returned = ctx.pc, ctx.returned
+        h = info.hierarchy
         mark = len(self.diagnostics)
         while True:
+            start = ctx.pc
             ctype, clabel = self.check_expr(info, ctx, s.cond)
             if not _types_match(ctype, ast.BOOLEAN):
                 self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
-            body_pc = join(ctx.pc, clabel)
-            ctx.pc, ctx.returned = body_pc, False
+            ctx.pc, ctx.returned = join(start, clabel), False
             if isinstance(s, ast.If):
                 self._check_block(info, mi, ctx, s.then)
                 if s.orelse is not None:
                     self._check_block(info, mi, ctx, s.orelse)
                 break
-            self._check_block(info, mi, ctx, s.body)
-            # A return in the body raised the pc; the condition and the
-            # statements before the return run again on later iterations, so
-            # check the loop again at the raised pc until it stops rising,
-            # keeping only the last pass's diagnostics.
-            if (not ctx.returned or ctx.pc is body_pc
-                    or flows_to(ctx.pc, body_pc, info.hierarchy)):
-                break
+            # A loop is one fixpoint: the condition and the body run again
+            # only if the last condition held and no return fired, so each
+            # pass starts at the pc the last one ended with, until the pc
+            # stops rising; only the last pass's diagnostics are kept.  The
+            # body is skipped in a pass whose condition raised the pc, as
+            # the next pass checks it at the raised pc.
+            if ctx.pc is start or flows_to(ctx.pc, start, h):
+                self._check_block(info, mi, ctx, s.body)
+                if ctx.pc is start or flows_to(ctx.pc, start, h):
+                    break
             del self.diagnostics[mark:]
         # a body that may return keeps the raised pc (see the module docstring)
         if not ctx.returned:

@@ -1,12 +1,16 @@
 """Security labels: owner-based policies combined by join (``;``) and meet.
 
-A label is a syntactic tree.  A join is the union of two sets of ``;``
-components, so ``join`` keeps labels join-normal: a left-nested join spine
-whose components are distinct, in first-occurrence order.  All flow decisions
-go through a label's semantic interpretation under a principal hierarchy,
-which is a pair of effective reader/writer sets over the closed universe.
-The empty label is the distinguished public-trusted bottom element: readable
-by everyone, writable only by the top principal.
+A label is a syntactic tree of interned nodes: building a node equal to a live
+one returns that one, so labels compare by identity and hash in O(1) however
+deep they are.  A join is the union of two sets of ``;`` components, so
+``join`` keeps labels join-normal: a left-nested join spine whose components
+are distinct, in first-occurrence order.  ``join``, ``label_to_text`` and
+``interpret_label`` are pure functions of interned values, memoized in
+bounded caches.  All flow decisions go through a label's semantic
+interpretation under a principal hierarchy, which is a pair of effective
+reader/writer sets over the closed universe.  The empty label is the
+distinguished public-trusted bottom element: readable by everyone, writable
+only by the top principal.
 """
 
 from __future__ import annotations
@@ -15,56 +19,51 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
+from .interned import Interned
 from .principals import PrincipalHierarchy, PrincipalId, TOP
 
 
-@dataclass(frozen=True)
-class ConfPolicy:
+class ConfPolicy(Interned):
     """``owner -> r1,...``: the owner permits the listed principals to read."""
 
-    owner: PrincipalId
-    readers: tuple[PrincipalId, ...]
+    __slots__ = __match_args__ = ("owner", "readers")
 
-    def __post_init__(self) -> None:
-        if not self.readers:
+    def __new__(cls, owner: PrincipalId, readers: tuple[PrincipalId, ...]):
+        if not readers:
             raise ValueError("confidentiality policy needs at least one reader")
+        return super().__new__(cls, owner, readers)
 
 
-@dataclass(frozen=True)
-class IntegPolicy:
+class IntegPolicy(Interned):
     """``owner <- w1,...``: the owner permits the listed principals to write."""
 
-    owner: PrincipalId
-    writers: tuple[PrincipalId, ...]
+    __slots__ = __match_args__ = ("owner", "writers")
 
-    def __post_init__(self) -> None:
-        if not self.writers:
+    def __new__(cls, owner: PrincipalId, writers: tuple[PrincipalId, ...]):
+        if not writers:
             raise ValueError("integrity policy needs at least one writer")
+        return super().__new__(cls, owner, writers)
 
 
-@dataclass(frozen=True)
-class JoinNode:
-    left: "Label"
-    right: "Label"
+class JoinNode(Interned):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class MeetNode:
-    left: "Label"
-    right: "Label"
+class MeetNode(Interned):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class LabelVar:
+class LabelVar(Interned):
     """Label variable from the generic begin-label form; recognized by the
     grammar but rejected by the checker as unsupported."""
 
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class EmptyLabel:
+class EmptyLabel(Interned):
     """The public-trusted label, written ``{}``."""
+
+    __slots__ = ()
 
 
 EMPTY: Label = EmptyLabel()
@@ -131,9 +130,10 @@ def equivalent(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
     return flows_to(l1, l2, h) and flows_to(l2, l1, h)
 
 
+@lru_cache(maxsize=1 << 16)
 def join(l1: Label, l2: Label) -> Label:
     """Least upper bound: appends ``l2``'s components missing from ``l1``."""
-    if l1 == l2 or isinstance(l2, EmptyLabel):
+    if l1 is l2 or isinstance(l2, EmptyLabel):
         return l1
     if isinstance(l1, EmptyLabel):
         return l2
@@ -146,7 +146,7 @@ def join(l1: Label, l2: Label) -> Label:
 
 
 def meet(l1: Label, l2: Label) -> Label:
-    if l1 == l2:
+    if l1 is l2:
         return l1
     return MeetNode(l1, l2)
 
@@ -200,6 +200,7 @@ def _meet_operand_text(label: Label) -> str:
     return _policy_text(label)
 
 
+@lru_cache(maxsize=1 << 16)
 def label_to_text(label: Label) -> str:
     """Canonical surface syntax, echoing the programmer's notation."""
     return "{" + "; ".join(map(_policy_text, _flatten(label, JoinNode))) + "}"

@@ -2,8 +2,9 @@
 
 The hierarchy is a closed world: the universe is exactly the declared
 principals plus the distinguished top (``*``) and bottom (``_``) principals.
-All values are immutable; operations return new hierarchies.  Each computes
-once who acts for each principal: acts-for and policy members read those sets.
+All values are immutable, and principals are interned; operations return new
+hierarchies.  Each computes once who acts for each principal: acts-for and
+policy members read those sets.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+
+from .interned import Interned
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -23,22 +26,35 @@ class UnknownPrincipal(ValueError):
     """Raised when a delegation endpoint is neither declared nor top/bottom."""
 
 
-@dataclass(frozen=True)
-class Named:
-    name: str
+# Principals are interned (one object each); each hashes by its text, so the
+# order of a set of principals does not depend on where the objects live.
+
+class Named(Interned):
+    __slots__ = __match_args__ = ("name",)
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Top:
+class Top(Interned):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash("*")
+
     def __str__(self) -> str:
         return "*"
 
 
-@dataclass(frozen=True)
-class Bottom:
+class Bottom(Interned):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash("_")
+
     def __str__(self) -> str:
         return "_"
 

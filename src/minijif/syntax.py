@@ -2,15 +2,15 @@
 
 AST nodes are ``typing.NamedTuple``s, which are cheap to define and to build.
 Two nodes of different kinds with equal fields therefore compare equal, so
-compare ASTs with ``ast_equal``, never with ``==``.  Types stay frozen
-dataclasses, whose equality includes the class: ``INT != BOOLEAN``.
+compare ASTs with ``ast_equal``, never with ``==``.  Types are interned, like
+labels: equal types are one object, and ``INT is not BOOLEAN``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
+from .interned import Interned
 from .labels import Label
 from .principals import PrincipalId
 from .span import Span
@@ -18,34 +18,39 @@ from .span import Span
 
 # ---------------------------------------------------------------- types
 
-@dataclass(frozen=True)
-class IntType:
+class IntType(Interned):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
-class BoolType:
+class BoolType(Interned):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "boolean"
 
 
-@dataclass(frozen=True)
-class StringType:
+class StringType(Interned):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "String"
 
 
-@dataclass(frozen=True)
-class VoidType:
+class VoidType(Interned):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "void"
 
 
-@dataclass(frozen=True)
-class ClassType:
-    name: str
-    principal_args: tuple[PrincipalId, ...] = ()
+class ClassType(Interned):
+    __slots__ = __match_args__ = ("name", "principal_args")
+
+    def __new__(cls, name: str, principal_args: tuple[PrincipalId, ...] = ()):
+        return super().__new__(cls, name, principal_args)
 
     def __str__(self) -> str:
         if not self.principal_args:

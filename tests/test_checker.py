@@ -123,7 +123,7 @@ class TestCheckExpr:
 
 
     def test_primitive_types_are_distinct(self):
-        # types stay dataclasses: equal (empty) fields must not make them equal
+        # types of different kinds with equal (empty) fields must not be equal
         assert ast.INT != ast.BOOLEAN
         assert not _types_match(ast.INT, ast.BOOLEAN)
 
@@ -358,6 +358,37 @@ class TestCalls:
         )
         found = [(d.code, d.span.start[0]) for d in check_program(parse_program(src))]
         assert found == ([("E-PC-CALL", 14)] if leaks else [])
+
+    @pytest.mark.parametrize("loop, leaks", [
+        # the call is fine on the first pass; the pc rises only on the second,
+        # where the condition runs because the last one held
+        ("while (c.inc() && c.n < s) { }", True),
+        ("while (c.inc() || c.n < s) { }", True),
+        ("while (p < 3 || c.inc() && c.n < s) { }", True),
+        ("while (c.inc() && c.n < p) { }", False),
+    ])
+    def test_loop_condition_runs_under_the_pc_of_the_last_pass(self, loop, leaks):
+        # the last call runs after the loop, at the caller's pc again
+        src = (
+            "principal Alice;\n"
+            "class Counter {\n"
+            "    int{} n;\n"
+            "    boolean{} inc{}() {\n"
+            "        n = n + 1;\n"
+            "        return true;\n"
+            "    }\n"
+            "}\n"
+        ) + wrap(
+            "        int{Alice->*} s = 17;\n"
+            "        int{} p = 0;\n"
+            "        Counter{} c = new Counter(0);\n"
+            f"        {loop}\n"
+            "        c.inc();",
+            prelude="",
+        )
+        found = [(d.code, d.span.start[0], d.from_label)
+                 for d in check_program(parse_program(src))]
+        assert found == ([("E-PC-CALL", 14, "{Alice->*}")] if leaks else [])
 
     def test_argument_flow_checked(self):
         src = self.HELPER + wrap(

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ from minijif.lexer import KEYWORDS, SYMBOLS
 from minijif.parser import MAX_NESTING, parse_program
 from minijif.pretty import pretty_print
 from minijif import syntax as ast
-from conftest import CORPUS_DIR, bench_gen, corpus_files
+from conftest import CORPUS_DIR, REPO_ROOT, bench_gen, corpus_files
 
 NOT_UTF8 = b"\xff\xfe"
 
@@ -455,3 +456,18 @@ def test_console_script_installed():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def test_cli_import_loads_neither_evaluator_nor_pretty_printer():
+    script = (
+        "import sys, minijif.cli\n"
+        "print(sorted(m for m in ('minijif.interp', 'minijif.pretty') if m in sys.modules))\n"
+        "import minijif\n"
+        "print(minijif.evaluate_program.__module__, minijif.pretty_print.__module__,\n"
+        "      hasattr(minijif, 'no_such_name'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "minijif.interp minijif.pretty False"]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,8 @@ from minijif.labels import (
     leaves,
     meet,
 )
+from minijif import interned, syntax as ast
+from minijif.parser import parse_label, parse_program
 from minijif.principals import BOTTOM, Named, TOP
 from oracles import (
     SemOracle,
@@ -330,3 +334,73 @@ class TestPrettyText:
     def test_join_under_meet_is_parenthesized(self):
         lab = MeetNode(JoinNode(conf(ALICE, TOP), conf(BOB, TOP)), conf(CHUCK, TOP))
         assert label_to_text(lab) == "{(Alice->*; Bob->*) meet Chuck->*}"
+
+
+class TestInterning:
+    """Labels and types are hash-consed: one live object per distinct value."""
+
+    def test_parser_and_constructors_build_the_same_objects(self):
+        assert parse_label("{Alice->Bob,Chuck; Alice<-*}") is JoinNode(
+            conf(ALICE, BOB, CHUCK), integ(ALICE, TOP))
+        assert parse_label("{}") is EMPTY
+        program = parse_program("principal Alice;\nclass C[principal P] {\n"
+                                "    C[Alice]{Alice->*} f;\n    int g;\n}\n")
+        f, g = program.decls[1].fields
+        assert f.type is ast.ClassType("C", (ALICE,))
+        assert f.label is conf(ALICE, TOP)
+        assert g.type is ast.INT
+
+    def test_types_of_different_kinds_stay_distinct(self):
+        assert ast.INT is not ast.BOOLEAN
+        assert ast.IntType() is ast.INT and ast.VoidType() is ast.VOID
+        assert ast.ClassType("C", (ALICE,)) is ast.ClassType("C", (ALICE,))
+        assert ast.ClassType("C") is ast.ClassType("C", ())
+        assert ast.ClassType("C", (ALICE,)) is not ast.ClassType("C", (BOB,))
+        # nodes of different kinds with the same fields
+        assert JoinNode(conf(ALICE, TOP), EMPTY) is not MeetNode(conf(ALICE, TOP), EMPTY)
+        assert conf(ALICE, BOB) is not integ(ALICE, BOB)
+
+    @pytest.mark.parametrize("value", [
+        EMPTY, LabelVar("L"), MeetNode(conf(ALICE, TOP), integ(BOB, BOTTOM)),
+        JoinNode(conf(ALICE, BOB, CHUCK), integ(ALICE, TOP)),
+        ast.INT, ast.ClassType("C", (ALICE, TOP)),
+    ], ids=repr)
+    def test_copies_and_pickles_are_the_same_object(self, value):
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+        assert copy.deepcopy([value, value]) == [value, value]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) is value
+
+    def test_fields_cannot_be_set(self):
+        label = conf(ALICE, BOB)
+        with pytest.raises(AttributeError):
+            label.owner = BOB
+        with pytest.raises(AttributeError):
+            del label.readers
+        with pytest.raises(AttributeError):
+            ast.ClassType("C").name = "D"
+        assert label is conf(ALICE, BOB) and label.owner is ALICE
+
+    def test_repr_names_the_fields(self):
+        assert repr(conf(ALICE, TOP)) == "ConfPolicy(owner=Named(name='Alice'), readers=(Top(),))"
+        assert repr(ast.ClassType("C")) == "ClassType(name='C', principal_args=())"
+
+    def test_dropped_labels_leave_the_table(self):
+        before = len(interned._table)
+        labels = [JoinNode(conf(Named(f"P{i}"), TOP), integ(ALICE, Named(f"W{i}")))
+                  for i in range(10_000)]
+        assert len(interned._table) >= before + 10_000
+        del labels
+        assert len(interned._table) == before
+
+    def test_deep_join_chain_hashes_without_recursion(self):
+        label = EMPTY
+        for i in range(5_000):
+            label = JoinNode(label, conf(Named(f"P{i % 7}"), TOP))
+        assert label in {label: 1} and label == label
+        rebuilt = EMPTY
+        for i in range(5_000):
+            rebuilt = JoinNode(rebuilt, conf(Named(f"P{i % 7}"), TOP))
+        assert rebuilt is label
+        del label, rebuilt  # freeing the chain must not overflow either

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -5,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from minijif.principals import (
     BOTTOM,
+    Bottom,
     HierarchyParseError,
     InvalidIdentifier,
     Named,
     PrincipalHierarchy,
     TOP,
+    Top,
     UnknownPrincipal,
     acts_for,
     add_delegation,
@@ -188,3 +192,27 @@ class TestTextFormat:
         assert principal_from_token("Alice") == ALICE
         with pytest.raises(InvalidIdentifier):
             principal_from_token("9lives")
+
+
+class TestInterning:
+    def test_one_object_per_principal(self):
+        assert Named("Alice") is ALICE
+        assert principal_from_token("Alice") is ALICE
+        assert principal_from_token("*") is TOP and Top() is TOP
+        assert principal_from_token("_") is BOTTOM and Bottom() is BOTTOM
+        assert parse_hierarchy("principal Alice\n").declared == {ALICE}
+
+    def test_named_hashes_by_its_name(self):
+        assert hash(ALICE) == hash("Alice")
+        assert ALICE != "Alice"
+
+    @pytest.mark.parametrize("p", [ALICE, TOP, BOTTOM], ids=str)
+    def test_copies_and_pickles_are_the_same_object(self, p):
+        assert copy.copy(p) is p and copy.deepcopy(p) is p
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(p, protocol)) is p
+
+    def test_name_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            ALICE.name = "Bob"
+        assert str(ALICE) == "Alice"
