@@ -1,8 +1,14 @@
 """Static information-flow checking over MiniJif ASTs.
 
+The body pass checks each method under one ``MethodContext`` (class, method,
+pc, locals) and forms flow constraints in one primitive, ``_require``; only
+``_flow_check``, for assignments, also decides whether to blame the pc.
+
 Each class is checked once, generically: its principal parameters are treated
 as rigid, otherwise-unrelated principals.  Call sites substitute the concrete
 principal arguments of the receiver's static type into the callee's labels.
+An instance's methods spend its class's authority for whoever created it, so
+``new`` needs the creating method to hold that authority, after substitution.
 The program-counter label starts at a method's begin-label and is only ever
 raised (by joining branch-condition labels); it is restored when the branch
 construct ends, unless the construct's body may return: whether the code after
@@ -56,7 +62,6 @@ class TrustConfig:
     extra_delegations: tuple[tuple[PrincipalId, PrincipalId], ...] = ()
 
 
-@dataclass(frozen=True)
 class ErrorType:
     """Poison type: silences follow-on mismatches after a reported error."""
 
@@ -74,32 +79,16 @@ BUILTINS: dict[str, tuple[tuple[ast.Type, ...], ast.Type]] = {
 
 
 def _types_match(a, b) -> bool:
-    return a == b or isinstance(a, ErrorType) or isinstance(b, ErrorType)
-
-
-@dataclass
-class MethodContext:
-    """Per-method checking state."""
-
-    pc: Label
-    authority: frozenset[PrincipalId]
-    locals: dict[str, tuple[ast.Type, Label]] = field(default_factory=dict)
-    returned: bool = False  # a `return` was checked in the current branch body
+    return a == b or a is ERROR or b is ERROR
 
 
 @dataclass(frozen=True)
 class ParamInfo:
+    """A declared parameter or field: its name, resolved type and label."""
+
     name: str
     type: ast.Type
     label: Label
-
-
-@dataclass(frozen=True)
-class FieldInfo:
-    name: str
-    type: ast.Type
-    label: Label
-    span: Span
 
 
 @dataclass(frozen=True)
@@ -118,22 +107,33 @@ class ClassInfo:
     decl: ast.ClassDecl
     hierarchy: PrincipalHierarchy  # program hierarchy plus rigid parameters
     authority: frozenset[PrincipalId] = field(default_factory=frozenset)
-    fields: list[FieldInfo] = field(default_factory=list)
+    fields: dict[str, ParamInfo] = field(default_factory=dict)  # in declaration order
     methods: dict[str, MethodInfo] = field(default_factory=dict)
+
+
+class MethodContext:
+    """Body-pass state of one method: its class and declaration, the pc, the
+    locals in scope, and whether the current branch body has a `return`."""
+
+    def __init__(self, cls: ClassInfo, method: MethodInfo):
+        self.cls = cls
+        self.method = method
+        self.pc = method.begin_label
+        self.locals = {p.name: (p.type, p.label) for p in method.params}
+        self.returned = False
+
+
+def substitute_principal(p: PrincipalId, sub: dict[str, PrincipalId]) -> PrincipalId:
+    return sub.get(p.name, p) if isinstance(p, Named) else p
 
 
 def substitute_label(label: Label, sub: dict[str, PrincipalId]) -> Label:
     if not sub:
         return label
-
-    def pr(p: PrincipalId) -> PrincipalId:
-        return sub.get(p.name, p) if isinstance(p, Named) else p
-
     match label:
-        case ConfPolicy(owner, readers):
-            return ConfPolicy(pr(owner), tuple(pr(r) for r in readers))
-        case IntegPolicy(owner, writers):
-            return IntegPolicy(pr(owner), tuple(pr(w) for w in writers))
+        case ConfPolicy(owner, members) | IntegPolicy(owner, members):
+            return type(label)(substitute_principal(owner, sub),
+                               tuple(substitute_principal(m, sub) for m in members))
         case JoinNode(left, right):
             return join(substitute_label(left, sub), substitute_label(right, sub))
         case MeetNode(left, right):
@@ -144,10 +144,9 @@ def substitute_label(label: Label, sub: dict[str, PrincipalId]) -> Label:
 
 def substitute_type(t: ast.Type, sub: dict[str, PrincipalId]) -> ast.Type:
     if isinstance(t, ast.ClassType) and sub:
-        args = tuple(
-            sub.get(p.name, p) if isinstance(p, Named) else p for p in t.principal_args
+        return ast.ClassType(
+            t.name, tuple(substitute_principal(p, sub) for p in t.principal_args)
         )
-        return ast.ClassType(t.name, args)
     return t
 
 
@@ -202,7 +201,8 @@ class Checker:
         for info in self.classes.values():
             self._declare_members(info)
         for info in self.classes.values():
-            self._check_bodies(info)
+            for mi in info.methods.values():
+                self._check_block(MethodContext(info, mi), mi.decl.body)
         self.diagnostics.sort(key=Diagnostic.sort_key)
         return self.diagnostics
 
@@ -212,12 +212,12 @@ class Checker:
             p for p in c.authority if self._principal_known(info, p, c.span)
         )
         for f in c.fields:
-            if any(prev.name == f.name for prev in info.fields):
+            if f.name in info.fields:
                 self.add("E-TYPE", f.span, f"duplicate field '{f.name}'")
                 continue
             ftype = self._resolve_type(info, f.type, f.span, allow_void=False)
             flabel = self._resolve_label(info, f.label, f.span)
-            info.fields.append(FieldInfo(f.name, ftype, flabel, f.span))
+            info.fields[f.name] = ParamInfo(f.name, ftype, flabel)
         for m in c.methods:
             if m.name in info.methods:
                 self.add("E-TYPE", m.span, f"duplicate method '{m.name}'")
@@ -235,16 +235,16 @@ class Checker:
             else self._resolve_label(info, m.end_label, m.span)
         )
         ret_type = self._resolve_type(info, m.return_type, m.span, allow_void=True)
-        params: list[ParamInfo] = []
+        params: dict[str, ParamInfo] = {}
         for p in m.params:
-            if any(prev.name == p.name for prev in params):
+            if p.name in params:
                 self.add("E-TYPE", p.span, f"duplicate parameter '{p.name}'")
                 continue
             ptype = self._resolve_type(info, p.type, p.span, allow_void=False)
             plabel = begin if p.label is None else self._resolve_label(info, p.label, p.span)
-            params.append(ParamInfo(p.name, ptype, plabel))
+            params[p.name] = ParamInfo(p.name, ptype, plabel)
         authority = self._method_authority(info, m)
-        return MethodInfo(m, ret_type, ret_label, begin, end, tuple(params), authority)
+        return MethodInfo(m, ret_type, ret_label, begin, end, tuple(params.values()), authority)
 
     def _method_authority(self, info: ClassInfo, m: ast.MethodDecl) -> frozenset[PrincipalId]:
         allowed = set(info.authority)
@@ -305,68 +305,55 @@ class Checker:
 
     # ------------------------------------------------------------- body pass
 
-    def _check_bodies(self, info: ClassInfo) -> None:
-        for mi in info.methods.values():
-            ctx = MethodContext(
-                pc=mi.begin_label,
-                authority=mi.authority,
-                locals={p.name: (p.type, p.label) for p in mi.params},
-            )
-            self._check_block(info, mi, ctx, mi.decl.body)
-
-    def _check_block(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
-                     block: ast.Block) -> None:
+    def _check_block(self, ctx: MethodContext, block: ast.Block) -> None:
         outer = dict(ctx.locals)
         for s in block.stmts:
-            self._check_stmt(info, mi, ctx, s)
+            self._check_stmt(ctx, s)
         ctx.locals = outer
 
-    def _check_stmt(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
-                    s: ast.Stmt) -> None:
+    def _check_stmt(self, ctx: MethodContext, s: ast.Stmt) -> None:
         match s:
             case ast.VarDecl():
-                self._check_var_decl(info, mi, ctx, s)
+                self._check_var_decl(ctx, s)
             case ast.Assign():
-                self.check_assign(info, ctx, s)
+                self.check_assign(ctx, s)
             case ast.If() | ast.While():
-                self.check_branch(info, mi, ctx, s)
+                self.check_branch(ctx, s)
             case ast.Return():
-                self.check_return(info, mi, ctx, s)
+                self.check_return(ctx, s)
             case ast.ExprStmt(expr, _):
-                self.check_expr(info, ctx, expr)
+                self.check_expr(ctx, expr)
 
-    def _check_var_decl(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
-                        s: ast.VarDecl) -> None:
-        typ = self._resolve_type(info, s.type, s.span, allow_void=False)
+    def _check_var_decl(self, ctx: MethodContext, s: ast.VarDecl) -> None:
+        typ = self._resolve_type(ctx.cls, s.type, s.span, allow_void=False)
         if s.name in ctx.locals:
             self.add("E-TYPE", s.span, f"duplicate local '{s.name}'")
             return
         init_label: Label = EMPTY
         if s.init is not None:
-            itype, init_label = self.check_expr(info, ctx, s.init)
+            itype, init_label = self.check_expr(ctx, s.init)
             if not _types_match(itype, typ):
                 self.add("E-TYPE", s.span,
                          f"cannot initialize {typ} '{s.name}' with a {itype} value")
         if s.label is not None:
-            label = self._resolve_label(info, s.label, s.span)
+            label = self._resolve_label(ctx.cls, s.label, s.span)
             if s.init is not None:
-                self._flow_check(info, ctx, s.span, init_label, label,
-                                 f"initializer of '{s.name}'")
+                self._flow_check(ctx, s.span, init_label, label, f"initializer of '{s.name}'")
         else:
             # unannotated local: label inferred once, at the declaration
             label = join(init_label, ctx.pc)
         ctx.locals[s.name] = (typ, label)
 
-    def check_assign(self, info: ClassInfo, ctx: MethodContext, s: ast.Assign) -> None:
-        target_type, target_label, receiver, desc = self._lookup(info, ctx, s.target)
-        vtype, vlabel = self.check_expr(info, ctx, s.value)
+    def check_assign(self, ctx: MethodContext, s: ast.Assign) -> None:
+        target_type, target_label, receiver, desc = self._lookup(ctx, s.target)
+        vtype, vlabel = self.check_expr(ctx, s.value)
         if target_type is not None:
             if not _types_match(vtype, target_type):
                 self.add("E-TYPE", s.span,
                          f"cannot assign a {vtype} value to {desc} of type {target_type}")
-            self._flow_check(info, ctx, s.span, join(vlabel, receiver), target_label, desc)
+            self._flow_check(ctx, s.span, join(vlabel, receiver), target_label, desc)
 
-    def _lookup(self, info: ClassInfo, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
+    def _lookup(self, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
         """Resolve a local or field: (type, label, receiver label, description).
 
         Type is None when the name failed to resolve.  The receiver's label
@@ -375,43 +362,44 @@ class Checker:
         if isinstance(e, ast.Var):
             if e.name in ctx.locals:
                 return (*ctx.locals[e.name], EMPTY, f"'{e.name}'")
-            cls, sub, rlabel = info, {}, EMPTY
+            cls, sub, rlabel = ctx.cls, {}, EMPTY
             missing = f"unknown variable '{e.name}'"
         else:
-            rtype, rlabel = self.check_expr(info, ctx, e.obj)
-            resolved = self._member_class(info, rtype, e.span)
+            rtype, rlabel = self.check_expr(ctx, e.obj)
+            resolved = self._member_class(rtype, e.span)
             if resolved is None:
                 return None, EMPTY, rlabel, ""
             cls, sub = resolved
             missing = f"class '{cls.decl.name}' has no field '{e.name}'"
-        fi = self._field(cls, e.name)
+        fi = cls.fields.get(e.name)
         if fi is None:
             self.add("E-UNDEF", e.span, missing)
             return None, EMPTY, rlabel, ""
         return (substitute_type(fi.type, sub), substitute_label(fi.label, sub),
                 rlabel, f"field '{e.name}'")
 
-    def _field(self, info: ClassInfo, name: str) -> "FieldInfo | None":
-        for fi in info.fields:
-            if fi.name == name:
-                return fi
-        return None
-
-    def _member_class(self, info: ClassInfo, rtype, span: Span):
+    def _member_class(self, rtype, span: Span):
         """Class info and principal substitution for a receiver type."""
-        if isinstance(rtype, ErrorType):
+        if rtype is ERROR:
             return None
         if not isinstance(rtype, ast.ClassType):
             self.add("E-TYPE", span, f"{rtype} is not an object type")
             return None
         cls = self.classes[rtype.name]
-        sub = dict(zip(cls.decl.principal_params, rtype.principal_args))
-        return cls, sub
+        return cls, dict(zip(cls.decl.principal_params, rtype.principal_args))
 
-    def _flow_check(self, info: ClassInfo, ctx: MethodContext, span: Span,
+    def _require(self, ctx: MethodContext, source: Label, target: Label,
+                 code: str, span: Span, message: str) -> bool:
+        """The flow primitive: report ``code`` unless ``source`` flows to ``target``."""
+        if flows_to(source, target, ctx.cls.hierarchy):
+            return True
+        self.add(code, span, message, from_label=source, to_label=target)
+        return False
+
+    def _flow_check(self, ctx: MethodContext, span: Span,
                     source: Label, target: Label, desc: str) -> None:
         """Assignment-shaped flow check; blames the pc when it alone breaks the flow."""
-        h = info.hierarchy
+        h = ctx.cls.hierarchy
         full = join(source, ctx.pc)
         if flows_to(full, target, h):
             return
@@ -421,25 +409,27 @@ class Checker:
                      f"does not flow to the target label",
                      from_label=full, to_label=target)
         else:
-            self.add("E-FLOW", span,
-                     f"value does not flow to {desc}",
+            self.add("E-FLOW", span, f"value does not flow to {desc}",
                      from_label=full, to_label=target)
 
-    def check_branch(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
-                     s: "ast.If | ast.While") -> None:
+    def _has_authority(self, ctx: MethodContext, p: PrincipalId) -> bool:
+        """Whether some principal whose authority the method holds acts for ``p``."""
+        return any(ctx.cls.hierarchy.acts_for(a, p) for a in ctx.method.authority)
+
+    def check_branch(self, ctx: MethodContext, s: "ast.If | ast.While") -> None:
         saved_pc, returned = ctx.pc, ctx.returned
-        h = info.hierarchy
+        h = ctx.cls.hierarchy
         mark = len(self.diagnostics)
         while True:
             start = ctx.pc
-            ctype, clabel = self.check_expr(info, ctx, s.cond)
+            ctype, clabel = self.check_expr(ctx, s.cond)
             if not _types_match(ctype, ast.BOOLEAN):
                 self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
             ctx.pc, ctx.returned = join(start, clabel), False
             if isinstance(s, ast.If):
-                self._check_block(info, mi, ctx, s.then)
+                self._check_block(ctx, s.then)
                 if s.orelse is not None:
-                    self._check_block(info, mi, ctx, s.orelse)
+                    self._check_block(ctx, s.orelse)
                 break
             # A loop is one fixpoint: the condition and the body run again
             # only if the last condition held and no return fired, so each
@@ -448,7 +438,7 @@ class Checker:
             # body is skipped in a pass whose condition raised the pc, as
             # the next pass checks it at the raised pc.
             if ctx.pc is start or flows_to(ctx.pc, start, h):
-                self._check_block(info, mi, ctx, s.body)
+                self._check_block(ctx, s.body)
                 if ctx.pc is start or flows_to(ctx.pc, start, h):
                     break
             del self.diagnostics[mark:]
@@ -457,34 +447,28 @@ class Checker:
             ctx.pc = saved_pc
         ctx.returned |= returned
 
-    def check_return(self, info: ClassInfo, mi: MethodInfo, ctx: MethodContext,
-                     s: ast.Return) -> None:
-        h = info.hierarchy
+    def check_return(self, ctx: MethodContext, s: ast.Return) -> None:
+        mi = ctx.method
         ctx.returned = True
         if s.value is None:
             if not isinstance(mi.return_type, (ast.VoidType, ErrorType)):
                 self.add("E-TYPE", s.span, f"method '{mi.decl.name}' must return a value")
         else:
-            vtype, vlabel = self.check_expr(info, ctx, s.value)
+            vtype, vlabel = self.check_expr(ctx, s.value)
             if isinstance(mi.return_type, ast.VoidType):
                 self.add("E-TYPE", s.span, f"void method '{mi.decl.name}' cannot return a value")
             elif not _types_match(vtype, mi.return_type):
                 self.add("E-TYPE", s.span,
                          f"returning a {vtype} value from a {mi.return_type} method")
-            source = join(vlabel, ctx.pc)
-            if not flows_to(source, mi.return_label, h):
-                self.add("E-FLOW", s.span,
-                         "returned value does not flow to the declared return label",
-                         from_label=source, to_label=mi.return_label)
-        if mi.end_label is not None and not flows_to(ctx.pc, mi.end_label, h):
-            self.add("E-PC-END", s.span,
-                     "program counter does not flow to the method end-label",
-                     from_label=ctx.pc, to_label=mi.end_label)
+            self._require(ctx, join(vlabel, ctx.pc), mi.return_label, "E-FLOW", s.span,
+                          "returned value does not flow to the declared return label")
+        if mi.end_label is not None:
+            self._require(ctx, ctx.pc, mi.end_label, "E-PC-END", s.span,
+                          "program counter does not flow to the method end-label")
 
     # ------------------------------------------------------------ expressions
 
-    def check_expr(self, info: ClassInfo, ctx: MethodContext,
-                   e: ast.Expr) -> tuple[ast.Type, Label]:
+    def check_expr(self, ctx: MethodContext, e: ast.Expr) -> tuple[ast.Type, Label]:
         match e:
             case ast.IntLit():
                 return ast.INT, EMPTY
@@ -493,25 +477,24 @@ class Checker:
             case ast.BoolLit():
                 return ast.BOOLEAN, EMPTY
             case ast.Var() | ast.FieldAccess():
-                t, label, receiver, _ = self._lookup(info, ctx, e)
+                t, label, receiver, _ = self._lookup(ctx, e)
                 return (ERROR if t is None else t), join(receiver, label)
             case ast.Call():
-                return self.check_call(info, ctx, e)
+                return self.check_call(ctx, e)
             case ast.New():
-                return self._check_new(info, ctx, e)
+                return self._check_new(ctx, e)
             case ast.Declassify():
-                return self.check_declassify(info, ctx, e)
+                return self.check_declassify(ctx, e)
             case ast.Builtin():
-                return self._check_builtin(info, ctx, e)
+                return self._check_builtin(ctx, e)
             case ast.BinOp():
-                return self._check_binop(info, ctx, e)
+                return self._check_binop(ctx, e)
         raise TypeError(f"not an expression: {e!r}")
 
-    def check_call(self, info: ClassInfo, ctx: MethodContext,
-                   e: ast.Call) -> tuple[ast.Type, Label]:
-        rtype, rlabel = self.check_expr(info, ctx, e.receiver)
-        resolved = self._member_class(info, rtype, e.span)
-        arg_results = [self.check_expr(info, ctx, a) for a in e.args]
+    def check_call(self, ctx: MethodContext, e: ast.Call) -> tuple[ast.Type, Label]:
+        rtype, rlabel = self.check_expr(ctx, e.receiver)
+        resolved = self._member_class(rtype, e.span)
+        arg_results = [self.check_expr(ctx, a) for a in e.args]
         if resolved is None:
             return ERROR, EMPTY
         cls, sub = resolved
@@ -521,71 +504,65 @@ class Checker:
                       f"class '{cls.decl.name}' has no method '{e.method}'")
             return ERROR, EMPTY
         # the receiver picks the object the callee runs on: it bounds its pc and taints its result
-        begin = substitute_label(callee.begin_label, sub)
-        call_pc = join(ctx.pc, rlabel)
-        if not flows_to(call_pc, begin, info.hierarchy):
-            self.add("E-PC-CALL", e.span,
-                     f"program counter does not flow to the begin-label of '{e.method}'",
-                     from_label=call_pc, to_label=begin)
+        self._require(ctx, join(ctx.pc, rlabel), substitute_label(callee.begin_label, sub),
+                      "E-PC-CALL", e.span,
+                      f"program counter does not flow to the begin-label of '{e.method}'")
         if len(e.args) != len(callee.params):
             self.add("E-ARITY", e.span,
                      f"method '{e.method}' takes {len(callee.params)} argument(s), "
                      f"got {len(e.args)}")
         else:
             for arg, (atype, alabel), p in zip(e.args, arg_results, callee.params):
-                if not _types_match(atype, substitute_type(p.type, sub)):
+                want = substitute_type(p.type, sub)
+                if not _types_match(atype, want):
                     self.add("E-TYPE", arg.span,
-                             f"argument '{p.name}' of '{e.method}' expects "
-                             f"{substitute_type(p.type, sub)}, got {atype}")
-                source = join(alabel, ctx.pc)
-                target = substitute_label(p.label, sub)
-                if not flows_to(source, target, info.hierarchy):
-                    self.add("E-FLOW", arg.span,
-                             f"argument does not flow to parameter '{p.name}' of '{e.method}'",
-                             from_label=source, to_label=target)
+                             f"argument '{p.name}' of '{e.method}' expects {want}, got {atype}")
+                self._require(ctx, join(alabel, ctx.pc), substitute_label(p.label, sub),
+                              "E-FLOW", arg.span,
+                              f"argument does not flow to parameter '{p.name}' of '{e.method}'")
         return (substitute_type(callee.return_type, sub),
                 join(rlabel, substitute_label(callee.return_label, sub)))
 
-    def _check_new(self, info: ClassInfo, ctx: MethodContext,
-                   e: ast.New) -> tuple[ast.Type, Label]:
-        arg_results = [self.check_expr(info, ctx, a) for a in e.args]
+    def _check_new(self, ctx: MethodContext, e: ast.New) -> tuple[ast.Type, Label]:
+        arg_results = [self.check_expr(ctx, a) for a in e.args]
         result_label = join_all([l for _, l in arg_results])
         ctype = self._resolve_type(
-            info, ast.ClassType(e.class_name, e.principal_args), e.span, allow_void=False
+            ctx.cls, ast.ClassType(e.class_name, e.principal_args), e.span, allow_void=False
         )
-        if isinstance(ctype, ErrorType):
+        if ctype is ERROR:
             return ERROR, result_label
-        cls = self.classes[e.class_name]
-        sub = dict(zip(cls.decl.principal_params, e.principal_args))
+        cls, sub = self._member_class(ctype, e.span)
+        # the instance's methods may spend the class's authority, so its creator must hold it
+        for p in {substitute_principal(p, sub) for p in cls.authority}:
+            if not self._has_authority(ctx, p):
+                self.add("E-AUTH-CLAIM", e.span,
+                         f"creating a '{ctype}' needs the authority of '{p}', "
+                         f"which method '{ctx.method.decl.name}' does not hold")
         # implicit constructor: one argument per field, in declaration order
         if len(e.args) != len(cls.fields):
             self.add("E-ARITY", e.span,
                      f"constructor of '{e.class_name}' takes {len(cls.fields)} "
                      f"argument(s), got {len(e.args)}")
             return ctype, result_label
-        for arg, (atype, alabel), fi in zip(e.args, arg_results, cls.fields):
-            if not _types_match(atype, substitute_type(fi.type, sub)):
-                self.add("E-TYPE", arg.span,
-                         f"field '{fi.name}' expects {substitute_type(fi.type, sub)}, "
-                         f"got {atype}")
-            self._flow_check(info, ctx, arg.span, alabel,
+        for arg, (atype, alabel), fi in zip(e.args, arg_results, cls.fields.values()):
+            want = substitute_type(fi.type, sub)
+            if not _types_match(atype, want):
+                self.add("E-TYPE", arg.span, f"field '{fi.name}' expects {want}, got {atype}")
+            self._flow_check(ctx, arg.span, alabel,
                              substitute_label(fi.label, sub), f"field '{fi.name}'")
         return ctype, result_label
 
-    def check_declassify(self, info: ClassInfo, ctx: MethodContext,
-                         e: ast.Declassify) -> tuple[ast.Type, Label]:
-        h = info.hierarchy
-        etype, elabel = self.check_expr(info, ctx, e.expr)
-        from_label = self._resolve_label(info, e.from_label, e.span)
-        to_label = self._resolve_label(info, e.to_label, e.span)
-        if not flows_to(elabel, from_label, h):
-            self.add("E-DECL-FROM", e.span,
-                     "declassified expression does not flow to the stated source label",
-                     from_label=elabel, to_label=from_label)
+    def check_declassify(self, ctx: MethodContext, e: ast.Declassify) -> tuple[ast.Type, Label]:
+        h = ctx.cls.hierarchy
+        etype, elabel = self.check_expr(ctx, e.expr)
+        from_label = self._resolve_label(ctx.cls, e.from_label, e.span)
+        to_label = self._resolve_label(ctx.cls, e.to_label, e.span)
+        self._require(ctx, elabel, from_label, "E-DECL-FROM", e.span,
+                      "declassified expression does not flow to the stated source label")
         if not flows_to(from_label, to_label, h):
             # weakening a confidentiality policy needs the authority of its owner
             for owner in conf_owners(from_label):
-                if not any(h.acts_for(a, owner) for a in ctx.authority):
+                if not self._has_authority(ctx, owner):
                     self.add("E-DECL-AUTH", e.span,
                              f"declassification requires the authority of '{owner}'",
                              from_label=from_label, to_label=to_label)
@@ -597,9 +574,8 @@ class Checker:
                      from_label=from_label, to_label=to_label)
         return etype, to_label
 
-    def _check_builtin(self, info: ClassInfo, ctx: MethodContext,
-                       e: ast.Builtin) -> tuple[ast.Type, Label]:
-        arg_results = [self.check_expr(info, ctx, a) for a in e.args]
+    def _check_builtin(self, ctx: MethodContext, e: ast.Builtin) -> tuple[ast.Type, Label]:
+        arg_results = [self.check_expr(ctx, a) for a in e.args]
         label = join_all([l for _, l in arg_results])
         sig = BUILTINS.get(e.name)
         if sig is None:
@@ -615,20 +591,19 @@ class Checker:
                 self.add("E-TYPE", arg.span, f"'{e.name}' expects {want}, got {atype}")
         return ret, label
 
-    def _check_binop(self, info: ClassInfo, ctx: MethodContext,
-                     e: ast.BinOp) -> tuple[ast.Type, Label]:
+    def _check_binop(self, ctx: MethodContext, e: ast.BinOp) -> tuple[ast.Type, Label]:
         # left-nested chains such as 1 + 2 + ... + 1 are walked iteratively,
         # innermost operator first, so their length does not grow the stack
         spine = [e]
         while isinstance(spine[-1].left, ast.BinOp):
             spine.append(spine[-1].left)
-        ltype, label = self.check_expr(info, ctx, spine[-1].left)
+        ltype, label = self.check_expr(ctx, spine[-1].left)
         for b in reversed(spine):
             saved_pc = ctx.pc
             if b.op in ("&&", "||"):
                 # the right operand runs only for some values of the left one
                 ctx.pc = join(ctx.pc, label)
-            rtype, rlabel = self.check_expr(info, ctx, b.right)
+            rtype, rlabel = self.check_expr(ctx, b.right)
             ctx.pc = saved_pc
             ltype, label = self._binop_type(b, ltype, rtype), join(label, rlabel)
         return ltype, label

@@ -17,7 +17,7 @@ CATALOG = frozenset({
     "E-DECL-FROM",     # declassified expression does not match the from-label
     "E-DECL-AUTH",     # missing authority for a declassified policy owner
     "E-DECL-INTEG",    # declassification strengthens integrity
-    "E-AUTH-CLAIM",    # method claims authority its class was not granted
+    "E-AUTH-CLAIM",    # authority claimed without a grant (method claim or `new`)
     "E-UNDEF",         # unknown name (variable, field, class, principal)
     "E-TYPE",          # type mismatch or conflicting declaration
     "E-ARITY",         # wrong number of arguments

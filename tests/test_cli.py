@@ -72,7 +72,8 @@ class TestCheck:
             "check", "--no-trust-main", str(CORPUS_DIR / "booking_ok.mjif"), capsys=capsys
         )
         assert code == 1
-        assert out.count("E-AUTH-CLAIM") == 3
+        # three authority claims of main, and the two `new Booking[...]` in it
+        assert out.count("E-AUTH-CLAIM") == 5
 
     def test_max_errors(self, capsys):
         code, out, _ = run_cli(
@@ -81,7 +82,7 @@ class TestCheck:
         )
         assert code == 1
         assert out.count("E-AUTH-CLAIM") == 1
-        assert "2 more error(s) suppressed" in out
+        assert "4 more error(s) suppressed" in out
 
     def test_negative_max_errors_is_a_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -97,7 +98,7 @@ class TestCheck:
             str(CORPUS_DIR / "booking_ok.mjif"), capsys=capsys,
         )
         assert code == 1
-        assert out == "... 3 more error(s) suppressed\n"
+        assert out == "... 5 more error(s) suppressed\n"
 
     def test_hierarchy_enables_flow(self, tmp_path, capsys):
         src = tmp_path / "memo.mjif"

@@ -5,6 +5,7 @@ from minijif.interp import evaluate_program
 from minijif.parser import parse_program
 
 from proggen import SECRET_INPUTS, generate_program, run_differential
+import pytest
 import random
 
 LEAKY = """principal A;
@@ -15,6 +16,26 @@ class Main {
         int{} p;
         if (s > 8) {
             p = 1;
+        }
+    }
+}
+"""
+
+# the loop form of the early-return leak (corpus/loop_return_leak.mjif): the
+# statements before the return run again only if it did not fire
+LOOP_LEAKY = """principal A;
+
+class Main {
+    void main{}() {
+        int{A->*} s;
+        int{} p = 0;
+        int c = 0;
+        while (c < 3) {
+            p = c;
+            c = c + 1;
+            if (s > 8) {
+                return;
+            }
         }
     }
 }
@@ -36,11 +57,12 @@ class Main {
 """
 
 
-def test_harness_detects_the_leak_the_checker_rejects():
-    program = parse_program(LEAKY)
+@pytest.mark.parametrize("source", [LEAKY, LOOP_LEAKY], ids=["branch", "loop_return"])
+def test_harness_detects_the_leak_the_checker_rejects(source):
+    program = parse_program(source)
     assert check_program(program), "checker must reject the implicit flow"
     # and had it been accepted, the differential run would have caught it
-    outs = [evaluate_program(program, {"s": v}) for v in (0, 9)]
+    outs = [evaluate_program(program, {"s": v}) for v in (0, 17)]
     assert outs[0]["p"] != outs[1]["p"]
 
 
