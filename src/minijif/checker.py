@@ -35,6 +35,7 @@ from .labels import (
     Label,
     LabelVar,
     MeetNode,
+    _flatten,
     conf_owners,
     flows_to,
     interpret_label,
@@ -134,8 +135,8 @@ def substitute_label(label: Label, sub: dict[str, PrincipalId]) -> Label:
         case ConfPolicy(owner, members) | IntegPolicy(owner, members):
             return type(label)(substitute_principal(owner, sub),
                                tuple(substitute_principal(m, sub) for m in members))
-        case JoinNode(left, right):
-            return join(substitute_label(left, sub), substitute_label(right, sub))
+        case JoinNode():
+            return join_all([substitute_label(c, sub) for c in _flatten(label, JoinNode)])
         case MeetNode(left, right):
             return MeetNode(substitute_label(left, sub), substitute_label(right, sub))
         case _:

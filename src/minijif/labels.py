@@ -88,30 +88,23 @@ def _members(owner: PrincipalId, listed: tuple[PrincipalId, ...],
     return h.actors(owner).union(*map(h.actors, listed))
 
 
-def interpret_conf(p: ConfPolicy, h: PrincipalHierarchy) -> frozenset[PrincipalId]:
-    """Principals that may read: anyone acting for the owner or for a listed reader."""
-    return _members(p.owner, p.readers, h)
-
-
-def interpret_integ(p: IntegPolicy, h: PrincipalHierarchy) -> frozenset[PrincipalId]:
-    """Principals that may write: anyone acting for the owner or for a listed writer."""
-    return _members(p.owner, p.writers, h)
-
-
 # labels and hierarchies are immutable values, so interpretation is cacheable
 @lru_cache(maxsize=1 << 16)
 def interpret_label(label: Label, h: PrincipalHierarchy) -> SemLabel:
     everyone = h.all_principals()
     match label:
-        case EmptyLabel():
-            return SemLabel(everyone, frozenset({TOP}))
-        case ConfPolicy():
-            return SemLabel(interpret_conf(label, h), everyone)
-        case IntegPolicy():
-            return SemLabel(everyone, interpret_integ(label, h))
-        case JoinNode(left, right):
-            a, b = interpret_label(left, h), interpret_label(right, h)
-            return SemLabel(a.readers & b.readers, a.writers | b.writers)
+        case EmptyLabel() | JoinNode():
+            # fold the `;` components onto the meaning of {}: a loop, since
+            # the labels the checker builds may have any number of them
+            readers, writers = everyone, frozenset({TOP})
+            for c in _flatten(label, JoinNode):
+                sem = interpret_label(c, h)
+                readers, writers = readers & sem.readers, writers | sem.writers
+            return SemLabel(readers, writers)
+        case ConfPolicy(owner, readers):
+            return SemLabel(_members(owner, readers, h), everyone)
+        case IntegPolicy(owner, writers):
+            return SemLabel(everyone, _members(owner, writers, h))
         case MeetNode(left, right):
             a, b = interpret_label(left, h), interpret_label(right, h)
             return SemLabel(a.readers | b.readers, a.writers & b.writers)

@@ -31,9 +31,10 @@ class ParseError(Exception):
 _TYPE_KEYWORDS = {"int": ast.INT, "boolean": ast.BOOLEAN, "String": ast.STRING, "void": ast.VOID}
 
 # Blocks, parentheses, argument lists, `else if` arms, `.` member chains and
-# a label's `;` and `meet` components each nest the tree one level deeper; the
-# checker and the pretty printer recurse on that nesting, so it is bounded
-# here, well inside Python's stack.
+# a label's `meet` operands each nest the tree one level deeper; the parser
+# and the checker recurse on that nesting, so it is bounded here, well inside
+# Python's stack.  A label's `;` components are walked by loops, so any number
+# of them parses.
 MAX_NESTING = 150
 
 
@@ -102,12 +103,10 @@ class _Parser:
         return lab
 
     def label_components(self) -> Label:
-        depth = self.depth
         lab = self.label_component()
         while self.at(";"):
-            self.nest(self.advance())
+            self.advance()
             lab = JoinNode(lab, self.label_component())
-        self.depth = depth
         return lab
 
     def label_component(self) -> Label:

@@ -139,24 +139,6 @@ class PrincipalHierarchy:
         return p in self.actors(q)
 
 
-def declare_principal(h: PrincipalHierarchy, name: str) -> PrincipalHierarchy:
-    return h.declare(name)
-
-
-def add_delegation(
-    h: PrincipalHierarchy, superior: PrincipalId, inferior: PrincipalId
-) -> PrincipalHierarchy:
-    return h.delegate(superior, inferior)
-
-
-def acts_for(h: PrincipalHierarchy, p: PrincipalId, q: PrincipalId) -> bool:
-    return h.acts_for(p, q)
-
-
-def all_principals(h: PrincipalHierarchy) -> frozenset[PrincipalId]:
-    return h.all_principals()
-
-
 class HierarchyParseError(ValueError):
     """Malformed line in the hierarchy text format."""
 

@@ -2,8 +2,9 @@
 
 AST nodes are ``typing.NamedTuple``s, which are cheap to define and to build.
 Two nodes of different kinds with equal fields therefore compare equal, so
-compare ASTs with ``ast_equal``, never with ``==``.  Types are interned, like
-labels: equal types are one object, and ``INT is not BOOLEAN``.
+compare ASTs with ``ast_equal`` (in ``tests/oracles.py``), never with ``==``.
+Types are interned, like labels: equal types are one object, and
+``INT is not BOOLEAN``.
 """
 
 from __future__ import annotations
@@ -240,37 +241,3 @@ Decl = Union[PrincipalDecl, ActsForDecl, ClassDecl]
 class Program(NamedTuple):
     decls: tuple[Decl, ...]
     span: Span
-
-
-# ---------------------------------------------------------------- helpers
-
-def strip_spans(node: object) -> tuple:
-    """Span-free skeleton of an AST, for comparison modulo spans.
-
-    The skeleton is a flat preorder tuple: each node becomes a
-    ``(type name, field count)`` marker followed by its fields, each plain
-    tuple a ``("tuple", length)`` marker followed by its items.  Every other
-    value is a leaf, so the skeleton is unambiguous, and neither building nor
-    comparing it recurses, however deep the program nests.
-    """
-    out: list = []
-    todo = [node]
-    while todo:
-        x = todo.pop()
-        if not isinstance(x, tuple):
-            out.append(x)
-            continue
-        fields = getattr(x, "_fields", None)
-        if fields is None:
-            items = x
-            out.append(("tuple", len(x)))
-        else:
-            items = [v for f, v in zip(fields, x) if f != "span"]
-            out.append((type(x).__name__, len(items)))
-        todo.extend(reversed(items))
-    return tuple(out)
-
-
-def ast_equal(a: object, b: object) -> bool:
-    """Structural equality ignoring spans."""
-    return strip_spans(a) == strip_spans(b)

@@ -8,7 +8,7 @@ secrets in.  ``declassify`` evaluates to its operand.
 
 from __future__ import annotations
 
-from . import syntax as ast
+from minijif import syntax as ast
 
 DEFAULT_FUEL = 10_000
 

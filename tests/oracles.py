@@ -3,6 +3,8 @@
 These deliberately re-derive everything from first principles (Warshall
 closure over raw delegation edges, set comprehensions over the universe)
 rather than calling the production query paths, so they can arbitrate them.
+``strip_spans`` and ``ast_equal`` compare ASTs modulo spans, for the parser's
+round-trip checks.
 """
 
 from __future__ import annotations
@@ -163,3 +165,35 @@ def random_label(rng: random.Random, pool, depth: int = 3) -> Label:
         return EmptyLabel()
     node = JoinNode if rng.random() < 0.6 else MeetNode
     return node(random_label(rng, pool, depth - 1), random_label(rng, pool, depth - 1))
+
+
+def strip_spans(node: object) -> tuple:
+    """Span-free skeleton of an AST, for comparison modulo spans.
+
+    The skeleton is a flat preorder tuple: each node becomes a
+    ``(type name, field count)`` marker followed by its fields, each plain
+    tuple a ``("tuple", length)`` marker followed by its items.  Every other
+    value is a leaf, so the skeleton is unambiguous, and neither building nor
+    comparing it recurses, however deep the program nests.
+    """
+    out: list = []
+    todo = [node]
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, tuple):
+            out.append(x)
+            continue
+        fields = getattr(x, "_fields", None)
+        if fields is None:
+            items = x
+            out.append(("tuple", len(x)))
+        else:
+            items = [v for f, v in zip(fields, x) if f != "span"]
+            out.append((type(x).__name__, len(items)))
+        todo.extend(reversed(items))
+    return tuple(out)
+
+
+def ast_equal(a: object, b: object) -> bool:
+    """Structural equality ignoring spans."""
+    return strip_spans(a) == strip_spans(b)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .labels import Label, label_to_text
-from . import syntax as ast
+from minijif.labels import Label, label_to_text
+from minijif import syntax as ast
 
 _ATOM = 10
 

@@ -13,8 +13,9 @@ import random
 from dataclasses import dataclass, field
 
 from minijif.checker import check_program
-from minijif.interp import FuelExhausted, evaluate_program
 from minijif.parser import parse_program
+
+from interp import FuelExhausted, evaluate_program
 
 SECRET_INPUTS = (0, 17)
 

@@ -24,19 +24,19 @@ from minijif.labels import (
     meet,
 )
 from minijif.parser import parse_program
-from minijif.pretty import pretty_print
-from minijif.principals import BOTTOM, Named, TOP, acts_for, all_principals
-from minijif.syntax import ast_equal
+from minijif.principals import BOTTOM, Named, TOP
 
 from conftest import corpus_files
 from oracles import (
     oracle_closure,
     SemOracle,
     all_edge_subsets,
+    ast_equal,
     hierarchy_from_edges,
     random_hierarchy,
     random_label,
 )
+from pretty import pretty_print
 from proggen import run_differential
 
 
@@ -118,7 +118,7 @@ def test_c2_lattice_laws_exhaustive():
 
 def _check_lattice_laws(prs, conf, integ, combos, edges):
     h = hierarchy_from_edges([p.name for p in prs], edges)
-    universe = sorted(all_principals(h), key=str)
+    universe = sorted(h.all_principals(), key=str)
     index = {p: i for i, p in enumerate(universe)}
     full = (1 << len(universe)) - 1
     top_only = 1 << index[TOP]
@@ -211,7 +211,7 @@ def test_c3_randomized_flow_oracle():
     with criterion(3, f"randomized flows_to oracle equivalence ({cases} cases)"):
         for _ in range(cases):
             h = random_hierarchy(rng, max_principals=5, acyclic=True)
-            pool = sorted(all_principals(h), key=str)
+            pool = sorted(h.all_principals(), key=str)
             l1, l2 = random_label(rng, pool), random_label(rng, pool)
             assert flows_to(l1, l2, h) == SemOracle(h).flows(l1, l2)
 
@@ -220,8 +220,8 @@ def test_c3_randomized_flow_oracle():
 
 def _acts_for_suite(h) -> dict:
     """Reflexivity, top/bottom laws, transitivity, oracle agreement, actors sets."""
-    universe = all_principals(h)
-    rel = {(p, q): acts_for(h, p, q) for p in universe for q in universe}
+    universe = h.all_principals()
+    rel = {(p, q): h.acts_for(p, q) for p in universe for q in universe}
     oracle_pairs = oracle_closure(h)
     for p in universe:
         assert rel[(p, p)]
@@ -252,10 +252,10 @@ def test_c4_acts_for_properties():
                 # monotonicity: every single-edge extension only grows the relation
                 for edge in pool:
                     grown = h.delegate(*edge)
-                    assert acts_for(grown, *edge)
+                    assert grown.acts_for(*edge)
                     for pq, held in rel.items():
                         if held:
-                            assert acts_for(grown, *pq)
+                            assert grown.acts_for(*pq)
 
         # the distinguished principals may appear as explicit endpoints
         rng = random.Random(99)

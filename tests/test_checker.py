@@ -11,7 +11,7 @@ from minijif.diagnostics import CATALOG, render_json
 from minijif.labels import EMPTY, interpret_label, label_to_text
 from minijif.lexer import tokenize
 from minijif.parser import _Parser, parse_label, parse_program
-from minijif.principals import Named, UnknownPrincipal
+from minijif.principals import Named, TOP, UnknownPrincipal
 from minijif import syntax as ast
 from oracles import SemOracle
 
@@ -91,6 +91,17 @@ class TestCheckExpr:
         ctx.locals["b"] = (ast.ClassType("Box", (Named("Alice"),)), EMPTY)
         _, label = checker.check_expr(ctx, parse_expr("b.f"))
         assert label_to_text(label) == "{Alice->*}"
+
+    def test_field_label_with_many_components_reads_through_an_instantiation(self):
+        owners = [f"A{i}" for i in range(199)]
+        prelude = "".join(f"principal {a};\n" for a in ["B", *owners])
+        field = "; ".join(f"{a}->*" for a in ["P", *owners])
+        src = wrap("", prelude + f"class Box[principal P] {{ int{{{field}}} f; }}\n")
+        checker, info, ctx = checker_with_ctx(src, "Main", "main")
+        ctx.locals["b"] = (ast.ClassType("Box", (Named("B"),)), EMPTY)
+        _, label = checker.check_expr(ctx, parse_expr("b.f"))
+        assert label_to_text(label) == "{" + "; ".join(f"{a}->*" for a in ["B", *owners]) + "}"
+        assert interpret_label(label, info.hierarchy).readers == {TOP}
 
     def test_binop_label_is_join_of_operands(self):
         checker, info, ctx = checker_with_ctx(BOOKING, "Application", "main")

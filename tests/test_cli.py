@@ -17,9 +17,10 @@ from minijif.checker import check_program
 from minijif.cli import main
 from minijif.lexer import KEYWORDS, SYMBOLS
 from minijif.parser import MAX_NESTING, parse_program
-from minijif.pretty import pretty_print
 from minijif import syntax as ast
 from conftest import CORPUS_DIR, REPO_ROOT, bench_gen, corpus_files
+from oracles import ast_equal
+from pretty import pretty_print
 
 NOT_UTF8 = b"\xff\xfe"
 
@@ -205,7 +206,7 @@ class TestOverDeepInput:
         assert (code, err) == (1, "")
         assert sorted((d["code"], d["span"]["start"][0]) for d in json.loads(out)) == expected
         program = parse_program(source)
-        assert ast.ast_equal(parse_program(pretty_print(program)), program)
+        assert ast_equal(parse_program(pretty_print(program)), program)
 
     def test_long_operator_chain(self, tmp_path, capsys):
         body = "int x = " + " + ".join(["1"] * 1000) + ";"
@@ -229,6 +230,16 @@ class TestOverDeepInput:
                   f"        int{{A->*; B->*}} x = {chain};\n    }}\n}}\n")
         _, code, out, err = self._check(tmp_path, capsys, source)
         assert (code, out, err) == (0, "", "")
+
+    # the labels the checker builds may have any number of `;` components
+    def test_sum_over_many_principals(self, tmp_path, capsys):
+        n = 700
+        decls = "".join(f"principal P{i};\n" for i in range(n))
+        body = "".join(f"int{{P{i}->*}} x{i} = 0;\n" for i in range(n))
+        body += "int{} y = " + " + ".join(f"x{i}" for i in range(n)) + ";"
+        _, code, out, err = self._check(tmp_path, capsys, decls + _method_body(body), "--json")
+        assert (code, err) == (1, "")
+        assert [d["code"] for d in json.loads(out)] == ["E-FLOW"]
 
 
 _WORDS = sorted(KEYWORDS) + SYMBOLS + ["x", "y", "Alice", "C", "m", "0", "17", '"s"', "\n"]
@@ -459,16 +470,13 @@ def test_console_script_installed():
     assert proc.returncode == 0
 
 
-def test_cli_import_loads_neither_evaluator_nor_pretty_printer():
-    script = (
-        "import sys, minijif.cli\n"
-        "print(sorted(m for m in ('minijif.interp', 'minijif.pretty') if m in sys.modules))\n"
-        "import minijif\n"
-        "print(minijif.evaluate_program.__module__, minijif.pretty_print.__module__,\n"
-        "      hasattr(minijif, 'no_such_name'))\n"
-    )
+def test_package_is_the_cli_import_closure():
+    # the package ships what `minijif` runs and nothing more
+    script = "import sys, minijif.cli\nprint(*sorted(m for m in sys.modules if m.startswith('minijif.')))"
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "minijif.interp minijif.pretty False"]
+    package = REPO_ROOT / "src" / "minijif"
+    assert proc.stdout.split() == sorted(f"minijif.{p.stem}" for p in package.glob("*.py")
+                                         if p.stem != "__init__")

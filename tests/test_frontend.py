@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 from minijif.labels import ConfPolicy, EMPTY, IntegPolicy, JoinNode, LabelVar, MeetNode
 from minijif.lexer import LexError, tokenize
 from minijif.parser import ParseError, parse_label, parse_program
-from minijif.pretty import expr_to_text, pretty_print
 from minijif.principals import BOTTOM, Named, TOP
 from minijif.span import Span
 from minijif import syntax as ast
 from conftest import corpus_files
+from oracles import ast_equal, strip_spans
+from pretty import expr_to_text, pretty_print
 
 
 class TestLexer:
@@ -260,7 +261,7 @@ def test_corpus_round_trip(path):
     program = parse_program(path.read_text(), file=str(path))
     rendered = pretty_print(program)
     reparsed = parse_program(rendered, file=str(path))
-    assert ast.ast_equal(program, reparsed)
+    assert ast_equal(program, reparsed)
 
 
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
@@ -293,26 +294,26 @@ class TestAstEqual:
 
     def test_node_kind_is_compared(self):
         # nodes are tuples: IntLit(1, s) == BoolLit(True, s), but they are different ASTs
-        assert not ast.ast_equal(ast.IntLit(1, self.SPAN), ast.BoolLit(True, self.SPAN))
-        assert not ast.ast_equal(ast.Var("x", self.SPAN), ast.StrLit("x", self.SPAN))
+        assert not ast_equal(ast.IntLit(1, self.SPAN), ast.BoolLit(True, self.SPAN))
+        assert not ast_equal(ast.Var("x", self.SPAN), ast.StrLit("x", self.SPAN))
 
     def test_spans_are_ignored(self):
         other = Span("g.mjif", (3, 4), (3, 5))
-        assert ast.ast_equal(ast.Var("x", self.SPAN), ast.Var("x", other))
-        assert not ast.ast_equal(ast.Var("x", self.SPAN), ast.Var("y", self.SPAN))
+        assert ast_equal(ast.Var("x", self.SPAN), ast.Var("x", other))
+        assert not ast_equal(ast.Var("x", self.SPAN), ast.Var("y", self.SPAN))
 
     def test_deepest_nesting_round_trips(self):
         # the method body is level 1, so 147 nested ifs reach 148 levels, within the limit
         depth = 147
         body = "if (true) {\n" * depth + "}\n" * depth
         program = parse_program(f"class C {{\n    void m{{}}() {{\n{body}    }}\n}}\n")
-        assert ast.ast_equal(parse_program(pretty_print(program)), program)
+        assert ast_equal(parse_program(pretty_print(program)), program)
 
     def test_long_operator_chain(self):
         program = parse_program("class C { void m{}() { int x = " + " + ".join(["1"] * 1000) + "; } }")
-        skeleton = ast.strip_spans(program)
+        skeleton = strip_spans(program)
         assert skeleton.count(("IntLit", 1)) == 1000
-        assert ast.ast_equal(parse_program(pretty_print(program)), program)
+        assert ast_equal(parse_program(pretty_print(program)), program)
 
 
 def test_parse_error_span_points_into_source():
@@ -351,4 +352,4 @@ def test_binary_precedence_and_associativity(first, second):
         expected = _bin(second, _bin(first, a, b), c)
     else:
         expected = _bin(first, a, _bin(second, b, c))
-    assert ast.strip_spans(parsed) == ast.strip_spans(expected)
+    assert strip_spans(parsed) == strip_spans(expected)

@@ -1,6 +1,6 @@
 import pytest
 
-from minijif.interp import EvalTypeError, FuelExhausted, evaluate_program
+from interp import EvalTypeError, FuelExhausted, evaluate_program
 from minijif.parser import parse_program
 
 

@@ -16,8 +16,6 @@ from minijif.labels import (
     conf_owners,
     equivalent,
     flows_to,
-    interpret_conf,
-    interpret_integ,
     interpret_label,
     join,
     join_all,
@@ -53,29 +51,29 @@ class TestPolicyInterpretation:
     def test_bottom_reader_means_everyone(self):
         # {Alice->_}: everyone can read
         h = hierarchy_from_edges(["Alice", "Bob"], [])
-        assert interpret_conf(conf(ALICE, BOTTOM), h) == h.all_principals()
+        assert interpret_label(conf(ALICE, BOTTOM), h).readers == h.all_principals()
 
     def test_owner_only(self):
         # frozen from the enumeration oracle
         h = hierarchy_from_edges(["Owner", "Operator"], [])
-        assert interpret_conf(conf(OWNER, TOP), h) == {OWNER, TOP}
+        assert interpret_label(conf(OWNER, TOP), h).readers == {OWNER, TOP}
 
     def test_delegated_reader(self):
         h = hierarchy_from_edges(["Alice", "Bob", "Carol"], [(Named("Carol"), BOB)])
-        assert interpret_conf(conf(ALICE, BOB), h) == {ALICE, BOB, Named("Carol"), TOP}
+        assert interpret_label(conf(ALICE, BOB), h).readers == {ALICE, BOB, Named("Carol"), TOP}
 
     def test_integ_owner_only(self):
         # {Alice<-*}: only Alice can write
         h = hierarchy_from_edges(["Alice", "Bob"], [])
-        assert interpret_integ(integ(ALICE, TOP), h) == {ALICE, TOP}
+        assert interpret_label(integ(ALICE, TOP), h).writers == {ALICE, TOP}
 
     def test_integ_listed_writer(self):
         h = hierarchy_from_edges(["Charles", "Bob"], [])
-        assert interpret_integ(integ(Named("Charles"), BOB), h) == {Named("Charles"), BOB, TOP}
+        assert interpret_label(integ(Named("Charles"), BOB), h).writers == {Named("Charles"), BOB, TOP}
 
     def test_integ_bottom_writer_means_everyone(self):
         h = hierarchy_from_edges(["Alice", "Bob", "Chuck"], [])
-        assert interpret_integ(integ(ALICE, BOTTOM), h) == h.all_principals()
+        assert interpret_label(integ(ALICE, BOTTOM), h).writers == h.all_principals()
 
     def test_policies_need_members(self):
         with pytest.raises(ValueError):
@@ -97,6 +95,9 @@ class TestLabelInterpretation:
         # {Alice->Chuck meet Bob->Chuck meet Chuck->*}: union oracle
         lab = MeetNode(MeetNode(conf(ALICE, CHUCK), conf(BOB, CHUCK)), conf(CHUCK, TOP))
         assert interpret_label(lab, self.h).readers == {ALICE, BOB, CHUCK, TOP}
+
+    def test_join_of_empty_groups_is_empty(self):
+        assert interpret_label(parse_label("{(); ()}"), self.h) == interpret_label(EMPTY, self.h)
 
     def test_empty_is_public_trusted(self):
         sem = interpret_label(EMPTY, self.h)
@@ -308,12 +309,9 @@ class TestOracleEquivalence:
             h2 = h.delegate(sup, inf)
             owner = rng.choice(pool)
             members = (rng.choice(pool),)
-            assert interpret_conf(ConfPolicy(owner, members), h) <= interpret_conf(
-                ConfPolicy(owner, members), h2
-            )
-            assert interpret_integ(IntegPolicy(owner, members), h) <= interpret_integ(
-                IntegPolicy(owner, members), h2
-            )
+            cp, ip = ConfPolicy(owner, members), IntegPolicy(owner, members)
+            assert interpret_label(cp, h).readers <= interpret_label(cp, h2).readers
+            assert interpret_label(ip, h).writers <= interpret_label(ip, h2).writers
 
 
 class TestPrettyText:

@@ -1,9 +1,11 @@
 """Differential-execution harness checks (small scale; criterion 5 runs 1,000)."""
 
 from minijif.checker import check_program
-from minijif.interp import evaluate_program
 from minijif.parser import parse_program
 
+from interp import evaluate_program
+from oracles import ast_equal
+from pretty import pretty_print
 from proggen import SECRET_INPUTS, generate_program, run_differential
 import pytest
 import random
@@ -75,9 +77,6 @@ def test_accepted_program_is_noninterfering():
 
 
 def test_generated_programs_parse_and_round_trip():
-    from minijif.pretty import pretty_print
-    from minijif.syntax import ast_equal
-
     rng = random.Random(31337)
     for _ in range(25):
         program = parse_program(generate_program(rng))

@@ -15,10 +15,6 @@ from minijif.principals import (
     TOP,
     Top,
     UnknownPrincipal,
-    acts_for,
-    add_delegation,
-    all_principals,
-    declare_principal,
     format_hierarchy,
     parse_hierarchy,
     principal_from_token,
@@ -32,7 +28,7 @@ ALICE, BOB, CAROL = Named("Alice"), Named("Bob"), Named("Carol")
 def hier(*names: str) -> PrincipalHierarchy:
     h = PrincipalHierarchy()
     for n in names:
-        h = declare_principal(h, n)
+        h = h.declare(n)
     return h
 
 
@@ -42,7 +38,7 @@ class TestDeclare:
 
     def test_idempotent(self):
         h = hier("Alice")
-        assert declare_principal(h, "Alice").declared == {ALICE}
+        assert h.declare("Alice").declared == {ALICE}
 
     def test_set_union(self):
         assert hier("Alice", "Bob").declared == {ALICE, BOB}
@@ -50,70 +46,70 @@ class TestDeclare:
     @pytest.mark.parametrize("bad", ["", "1x", "a b", "*", "_", "we-ird"])
     def test_invalid_identifier(self, bad):
         with pytest.raises(InvalidIdentifier):
-            declare_principal(PrincipalHierarchy(), bad)
+            PrincipalHierarchy().declare(bad)
 
 
 class TestDelegation:
     def test_superior_acts_for_inferior(self):
-        h = add_delegation(hier("Alice", "Bob"), ALICE, BOB)
-        assert acts_for(h, ALICE, BOB)
+        h = hier("Alice", "Bob").delegate(ALICE, BOB)
+        assert h.acts_for(ALICE, BOB)
 
     def test_idempotent(self):
-        h = add_delegation(hier("Alice", "Bob"), ALICE, BOB)
-        assert add_delegation(h, ALICE, BOB) == h
+        h = hier("Alice", "Bob").delegate(ALICE, BOB)
+        assert h.delegate(ALICE, BOB) == h
 
     def test_transitive_chain(self):
         h = hier("Alice", "Bob", "Carol")
-        h = add_delegation(h, ALICE, BOB)
-        h = add_delegation(h, BOB, CAROL)
+        h = h.delegate(ALICE, BOB)
+        h = h.delegate(BOB, CAROL)
         # frozen from the brute-force reachability oracle
-        assert acts_for(h, ALICE, CAROL)
+        assert h.acts_for(ALICE, CAROL)
 
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownPrincipal):
-            add_delegation(hier("Alice"), ALICE, BOB)
+            hier("Alice").delegate(ALICE, BOB)
 
     def test_top_bottom_endpoints_accepted(self):
-        h = add_delegation(hier("Alice"), TOP, ALICE)
-        h = add_delegation(h, ALICE, BOTTOM)
-        assert acts_for(h, ALICE, BOTTOM)
+        h = hier("Alice").delegate(TOP, ALICE)
+        h = h.delegate(ALICE, BOTTOM)
+        assert h.acts_for(ALICE, BOTTOM)
 
 
 class TestActsFor:
     def test_top_acts_for_all(self):
-        assert acts_for(hier("Alice"), TOP, ALICE)
+        assert hier("Alice").acts_for(TOP, ALICE)
 
     def test_reflexive(self):
-        assert acts_for(hier("Alice"), ALICE, ALICE)
+        assert hier("Alice").acts_for(ALICE, ALICE)
 
     def test_no_path(self):
-        h = add_delegation(hier("Alice", "Bob"), ALICE, BOB)
-        assert not acts_for(h, BOB, ALICE)
+        h = hier("Alice", "Bob").delegate(ALICE, BOB)
+        assert not h.acts_for(BOB, ALICE)
 
     def test_total_on_undeclared(self):
         h = PrincipalHierarchy()
         ghost = Named("Ghost")
-        assert acts_for(h, ghost, ghost)
-        assert acts_for(h, TOP, ghost)
-        assert acts_for(h, ghost, BOTTOM)
-        assert not acts_for(h, ghost, Named("Other"))
+        assert h.acts_for(ghost, ghost)
+        assert h.acts_for(TOP, ghost)
+        assert h.acts_for(ghost, BOTTOM)
+        assert not h.acts_for(ghost, Named("Other"))
         assert h.actors(ghost) == {TOP}
 
     def test_delegating_to_top_grants_everything(self):
         # Alice >= * makes Alice act for everyone, transitively through top.
-        h = add_delegation(hier("Alice", "Bob"), ALICE, TOP)
-        assert acts_for(h, ALICE, BOB)
+        h = hier("Alice", "Bob").delegate(ALICE, TOP)
+        assert h.acts_for(ALICE, BOB)
 
 
 class TestAllPrincipals:
     def test_empty(self):
-        assert all_principals(PrincipalHierarchy()) == {TOP, BOTTOM}
+        assert PrincipalHierarchy().all_principals() == {TOP, BOTTOM}
 
     def test_single(self):
-        assert all_principals(hier("Alice")) == {ALICE, TOP, BOTTOM}
+        assert hier("Alice").all_principals() == {ALICE, TOP, BOTTOM}
 
     def test_cardinality(self):
-        assert len(all_principals(hier("Alice", "Bob", "Chuck"))) == 5
+        assert len(hier("Alice", "Bob", "Chuck").all_principals()) == 5
 
 
 class TestInvariants:
@@ -121,54 +117,54 @@ class TestInvariants:
         # reflexivity, top/bottom laws, and oracle agreement on every
         # hierarchy over two principals
         for h in all_edge_subsets(["A", "B"]):
-            universe = all_principals(h)
+            universe = h.all_principals()
             for p in universe:
-                assert acts_for(h, p, p)
-                assert acts_for(h, TOP, p)
-                assert acts_for(h, p, BOTTOM)
+                assert h.acts_for(p, p)
+                assert h.acts_for(TOP, p)
+                assert h.acts_for(p, BOTTOM)
                 for q in universe:
-                    assert acts_for(h, p, q) == oracle_acts_for(h, p, q)
+                    assert h.acts_for(p, q) == oracle_acts_for(h, p, q)
 
     def test_transitive_exhaustive(self):
         for h in all_edge_subsets(["A", "B", "C"],
                                   edge_pool=[(Named("A"), Named("B")),
                                              (Named("B"), Named("C")),
                                              (Named("C"), Named("A"))]):
-            universe = all_principals(h)
+            universe = h.all_principals()
             for p in universe:
                 for q in universe:
-                    if not acts_for(h, p, q):
+                    if not h.acts_for(p, q):
                         continue
                     for r in universe:
-                        if acts_for(h, q, r):
-                            assert acts_for(h, p, r)
+                        if h.acts_for(q, r):
+                            assert h.acts_for(p, r)
 
     def test_monotone_growth(self):
         rng = random.Random(7)
         for _ in range(50):
             h = random_hierarchy(rng, max_principals=4)
-            universe = sorted(all_principals(h), key=str)
+            universe = sorted(h.all_principals(), key=str)
             pool = [p for p in universe]
             sup, inf = rng.choice(pool), rng.choice(pool)
-            h2 = add_delegation(h, sup, inf)
+            h2 = h.delegate(sup, inf)
             for p in universe:
                 for q in universe:
-                    if acts_for(h, p, q):
-                        assert acts_for(h2, p, q)
+                    if h.acts_for(p, q):
+                        assert h2.acts_for(p, q)
 
     @settings(max_examples=200, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_oracle_equivalence_random_graphs(self, pyrng):
         h = random_hierarchy(pyrng, max_principals=6)
-        universe = all_principals(h)
+        universe = h.all_principals()
         for p in universe:
             for q in universe:
-                assert acts_for(h, p, q) == oracle_acts_for(h, p, q)
+                assert h.acts_for(p, q) == oracle_acts_for(h, p, q)
 
 
 class TestTextFormat:
     def test_round_trip(self):
-        h = add_delegation(hier("Alice", "Bob"), ALICE, BOB)
+        h = hier("Alice", "Bob").delegate(ALICE, BOB)
         assert parse_hierarchy(format_hierarchy(h)) == h
 
     def test_comments_and_blanks(self):
@@ -178,7 +174,7 @@ class TestTextFormat:
 
     def test_declaration_order_irrelevant(self):
         h = parse_hierarchy("actsfor Alice >= Bob\nprincipal Alice\nprincipal Bob\n")
-        assert acts_for(h, ALICE, BOB)
+        assert h.acts_for(ALICE, BOB)
 
     @pytest.mark.parametrize("text", ["principal\n", "actsfor A > B\n", "nonsense\n",
                                       "actsfor A >= B\n"])
