@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
+from weakref import WeakKeyDictionary
 
 from .interned import Interned
 from .principals import PrincipalHierarchy, PrincipalId, TOP
@@ -99,7 +100,9 @@ def interpret_label(label: Label, h: PrincipalHierarchy) -> SemLabel:
             readers, writers = everyone, frozenset({TOP})
             for c in _flatten(label, JoinNode):
                 sem = interpret_label(c, h)
-                readers, writers = readers & sem.readers, writers | sem.writers
+                readers = readers & sem.readers
+                if writers is not everyone:  # a confidentiality policy admits every writer
+                    writers = everyone if sem.writers is everyone else writers | sem.writers
             return SemLabel(readers, writers)
         case ConfPolicy(owner, readers):
             return SemLabel(_members(owner, readers, h), everyone)
@@ -123,6 +126,12 @@ def equivalent(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
     return flows_to(l1, l2, h) and flows_to(l2, l1, h)
 
 
+# For each label `join` builds, a dict from each of its components to its
+# position, shared with the labels it extends: a label of n components owns
+# the entries below n, and entries are only added at position len(dict).
+_positions: "WeakKeyDictionary[Label, tuple[dict[Label, int], int]]" = WeakKeyDictionary()
+
+
 @lru_cache(maxsize=1 << 16)
 def join(l1: Label, l2: Label) -> Label:
     """Least upper bound: appends ``l2``'s components missing from ``l1``."""
@@ -130,11 +139,19 @@ def join(l1: Label, l2: Label) -> Label:
         return l1
     if isinstance(l1, EmptyLabel):
         return l2
-    seen = set(_flatten(l1, JoinNode))
+    positions, n = _positions.get(l1) or (None, 0)
+    if positions is None:
+        positions = {c: i for i, c in enumerate(dict.fromkeys(_flatten(l1, JoinNode)))}
+        n = len(positions)
     for c in _flatten(l2, JoinNode):
-        if c not in seen:
-            seen.add(c)
-            l1 = JoinNode(l1, c)
+        if positions.get(c, n) < n:
+            continue
+        if len(positions) != n:  # another label extends l1: take its own copy
+            positions = dict(zip(positions, range(n)))
+        positions[c] = n
+        n += 1
+        l1 = JoinNode(l1, c)
+        _positions[l1] = positions, n
     return l1
 
 

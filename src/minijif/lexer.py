@@ -44,14 +44,28 @@ class LexError(Exception):
 
 
 class Token(NamedTuple):
+    """One token; its span is computed on demand from ``line`` and ``col``."""
+
     kind: str  # IDENT, INT, STRING, EOF, a keyword, or a symbol
     text: str
-    span: Span
-    value: object = None  # decoded payload for INT/STRING
+    value: object  # decoded payload for INT/STRING, else None
+    file: str
+    line: int
+    col: int
+
+    @property
+    def start(self) -> tuple[int, int]:
+        return (self.line, self.col)
+
+    @property
+    def span(self) -> Span:
+        # exact, since no token crosses a line
+        return Span(self.file, (self.line, self.col), (self.line, self.col + len(self.text)))
 
 
 def tokenize(source: str, file: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__
     lines = source.split("\n")
     for line_no, line in enumerate(lines, 1):
         for m in _TOKEN.finditer(line):
@@ -79,7 +93,6 @@ def tokenize(source: str, file: str = "<string>") -> list[Token]:
                     raise LexError(Span(file, (line_no, start + 1), (line_no, end + 1)),
                                    "unterminated string literal")
                 value = _ESCAPE.sub(lambda e: ESCAPES[e[1]], text[1:-1])
-            tokens.append(Token(kind, text, Span(file, (line_no, start + 1), (line_no, end + 1)), value))
-    eof = (len(lines), len(lines[-1]) + 1)
-    tokens.append(Token("EOF", "", Span(file, eof, eof)))
+            append(new(Token, (kind, text, value, file, line_no, start + 1)))
+    append(new(Token, ("EOF", "", None, file, len(lines), len(lines[-1]) + 1)))
     return tokens

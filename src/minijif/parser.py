@@ -39,9 +39,10 @@ MAX_NESTING = 150
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], file: str):
         self.tokens = tokens
-        self.pos = 0  # never past the final EOF token
+        self.file = file
+        self.pos = 0  # past the final EOF token only after expecting EOF
         self.depth = 0
 
     # ------------------------------------------------------------- plumbing
@@ -55,16 +56,29 @@ class _Parser:
         return self.tokens[self.pos].kind in kinds
 
     def advance(self) -> Token:
+        """Take the next token, which the caller has seen is not EOF."""
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        self.pos += 1
         return tok
 
+    def accept(self, kind: str) -> bool:
+        """Take the next token if it is a ``kind`` (never EOF)."""
+        if self.tokens[self.pos].kind == kind:
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, *kinds: str) -> Token:
-        if not self.at(*kinds):
-            tok = self.peek()
+        tok = self.tokens[self.pos]
+        if tok.kind not in kinds:
             raise ParseError(tok.span, kinds, tok.kind)
-        return self.advance()
+        self.pos += 1
+        return tok
+
+    def span_from(self, start: tuple[int, int]) -> Span:
+        """From ``start`` to the end of the last token taken."""
+        tok = self.tokens[self.pos - 1]
+        return Span(self.file, start, (tok.line, tok.col + len(tok.text)))
 
     def fail(self, *expected: str) -> ParseError:
         tok = self.peek()
@@ -89,10 +103,16 @@ class _Parser:
 
     def principal_list(self) -> tuple[PrincipalId, ...]:
         out = [self.principal()]
-        while self.at(","):
-            self.advance()
+        while self.accept(","):
             out.append(self.principal())
         return tuple(out)
+
+    def authority(self) -> tuple[PrincipalId, ...]:
+        self.expect("authority")
+        self.expect("(")
+        authority = self.principal_list()
+        self.expect(")")
+        return authority
 
     # ---------------------------------------------------------------- labels
 
@@ -102,10 +122,12 @@ class _Parser:
         self.expect("}")
         return lab
 
+    def optional_label(self) -> "Label | None":
+        return self.label() if self.at("{") else None
+
     def label_components(self) -> Label:
         lab = self.label_component()
-        while self.at(";"):
-            self.advance()
+        while self.accept(";"):
             lab = JoinNode(lab, self.label_component())
         return lab
 
@@ -137,20 +159,19 @@ class _Parser:
 
     # ----------------------------------------------------------------- types
 
-    def type(self) -> tuple[ast.Type, Span]:
-        tok = self.peek()
+    def type(self) -> tuple[ast.Type, tuple[int, int]]:
+        """A type and the position it starts at."""
+        tok = self.tokens[self.pos]
         if tok.kind in _TYPE_KEYWORDS:
-            self.advance()
-            return _TYPE_KEYWORDS[tok.kind], tok.span
+            self.pos += 1
+            return _TYPE_KEYWORDS[tok.kind], tok.start
         if tok.kind == "IDENT":
-            self.advance()
-            span = tok.span
+            self.pos += 1
             args: tuple[PrincipalId, ...] = ()
-            if self.at("["):
-                self.advance()
+            if self.accept("["):
                 args = self.principal_list()
-                span = span.cover(self.expect("]").span)
-            return ast.ClassType(tok.text, args), span
+                self.expect("]")
+            return ast.ClassType(tok.text, args), tok.start
         raise self.fail("a type")
 
     # ----------------------------------------------------------- expressions
@@ -158,67 +179,71 @@ class _Parser:
     def expr(self, min_prec: int = 1) -> ast.Expr:
         """Precedence climbing: operators binding at least ``min_prec``, to the left."""
         left = self.postfix()
-        while (prec := ast.BINARY_PRECEDENCE.get(self.tokens[self.pos].kind, 0)) >= min_prec:
-            op = self.advance().kind
+        while (prec := ast.BINARY_PRECEDENCE.get(op := self.tokens[self.pos].kind, 0)) >= min_prec:
+            self.pos += 1
             right = self.expr(prec + 1)
-            left = ast.BinOp(op, left, right, left.span.cover(right.span))
+            left = ast.BinOp(op, left, right, Span(self.file, left.span.start, right.span.end))
         return left
 
     def postfix(self) -> ast.Expr:
         e = self.primary()
         depth = self.depth
-        while self.at("."):
-            self.nest(self.advance())
-            name = self.expect("IDENT")
+        while (tok := self.tokens[self.pos]).kind == ".":
+            self.pos += 1
+            self.nest(tok)
+            name = self.expect("IDENT").text
             if self.at("("):
-                args, end = self.call_args()
-                e = ast.Call(e, name.text, args, e.span.cover(end))
+                e = ast.Call(e, name, self.call_args(), self.span_from(e.span.start))
             else:
-                e = ast.FieldAccess(e, name.text, e.span.cover(name.span))
+                e = ast.FieldAccess(e, name, self.span_from(e.span.start))
         self.depth = depth
         return e
 
-    def call_args(self) -> tuple[tuple[ast.Expr, ...], Span]:
+    def call_args(self) -> tuple[ast.Expr, ...]:
         self.nest(self.expect("("))
         args: list[ast.Expr] = []
         if not self.at(")"):
             args.append(self.expr())
-            while self.at(","):
-                self.advance()
+            while self.accept(","):
                 args.append(self.expr())
         self.depth -= 1
-        end = self.expect(")")
-        return tuple(args), end.span
+        self.expect(")")
+        return tuple(args)
 
     def primary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "IDENT":
+            self.pos += 1
+            if self.at("("):
+                return ast.Builtin(tok.text, self.call_args(), self.span_from(tok.start))
+            return ast.Var(tok.text, tok.span)
+        if kind == "INT":
+            self.pos += 1
             return ast.IntLit(tok.value, tok.span)
-        if tok.kind == "STRING":
-            self.advance()
+        if kind == "STRING":
+            self.pos += 1
             return ast.StrLit(tok.value, tok.span)
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return ast.BoolLit(tok.kind == "true", tok.span)
-        if tok.kind == "(":
+        if kind in ("true", "false"):
+            self.pos += 1
+            return ast.BoolLit(kind == "true", tok.span)
+        if kind == "(":
             self.nest(self.advance())
             e = self.expr()
             self.depth -= 1
             self.expect(")")
             return e
-        if tok.kind == "new":
-            self.advance()
+        if kind == "new":
+            self.pos += 1
             name = self.expect("IDENT")
             pargs: tuple[PrincipalId, ...] = ()
-            if self.at("["):
-                self.advance()
+            if self.accept("["):
                 pargs = self.principal_list()
                 self.expect("]")
-            args, end = self.call_args()
-            return ast.New(name.text, pargs, args, tok.span.cover(end))
-        if tok.kind == "declassify":
-            self.advance()
+            args = self.call_args()
+            return ast.New(name.text, pargs, args, self.span_from(tok.start))
+        if kind == "declassify":
+            self.pos += 1
             self.nest(self.expect("("))
             e = self.expr()
             self.expect(",")
@@ -226,68 +251,60 @@ class _Parser:
             self.expect("to")
             to_label = self.label()
             self.depth -= 1
-            end = self.expect(")")
-            return ast.Declassify(e, from_label, to_label, tok.span.cover(end.span))
-        if tok.kind == "IDENT":
-            self.advance()
-            if self.at("("):
-                args, end = self.call_args()
-                return ast.Builtin(tok.text, args, tok.span.cover(end))
-            return ast.Var(tok.text, tok.span)
+            self.expect(")")
+            return ast.Declassify(e, from_label, to_label, self.span_from(tok.start))
         raise self.fail("an expression")
 
     # ------------------------------------------------------------ statements
 
     def block(self) -> ast.Block:
-        start = self.nest(self.expect("{"))
+        start = self.nest(self.expect("{")).start
         stmts: list[ast.Stmt] = []
         while not self.at("}", "EOF"):
             stmts.append(self.stmt())
         self.depth -= 1
-        end = self.expect("}")
-        return ast.Block(tuple(stmts), start.span.cover(end.span))
+        self.expect("}")
+        return ast.Block(tuple(stmts), self.span_from(start))
 
     def stmt(self) -> ast.Stmt:
-        tok = self.peek()
-        if tok.kind == "if":
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "if":
             return self.if_stmt()
-        if tok.kind == "while":
-            self.advance()
+        if kind == "while":
+            self.pos += 1
             self.expect("(")
             cond = self.expr()
             self.expect(")")
             body = self.block()
-            return ast.While(cond, body, tok.span.cover(body.span))
-        if tok.kind == "return":
-            self.advance()
+            return ast.While(cond, body, self.span_from(tok.start))
+        if kind == "return":
+            self.pos += 1
             value = None if self.at(";") else self.expr()
-            end = self.expect(";")
-            return ast.Return(value, tok.span.cover(end.span))
-        if tok.kind in _TYPE_KEYWORDS or (
-            tok.kind == "IDENT" and self.peek(1).kind in ("IDENT", "[", "{")
+            self.expect(";")
+            return ast.Return(value, self.span_from(tok.start))
+        if kind in _TYPE_KEYWORDS or (
+            kind == "IDENT" and self.peek(1).kind in ("IDENT", "[", "{")
         ):
             return self.var_decl()
         e = self.expr()
-        if self.at("="):
-            self.advance()
+        if self.accept("="):
             value = self.expr()
-            end = self.expect(";")
+            self.expect(";")
             if not isinstance(e, (ast.Var, ast.FieldAccess)):
                 raise ParseError(e.span, ("a variable or field",), "expression")
-            return ast.Assign(e, value, e.span.cover(end.span))
-        end = self.expect(";")
-        return ast.ExprStmt(e, e.span.cover(end.span))
+            return ast.Assign(e, value, self.span_from(e.span.start))
+        self.expect(";")
+        return ast.ExprStmt(e, self.span_from(e.span.start))
 
     def if_stmt(self) -> ast.If:
-        tok = self.expect("if")
+        start = self.expect("if").start
         self.expect("(")
         cond = self.expr()
         self.expect(")")
         then = self.block()
         orelse = None
-        span = tok.span.cover(then.span)
-        if self.at("else"):
-            self.advance()
+        if self.accept("else"):
             if self.at("if"):
                 self.nest(self.peek())
                 nested = self.if_stmt()
@@ -295,72 +312,58 @@ class _Parser:
                 orelse = ast.Block((nested,), nested.span)
             else:
                 orelse = self.block()
-            span = span.cover(orelse.span)
-        return ast.If(cond, then, orelse, span)
+        return ast.If(cond, then, orelse, self.span_from(start))
 
     def var_decl(self) -> ast.VarDecl:
-        typ, tspan = self.type()
-        label = None
-        if self.at("{"):
-            label = self.label()
+        typ, start = self.type()
+        label = self.optional_label()
         name = self.expect("IDENT")
-        init = None
-        if self.at("="):
-            self.advance()
-            init = self.expr()
-        end = self.expect(";")
-        return ast.VarDecl(typ, label, name.text, init, tspan.cover(end.span))
+        init = self.expr() if self.accept("=") else None
+        self.expect(";")
+        return ast.VarDecl(typ, label, name.text, init, self.span_from(start))
 
     # ---------------------------------------------------------- declarations
 
-    def program(self, file: str) -> ast.Program:
+    def program(self) -> ast.Program:
         decls: list[ast.Decl] = []
         while not self.at("EOF"):
             decls.append(self.decl())
-        eof = self.peek()
-        span = Span(file, (1, 1), eof.span.end) if decls else Span(file, (1, 1), (1, 1))
-        return ast.Program(tuple(decls), span)
+        end = self.peek().start if decls else (1, 1)
+        return ast.Program(tuple(decls), Span(self.file, (1, 1), end))
 
     def decl(self) -> ast.Decl:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "principal":
-            self.advance()
+            self.pos += 1
             name = self.expect("IDENT")
-            end = self.expect(";")
-            return ast.PrincipalDecl(name.text, tok.span.cover(end.span))
+            self.expect(";")
+            return ast.PrincipalDecl(name.text, self.span_from(tok.start))
         if tok.kind == "actsfor":
-            self.advance()
+            self.pos += 1
             sup = self.principal()
             self.expect(">=")
             inf = self.principal()
-            end = self.expect(";")
-            return ast.ActsForDecl(sup, inf, tok.span.cover(end.span))
+            self.expect(";")
+            return ast.ActsForDecl(sup, inf, self.span_from(tok.start))
         if tok.kind == "class":
             return self.class_decl()
         raise self.fail("principal", "actsfor", "class")
 
     def class_decl(self) -> ast.ClassDecl:
-        start = self.expect("class")
+        start = self.expect("class").start
         name = self.expect("IDENT")
         params: list[str] = []
-        if self.at("["):
-            self.advance()
+        if self.accept("["):
             while True:
                 self.expect("principal")
                 p = self.expect("IDENT")
                 if p.text in params:
                     raise ParseError(p.span, ("a distinct principal parameter",), p.text)
                 params.append(p.text)
-                if not self.at(","):
+                if not self.accept(","):
                     break
-                self.advance()
             self.expect("]")
-        authority: tuple[PrincipalId, ...] = ()
-        if self.at("authority"):
-            self.advance()
-            self.expect("(")
-            authority = self.principal_list()
-            self.expect(")")
+        authority = self.authority() if self.at("authority") else ()
         self.expect("{")
         fields: list[ast.FieldDecl] = []
         methods: list[ast.MethodDecl] = []
@@ -370,64 +373,47 @@ class _Parser:
                 fields.append(member)
             else:
                 methods.append(member)
-        end = self.expect("}")
+        self.expect("}")
         return ast.ClassDecl(
             name.text, tuple(params), authority, tuple(fields), tuple(methods),
-            start.span.cover(end.span),
+            self.span_from(start),
         )
 
     def member(self) -> "ast.FieldDecl | ast.MethodDecl":
-        typ, tspan = self.type()
-        label = None
-        if self.at("{"):
-            label = self.label()
+        typ, start = self.type()
+        label = self.optional_label()
         name = self.expect("IDENT")
-        if self.at(";"):
-            end = self.advance()
-            return ast.FieldDecl(typ, label, name.text, tspan.cover(end.span))
-        begin_label = None
-        if self.at("{"):
-            begin_label = self.label()
+        if self.accept(";"):
+            return ast.FieldDecl(typ, label, name.text, self.span_from(start))
+        begin_label = self.optional_label()
         self.expect("(")
         params: list[ast.Param] = []
         if not self.at(")"):
             while True:
-                ptyp, pspan = self.type()
-                plabel = None
-                if self.at("{"):
-                    plabel = self.label()
+                ptyp, pstart = self.type()
+                plabel = self.optional_label()
                 pname = self.expect("IDENT")
-                params.append(ast.Param(ptyp, plabel, pname.text, pspan.cover(pname.span)))
-                if not self.at(","):
+                params.append(ast.Param(ptyp, plabel, pname.text, self.span_from(pstart)))
+                if not self.accept(","):
                     break
-                self.advance()
         self.expect(")")
-        end_label = None
-        if self.at(":"):
-            self.advance()
-            end_label = self.label()
-        authority: tuple[PrincipalId, ...] = ()
-        if self.at("where"):
-            self.advance()
-            self.expect("authority")
-            self.expect("(")
-            authority = self.principal_list()
-            self.expect(")")
+        end_label = self.label() if self.accept(":") else None
+        authority = self.authority() if self.accept("where") else ()
         body = self.block()
         return ast.MethodDecl(
             typ, label, name.text, begin_label, tuple(params), end_label,
-            authority, body, tspan.cover(body.span),
+            authority, body, self.span_from(start),
         )
 
 
 def parse_program(source: str, file: str = "<string>") -> ast.Program:
     """Parse a full compilation unit; raises LexError/ParseError on failure."""
-    return _Parser(tokenize(source, file)).program(file)
+    return _Parser(tokenize(source, file), file).program()
 
 
 def parse_label(source: str, file: str = "<label>") -> Label:
     """Parse a standalone label such as ``{Owner->*}``."""
-    parser = _Parser(tokenize(source, file))
+    parser = _Parser(tokenize(source, file), file)
     label = parser.label()
     parser.expect("EOF")
     return label

@@ -12,12 +12,5 @@ class Span(NamedTuple):
     start: tuple[int, int]
     end: tuple[int, int]
 
-    def cover(self, other: "Span") -> "Span":
-        """Smallest span containing both operands (same file)."""
-        return Span(self.file, min(self.start, other.start), max(self.end, other.end))
-
-    def contains(self, other: "Span") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
     def __str__(self) -> str:
         return f"{self.file}:{self.start[0]}:{self.start[1]}"

@@ -4,7 +4,7 @@ These deliberately re-derive everything from first principles (Warshall
 closure over raw delegation edges, set comprehensions over the universe)
 rather than calling the production query paths, so they can arbitrate them.
 ``strip_spans`` and ``ast_equal`` compare ASTs modulo spans, for the parser's
-round-trip checks.
+round-trip checks; ``span_contains`` checks that spans nest.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from minijif.principals import (
     PrincipalId,
     TOP,
 )
+from minijif.span import Span
 
 
 def oracle_closure(h: PrincipalHierarchy) -> set[tuple[PrincipalId, PrincipalId]]:
@@ -197,3 +198,8 @@ def strip_spans(node: object) -> tuple:
 def ast_equal(a: object, b: object) -> bool:
     """Structural equality ignoring spans."""
     return strip_spans(a) == strip_spans(b)
+
+
+def span_contains(outer: Span, inner: Span) -> bool:
+    """Whether ``inner`` lies within ``outer`` (same file)."""
+    return outer.start <= inner.start and inner.end <= outer.end

@@ -54,7 +54,7 @@ def wrap(body: str, prelude: str = "principal Alice;\nprincipal Bob;\n") -> str:
 
 
 def parse_expr(text: str) -> ast.Expr:
-    parser = _Parser(tokenize(text))
+    parser = _Parser(tokenize(text), "<string>")
     expr = parser.expr()
     parser.expect("EOF")
     return expr

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +9,8 @@ from minijif.parser import ParseError, parse_label, parse_program
 from minijif.principals import BOTTOM, Named, TOP
 from minijif.span import Span
 from minijif import syntax as ast
-from conftest import corpus_files
-from oracles import ast_equal, strip_spans
+from conftest import CORPUS_DIR, bench_gen, corpus_files
+from oracles import ast_equal, span_contains, strip_spans
 from pretty import expr_to_text, pretty_print
 
 
@@ -278,7 +280,7 @@ def test_corpus_span_nesting(path):
             children = node
         else:
             if enclosing is not None:
-                assert enclosing.contains(node.span), f"{node.span} escapes {enclosing}"
+                assert span_contains(enclosing, node.span), f"{node.span} escapes {enclosing}"
                 nested += 1
             enclosing = node.span
             children = [getattr(node, f) for f in fields if f != "span"]
@@ -287,6 +289,125 @@ def test_corpus_span_nesting(path):
 
     check(program, None)
     assert nested > 0
+
+
+def span_walk(node: object) -> list[tuple]:
+    """``(node type, span start, span end)`` of every AST node, in preorder."""
+    out: list[tuple] = []
+    todo = [node]
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, tuple):
+            continue
+        fields = getattr(x, "_fields", None)
+        if fields is None:
+            items = x
+        else:
+            out.append((type(x).__name__, x.span.start, x.span.end))
+            items = [v for f, v in zip(fields, x) if f != "span"]
+        todo.extend(reversed(items))
+    return out
+
+
+# sha256 of span_walk's repr over each parsed program, so a change to any
+# node's span fails here.  Update a digest only together with a CHANGES.md
+# line that says why the spans changed.
+SPAN_SHA256 = {
+    "arity.mjif": "e9cad96bdaabc517c59579a7c6c2550910ccd7902804ed53511e94498fcd2b89",
+    "authority_claim.mjif": "212a0f3e16755f53281f1f91d21fb376505262ac8f6d209be5bdd46053d9b8e9",
+    "booking_bob_leak.mjif": "91f0f6bf5d10e867474dcdbf5a0d02e6ae57942c11db144849f5afcb60c68a55",
+    "booking_no_authority.mjif": "dfd389ed41eb13c39d14883d2b8fe6841704ea802ca1c9e335ee23959c870e9a",
+    "booking_no_declassify.mjif": "93678720749ded81f77419470004387080200ac1a2a7a6c96c24908c62c735ce",
+    "booking_ok.mjif": "4cd56f0f92ea7aa5a08f2a9af73ac0d8b7806be3d073d027cbbed3f1f60f817e",
+    "call_receiver_leak.mjif": "aff67ca7d6257eaa9df0e0a75d086c553d8275ae2498b62ff0b1ca954d8bcb7e",
+    "creator_authority.mjif": "4467db9a84c794d158443a24b9aece02201c29380cddb5cc18114e504c89b31a",
+    "declassify_from.mjif": "632394491fb846db1522b125cabb5df6831fc44165ba24ab052eb69c54ae1dba",
+    "declassify_integrity.mjif": "7a848a00df45d02cc520d9e5e2111b9d504985ad518649a89932cf1fb17484c3",
+    "delegation.mjif": "840b57d02ba3f016bb24bea7ce7899ab8cf1c7427223636c4cb9e3371debc261",
+    "early_return_leak.mjif": "a5abdf105f948525712688577274020589f504077439272ea67b5c706ddfa7a3",
+    "end_label.mjif": "272ccf5405c7693911d82b80c71890b8b2dcc84d37d841dce0ac0a955a517de3",
+    "implicit_flow.mjif": "d3781a40b95da3eb021e72d295d3f1b9139eda139f04b1a8c192dbe7cd3ac954",
+    "label_variables.mjif": "e8cd5de3cc1c5402a11eb722747b5a637ee9a2967f07eb2d74e4b4d0e7299c8a",
+    "loop_condition_leak.mjif": "25022d101990e2c2963d7f2436aceca1ab6f551bf581c031fa20b3e12d26fa45",
+    "loop_return_leak.mjif": "426d889165cd96e818bdff231aea8bec149a57441bd57399c65e84e9ee6d9325",
+    "pc_mismatch.mjif": "140ab6fc5b15c9841e3e06ba9addf846a9a87c2a007fcfacf60d95790270f26d",
+    "secret_declaration.mjif": "c0ce75b5160868469cfc2be3f3b89dc89d0cdcdf16416377c12c9b19a1391cb0",
+    "short_circuit_leak.mjif": "b85763ef8fa1ef629e0684e0e31558dfb7e33cb397f974d3e3ea98af11327b3d",
+    "type_errors.mjif": "ccb392a61b68deceb63fa7bce89a08ea6d2dd3df81ea988f077d33e28bb8f903",
+    "undefined_names.mjif": "430775bfd213070464a0637b6d58130fc0c37cab1988ec47e40b9646040dfef9",
+    "unknown_method.mjif": "684f306d5e18b0cb561faf3bdaa4fa089b4a0ea440b3dcc0de0e91180faed72d",
+    "deep_nesting": "5ff78d4f65a2111733db1e56e79455a9c3526f880ebb5861bf7a47ee37948d68",
+    "large_source": "e331c05758c47c6ebb743421dc9f4d9de35a9f33ba37eafb5db9539017448ef1",
+    "wide_principals": "99e2da8118c945f303a8f592da2e1e32d3b3e4b5493927935dfc0daa06f3b0c8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_SHA256))
+def test_node_spans_are_pinned(name):
+    if name.endswith(".mjif"):
+        source = (CORPUS_DIR / name).read_text()
+    else:
+        source, _ = bench_gen().generate(name, 1)
+    walk = span_walk(parse_program(source, file=name))
+    assert hashlib.sha256(repr(walk).encode()).hexdigest() == SPAN_SHA256[name]
+
+
+#        0        1         2         3         4
+#        1234567890123456789012345678901234567890123
+SHAPES = """\
+class C[principal A] {
+    int{} m{}(C[A]{A->*} p, int q) {
+        x = a + (b);
+        y = (a).f;
+        (c.m());
+        if (a) { } else if (b) { }
+        C[A] z = new C[A](1, (2));
+        s = declassify((a), {A->*} to {});
+    }
+}
+"""
+
+
+def _shape(name: str):
+    m = parse_program(SHAPES).decls[0].methods[0]
+    s = m.body.stmts
+    return {
+        "method": m, "parameter C[A]{A->*} p": m.params[0], "parameter int q": m.params[1],
+        "x = a + (b);": s[0], "a + (b)": s[0].value, "(b)": s[0].value.right,
+        "(a).f": s[1].value, "(c.m());": s[2], "c.m()": s[2].expr,
+        "if with else if": s[3], "else if arm's Block": s[3].orelse,
+        "nested if": s[3].orelse.stmts[0], "C[A] z = ...;": s[4], "new C[A](1, (2))": s[4].init,
+        "(2)": s[4].init.args[1], "s = declassify(...);": s[5], "declassify(...)": s[5].value,
+        "(a) in declassify": s[5].value.expr,
+    }[name]
+
+
+@pytest.mark.parametrize("name, start, end", [
+    ("method", (2, 5), (9, 6)),
+    ("parameter C[A]{A->*} p", (2, 15), (2, 27)),
+    ("parameter int q", (2, 29), (2, 34)),
+    ("x = a + (b);", (3, 9), (3, 21)),
+    # a binary operation ends with its right operand, not with its parenthesis
+    ("a + (b)", (3, 13), (3, 19)),
+    ("(b)", (3, 18), (3, 19)),
+    ("(a).f", (4, 14), (4, 18)),
+    # a statement starts with its expression, inside the parenthesis
+    ("(c.m());", (5, 10), (5, 17)),
+    ("c.m()", (5, 10), (5, 15)),
+    ("if with else if", (6, 9), (6, 35)),
+    # an `else if` arm's block shares the nested if's span
+    ("else if arm's Block", (6, 25), (6, 35)),
+    ("nested if", (6, 25), (6, 35)),
+    ("C[A] z = ...;", (7, 9), (7, 35)),
+    ("new C[A](1, (2))", (7, 18), (7, 34)),
+    ("(2)", (7, 31), (7, 32)),
+    ("s = declassify(...);", (8, 9), (8, 43)),
+    ("declassify(...)", (8, 13), (8, 42)),
+    ("(a) in declassify", (8, 25), (8, 26)),
+])
+def test_node_span_shapes(name, start, end):
+    span = _shape(name).span
+    assert (span.file, span.start, span.end) == ("<string>", start, end)
 
 
 class TestAstEqual:

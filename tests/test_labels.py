@@ -210,9 +210,14 @@ class TestJoinMeet:
 
 def join_parts(label):
     """``;`` components of a label tree, left to right, repeats kept."""
-    if isinstance(label, JoinNode):
-        return join_parts(label.left) + join_parts(label.right)
-    return [] if label == EMPTY else [label]
+    out, todo = [], [label]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, JoinNode):
+            todo += (x.right, x.left)
+        elif x is not EMPTY:
+            out.append(x)
+    return out
 
 
 class TestJoinNormalForm:
@@ -260,6 +265,40 @@ class TestJoinNormalForm:
             labels = rng.choices(items, k=8)
             parts = join_parts(join_all(labels))
             assert parts == list(dict.fromkeys(p for l in labels for p in join_parts(l)))
+
+    def test_long_chain_matches_the_plain_fold(self):
+        # a sum over many differently labelled values, with repeated
+        # components, joins onto recent labels and operands that are joins
+        rng = random.Random(43)
+        pool = [conf(Named(f"P{i}"), TOP) for i in range(4000)]
+        fast, slow = [EMPTY], [EMPTY]
+        for _ in range(3000):
+            k = len(fast) - 1 - (rng.randrange(1, 4) if rng.random() < 0.1 else 0)
+            l1, l2 = fast[max(k, 0)], rng.choice(pool)
+            if rng.random() < 0.1:
+                l2 = JoinNode(l2, rng.choice(pool))
+            if rng.random() < 0.05:  # a join spine `join` did not build
+                l1 = JoinNode(l1, rng.choice(pool))
+            fast.append(join(l1, l2))
+            slow.append(plain_join(l1, l2))
+        assert all(a is b for a, b in zip(fast, slow))
+        assert len(join_parts(fast[-1])) > 2000
+        text = "{" + "; ".join(label_to_text(p)[1:-1] for p in join_parts(slow[-1])) + "}"
+        assert label_to_text(fast[-1]) == text
+
+
+def plain_join(l1, l2):
+    """``join`` as one pass over both operands' components, with no memo."""
+    if l1 is l2 or l2 is EMPTY:
+        return l1
+    if l1 is EMPTY:
+        return l2
+    seen = set(join_parts(l1))
+    for c in join_parts(l2):
+        if c not in seen:
+            seen.add(c)
+            l1 = JoinNode(l1, c)
+    return l1
 
 
 class TestLeaves:
