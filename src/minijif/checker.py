@@ -1,8 +1,10 @@
 """Static information-flow checking over MiniJif ASTs.
 
-The body pass checks each method under one ``MethodContext`` (class, method,
-pc, locals) and forms flow constraints in one primitive, ``_require``; only
-``_flow_check``, for assignments, also decides whether to blame the pc.
+Flows are checked in JFlow's two steps: generate constraints, then solve them.
+The body pass walks each method under one ``MethodContext`` (class, method, pc,
+locals) and records each flow obligation on ``ctx.records``; then ``decide``
+turns the records into diagnostics under the class's hierarchy and the method's
+authority.  Only a loop's "did the pc rise" test is decided during the walk.
 
 Each class is checked once, generically: its principal parameters are treated
 as rigid, otherwise-unrelated principals.  Call sites substitute the concrete
@@ -112,9 +114,12 @@ class ClassInfo:
     methods: dict[str, MethodInfo] = field(default_factory=dict)
 
 
+FlowRecord = tuple[str, Label, "Label | None", Label, Span, "str | None"]  # see decide
+
+
 class MethodContext:
     """Body-pass state of one method: its class and declaration, the pc, the
-    locals in scope, and whether the current branch body has a `return`."""
+    locals in scope, whether a branch body has a `return`, and its flow records."""
 
     def __init__(self, cls: ClassInfo, method: MethodInfo):
         self.cls = cls
@@ -122,6 +127,7 @@ class MethodContext:
         self.pc = method.begin_label
         self.locals = {p.name: (p.type, p.label) for p in method.params}
         self.returned = False
+        self.records: list[FlowRecord] = []
 
 
 def substitute_principal(p: PrincipalId, sub: dict[str, PrincipalId]) -> PrincipalId:
@@ -161,28 +167,20 @@ class Checker:
 
     # -------------------------------------------------------------- plumbing
 
-    def add(self, code: str, span: Span, message: str,
-            from_label: "Label | None" = None, to_label: "Label | None" = None) -> None:
-        self.diagnostics.append(Diagnostic(
-            code, span, message,
-            None if from_label is None else label_to_text(from_label),
-            None if to_label is None else label_to_text(to_label),
-        ))
+    def add(self, code: str, span: Span, message: str) -> None:
+        self.diagnostics.append(Diagnostic(code, span, message))
 
     def _build_hierarchy(self) -> PrincipalHierarchy:
-        h = PrincipalHierarchy()
-        for d in self.program.decls:
-            if isinstance(d, ast.PrincipalDecl):
-                h = h.declare(d.name)
+        h = PrincipalHierarchy().declare(*(d.name for d in self.program.decls
+                                           if isinstance(d, ast.PrincipalDecl)))
+        edges = []
         for d in self.program.decls:
             if isinstance(d, ast.ActsForDecl):
                 try:
-                    h = h.delegate(d.superior, d.inferior)
+                    edges.append(h.check_edge(d.superior, d.inferior))
                 except UnknownPrincipal as exc:
                     self.add("E-UNDEF", d.span, str(exc))
-        for sup, inf in self.trust.extra_delegations:
-            h = h.delegate(sup, inf)  # raises UnknownPrincipal on bad config
-        return h
+        return h.delegate(*edges, *self.trust.extra_delegations)  # UnknownPrincipal on bad trust
 
     # --------------------------------------------------------- declaration pass
 
@@ -192,26 +190,24 @@ class Checker:
             if c.name in self.classes:
                 self.add("E-TYPE", c.span, f"duplicate class '{c.name}'")
                 continue
-            h = self.hierarchy
             for p in c.principal_params:
                 if Named(p) in self.hierarchy.declared:
                     self.add("E-TYPE", c.span,
                              f"principal parameter '{p}' shadows a declared principal")
-                h = h.declare(p)
-            self.classes[c.name] = ClassInfo(c, h)
+            self.classes[c.name] = ClassInfo(c, self.hierarchy.declare(*c.principal_params))
         for info in self.classes.values():
             self._declare_members(info)
         for info in self.classes.values():
             for mi in info.methods.values():
-                self._check_block(MethodContext(info, mi), mi.decl.body)
+                ctx = MethodContext(info, mi)
+                self._check_block(ctx, mi.decl.body)
+                self.diagnostics += decide(ctx.records, info.hierarchy, mi.authority)
         self.diagnostics.sort(key=Diagnostic.sort_key)
         return self.diagnostics
 
     def _declare_members(self, info: ClassInfo) -> None:
         c = info.decl
-        info.authority = frozenset(
-            p for p in c.authority if self._principal_known(info, p, c.span)
-        )
+        info.authority = frozenset(p for p in c.authority if self._principal_known(info, p, c.span))
         for f in c.fields:
             if f.name in info.fields:
                 self.add("E-TYPE", f.span, f"duplicate field '{f.name}'")
@@ -339,7 +335,8 @@ class Checker:
         if s.label is not None:
             label = self._resolve_label(ctx.cls, s.label, s.span)
             if s.init is not None:
-                self._flow_check(ctx, s.span, init_label, label, f"initializer of '{s.name}'")
+                ctx.records.append(("E-FLOW", init_label, ctx.pc, label, s.span,
+                                    f"initializer of '{s.name}'"))
         else:
             # unannotated local: label inferred once, at the declaration
             label = join(init_label, ctx.pc)
@@ -352,7 +349,8 @@ class Checker:
             if not _types_match(vtype, target_type):
                 self.add("E-TYPE", s.span,
                          f"cannot assign a {vtype} value to {desc} of type {target_type}")
-            self._flow_check(ctx, s.span, join(vlabel, receiver), target_label, desc)
+            ctx.records.append(("E-FLOW", join(vlabel, receiver), ctx.pc, target_label,
+                                s.span, desc))
 
     def _lookup(self, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
         """Resolve a local or field: (type, label, receiver label, description).
@@ -389,38 +387,10 @@ class Checker:
         cls = self.classes[rtype.name]
         return cls, dict(zip(cls.decl.principal_params, rtype.principal_args))
 
-    def _require(self, ctx: MethodContext, source: Label, target: Label,
-                 code: str, span: Span, message: str) -> bool:
-        """The flow primitive: report ``code`` unless ``source`` flows to ``target``."""
-        if flows_to(source, target, ctx.cls.hierarchy):
-            return True
-        self.add(code, span, message, from_label=source, to_label=target)
-        return False
-
-    def _flow_check(self, ctx: MethodContext, span: Span,
-                    source: Label, target: Label, desc: str) -> None:
-        """Assignment-shaped flow check; blames the pc when it alone breaks the flow."""
-        h = ctx.cls.hierarchy
-        full = join(source, ctx.pc)
-        if flows_to(full, target, h):
-            return
-        if flows_to(source, target, h):
-            self.add("E-FLOW-IMPLICIT", span,
-                     f"implicit flow into {desc}: the program counter label "
-                     f"does not flow to the target label",
-                     from_label=full, to_label=target)
-        else:
-            self.add("E-FLOW", span, f"value does not flow to {desc}",
-                     from_label=full, to_label=target)
-
-    def _has_authority(self, ctx: MethodContext, p: PrincipalId) -> bool:
-        """Whether some principal whose authority the method holds acts for ``p``."""
-        return any(ctx.cls.hierarchy.acts_for(a, p) for a in ctx.method.authority)
-
     def check_branch(self, ctx: MethodContext, s: "ast.If | ast.While") -> None:
         saved_pc, returned = ctx.pc, ctx.returned
         h = ctx.cls.hierarchy
-        mark = len(self.diagnostics)
+        mark, records = len(self.diagnostics), len(ctx.records)
         while True:
             start = ctx.pc
             ctype, clabel = self.check_expr(ctx, s.cond)
@@ -435,14 +405,14 @@ class Checker:
             # A loop is one fixpoint: the condition and the body run again
             # only if the last condition held and no return fired, so each
             # pass starts at the pc the last one ended with, until the pc
-            # stops rising; only the last pass's diagnostics are kept.  The
-            # body is skipped in a pass whose condition raised the pc, as
-            # the next pass checks it at the raised pc.
+            # stops rising; only the last pass's diagnostics and records are
+            # kept.  The body is skipped in a pass whose condition raised the
+            # pc, as the next pass checks it at the raised pc.
             if ctx.pc is start or flows_to(ctx.pc, start, h):
                 self._check_block(ctx, s.body)
                 if ctx.pc is start or flows_to(ctx.pc, start, h):
                     break
-            del self.diagnostics[mark:]
+            del self.diagnostics[mark:], ctx.records[records:]
         # a body that may return keeps the raised pc (see the module docstring)
         if not ctx.returned:
             ctx.pc = saved_pc
@@ -461,11 +431,11 @@ class Checker:
             elif not _types_match(vtype, mi.return_type):
                 self.add("E-TYPE", s.span,
                          f"returning a {vtype} value from a {mi.return_type} method")
-            self._require(ctx, join(vlabel, ctx.pc), mi.return_label, "E-FLOW", s.span,
-                          "returned value does not flow to the declared return label")
+            ctx.records.append(("E-FLOW", join(vlabel, ctx.pc), None, mi.return_label, s.span,
+                                "returned value does not flow to the declared return label"))
         if mi.end_label is not None:
-            self._require(ctx, ctx.pc, mi.end_label, "E-PC-END", s.span,
-                          "program counter does not flow to the method end-label")
+            ctx.records.append(("E-PC-END", ctx.pc, None, mi.end_label, s.span,
+                                "program counter does not flow to the method end-label"))
 
     # ------------------------------------------------------------ expressions
 
@@ -505,9 +475,9 @@ class Checker:
                       f"class '{cls.decl.name}' has no method '{e.method}'")
             return ERROR, EMPTY
         # the receiver picks the object the callee runs on: it bounds its pc and taints its result
-        self._require(ctx, join(ctx.pc, rlabel), substitute_label(callee.begin_label, sub),
-                      "E-PC-CALL", e.span,
-                      f"program counter does not flow to the begin-label of '{e.method}'")
+        ctx.records.append(("E-PC-CALL", join(ctx.pc, rlabel), None,
+                            substitute_label(callee.begin_label, sub), e.span,
+                            f"program counter does not flow to the begin-label of '{e.method}'"))
         if len(e.args) != len(callee.params):
             self.add("E-ARITY", e.span,
                      f"method '{e.method}' takes {len(callee.params)} argument(s), "
@@ -518,9 +488,9 @@ class Checker:
                 if not _types_match(atype, want):
                     self.add("E-TYPE", arg.span,
                              f"argument '{p.name}' of '{e.method}' expects {want}, got {atype}")
-                self._require(ctx, join(alabel, ctx.pc), substitute_label(p.label, sub),
-                              "E-FLOW", arg.span,
-                              f"argument does not flow to parameter '{p.name}' of '{e.method}'")
+                ctx.records.append((
+                    "E-FLOW", join(alabel, ctx.pc), None, substitute_label(p.label, sub), arg.span,
+                    f"argument does not flow to parameter '{p.name}' of '{e.method}'"))
         return (substitute_type(callee.return_type, sub),
                 join(rlabel, substitute_label(callee.return_label, sub)))
 
@@ -535,7 +505,7 @@ class Checker:
         cls, sub = self._member_class(ctype, e.span)
         # the instance's methods may spend the class's authority, so its creator must hold it
         for p in {substitute_principal(p, sub) for p in cls.authority}:
-            if not self._has_authority(ctx, p):
+            if not any(ctx.cls.hierarchy.acts_for(a, p) for a in ctx.method.authority):
                 self.add("E-AUTH-CLAIM", e.span,
                          f"creating a '{ctype}' needs the authority of '{p}', "
                          f"which method '{ctx.method.decl.name}' does not hold")
@@ -549,30 +519,17 @@ class Checker:
             want = substitute_type(fi.type, sub)
             if not _types_match(atype, want):
                 self.add("E-TYPE", arg.span, f"field '{fi.name}' expects {want}, got {atype}")
-            self._flow_check(ctx, arg.span, alabel,
-                             substitute_label(fi.label, sub), f"field '{fi.name}'")
+            ctx.records.append(("E-FLOW", alabel, ctx.pc, substitute_label(fi.label, sub),
+                                arg.span, f"field '{fi.name}'"))
         return ctype, result_label
 
     def check_declassify(self, ctx: MethodContext, e: ast.Declassify) -> tuple[ast.Type, Label]:
-        h = ctx.cls.hierarchy
         etype, elabel = self.check_expr(ctx, e.expr)
         from_label = self._resolve_label(ctx.cls, e.from_label, e.span)
         to_label = self._resolve_label(ctx.cls, e.to_label, e.span)
-        self._require(ctx, elabel, from_label, "E-DECL-FROM", e.span,
-                      "declassified expression does not flow to the stated source label")
-        if not flows_to(from_label, to_label, h):
-            # weakening a confidentiality policy needs the authority of its owner
-            for owner in conf_owners(from_label):
-                if not self._has_authority(ctx, owner):
-                    self.add("E-DECL-AUTH", e.span,
-                             f"declassification requires the authority of '{owner}'",
-                             from_label=from_label, to_label=to_label)
-        sem_from = interpret_label(from_label, h)
-        sem_to = interpret_label(to_label, h)
-        if not sem_from.writers <= sem_to.writers:
-            self.add("E-DECL-INTEG", e.span,
-                     "declassification must not strengthen integrity",
-                     from_label=from_label, to_label=to_label)
+        ctx.records += [("E-DECL-FROM", elabel, None, from_label, e.span,
+                         "declassified expression does not flow to the stated source label"),
+                        ("declassify", from_label, None, to_label, e.span, None)]
         return etype, to_label
 
     def _check_builtin(self, ctx: MethodContext, e: ast.Builtin) -> tuple[ast.Type, Label]:
@@ -625,6 +582,44 @@ class Checker:
                 self.add("E-TYPE", side[1].span,
                          f"operator '{e.op}' expects {want} operands, got {side[0]}")
         return result
+
+
+def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
+           authority: frozenset[PrincipalId]) -> list[Diagnostic]:
+    """Turn one method's flow records into diagnostics, under ``hierarchy``
+    and the ``authority`` the method holds: the only place a flow is decided.
+
+    A record fails unless its source flows to its target; it then yields its
+    code and message.  A record with a pc is assignment-shaped, and its
+    message names the target: the pc is joined into the source and is blamed
+    (``E-FLOW-IMPLICIT``) when the value alone would flow.  A ``declassify``
+    record relabels its source to its target: weakening a confidentiality
+    policy needs the authority of its owner, and integrity must not grow.
+    """
+    out = []
+    for code, source, pc, target, span, message in records:
+        if code == "declassify":
+            failed = []
+            if not flows_to(source, target, hierarchy):
+                failed += [("E-DECL-AUTH", f"declassification requires the authority of '{owner}'")
+                           for owner in conf_owners(source)
+                           if not any(hierarchy.acts_for(a, owner) for a in authority)]
+            if not (interpret_label(source, hierarchy).writers
+                    <= interpret_label(target, hierarchy).writers):
+                failed.append(("E-DECL-INTEG", "declassification must not strengthen integrity"))
+        elif pc is None:
+            failed = [] if flows_to(source, target, hierarchy) else [(code, message)]
+        else:
+            value, source = source, join(source, pc)
+            if flows_to(source, target, hierarchy):
+                continue
+            failed = [("E-FLOW-IMPLICIT", f"implicit flow into {message}: the program counter "
+                                          "label does not flow to the target label")
+                      if flows_to(value, target, hierarchy)
+                      else (code, f"value does not flow to {message}")]
+        out += [Diagnostic(c, span, m, label_to_text(source), label_to_text(target))
+                for c, m in failed]
+    return out
 
 
 def check_program(program: ast.Program, trust: TrustConfig | None = None) -> list[Diagnostic]:

@@ -60,6 +60,7 @@ class Bottom(Interned):
 
 
 PrincipalId = Named | Top | Bottom
+Edge = tuple[PrincipalId, PrincipalId]  # (superior, inferior)
 
 TOP = Top()
 BOTTOM = Bottom()
@@ -68,11 +69,7 @@ _TOP_ONLY = frozenset({TOP})
 
 def principal_sort_key(p: PrincipalId) -> tuple[int, str]:
     """Named principals alphabetically, then top, then bottom."""
-    if isinstance(p, Named):
-        return (0, p.name)
-    if isinstance(p, Top):
-        return (1, "")
-    return (2, "")
+    return (0, p.name) if isinstance(p, Named) else (1 if p is TOP else 2, "")
 
 
 def _check_name(name: str) -> None:
@@ -85,7 +82,7 @@ class PrincipalHierarchy:
     """Declared principals plus delegation edges (superior acts for inferior)."""
 
     declared: frozenset[Named] = field(default_factory=frozenset)
-    delegations: frozenset[tuple[PrincipalId, PrincipalId]] = field(default_factory=frozenset)
+    delegations: frozenset[Edge] = field(default_factory=frozenset)
 
     @cached_property
     def _universe(self) -> frozenset[PrincipalId]:
@@ -116,17 +113,24 @@ class PrincipalHierarchy:
     def all_principals(self) -> frozenset[PrincipalId]:
         return self._universe
 
-    def declare(self, name: str) -> "PrincipalHierarchy":
-        """Add a named principal; idempotent on re-declaration."""
-        _check_name(name)
-        return replace(self, declared=self.declared | {Named(name)})
+    def declare(self, *names: str) -> "PrincipalHierarchy":
+        """Add named principals in one step; idempotent on re-declaration."""
+        for name in names:
+            _check_name(name)
+        declared = self.declared.union(map(Named, names))
+        return self if len(declared) == len(self.declared) else replace(self, declared=declared)
 
-    def delegate(self, superior: PrincipalId, inferior: PrincipalId) -> "PrincipalHierarchy":
-        """Record that ``superior`` acts for ``inferior``. The relation only grows."""
+    def check_edge(self, superior: PrincipalId, inferior: PrincipalId) -> "Edge":
+        """The edge ``superior >= inferior``, or UnknownPrincipal for an undeclared end."""
         for p in (superior, inferior):
             if isinstance(p, Named) and p not in self.declared:
                 raise UnknownPrincipal(f"undeclared principal: {p.name}")
-        return replace(self, delegations=self.delegations | {(superior, inferior)})
+        return superior, inferior
+
+    def delegate(self, *edges: "Edge") -> "PrincipalHierarchy":
+        """Record in one step that each edge's superior acts for its inferior."""
+        return replace(self, delegations=self.delegations.union(
+            self.check_edge(*e) for e in edges))
 
     def actors(self, q: PrincipalId) -> frozenset[PrincipalId]:
         """Principals of the universe that act for ``q``; only top for an outsider."""
@@ -157,32 +161,32 @@ def principal_from_token(tok: str) -> PrincipalId:
 def parse_hierarchy(text: str) -> PrincipalHierarchy:
     """Parse the line-oriented format: ``principal <name>`` and
     ``actsfor <superior> >= <inferior>`` lines, ``#`` comments."""
-    h = PrincipalHierarchy()
-    edges: list[tuple[int, PrincipalId, PrincipalId]] = []
+    names: list[str] = []
+    edges: list[tuple[int, Edge]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "principal" and len(parts) == 2:
-            try:
-                h = h.declare(parts[1])
-            except InvalidIdentifier as exc:
-                raise HierarchyParseError(f"line {lineno}: {exc}") from exc
-        elif parts[0] == "actsfor" and len(parts) == 4 and parts[2] == ">=":
-            try:
-                edges.append((lineno, principal_from_token(parts[1]), principal_from_token(parts[3])))
-            except InvalidIdentifier as exc:
-                raise HierarchyParseError(f"line {lineno}: {exc}") from exc
-        else:
-            raise HierarchyParseError(f"line {lineno}: cannot parse {line!r}")
-    # declarations first, so actsfor lines may precede their principals
-    for lineno, sup, inf in edges:
         try:
-            h = h.delegate(sup, inf)
+            if parts[0] == "principal" and len(parts) == 2:
+                _check_name(parts[1])
+                names.append(parts[1])
+            elif parts[0] == "actsfor" and len(parts) == 4 and parts[2] == ">=":
+                edge = (principal_from_token(parts[1]), principal_from_token(parts[3]))
+                edges.append((lineno, edge))
+            else:
+                raise HierarchyParseError(f"line {lineno}: cannot parse {line!r}")
+        except InvalidIdentifier as exc:
+            raise HierarchyParseError(f"line {lineno}: {exc}") from exc
+    # declarations first, so actsfor lines may precede their principals
+    h = PrincipalHierarchy().declare(*names)
+    for lineno, edge in edges:
+        try:
+            h.check_edge(*edge)
         except UnknownPrincipal as exc:
             raise HierarchyParseError(f"line {lineno}: {exc}") from exc
-    return h
+    return h.delegate(*(edge for _, edge in edges))
 
 
 def format_hierarchy(h: PrincipalHierarchy) -> str:

@@ -103,12 +103,7 @@ def oracle_flows(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
 # ------------------------------------------------------------- generators
 
 def hierarchy_from_edges(names, edges) -> PrincipalHierarchy:
-    h = PrincipalHierarchy()
-    for n in names:
-        h = h.declare(n)
-    for sup, inf in edges:
-        h = h.delegate(sup, inf)
-    return h
+    return PrincipalHierarchy().declare(*names).delegate(*edges)
 
 
 def all_edge_subsets(names, edge_pool=None):

@@ -251,7 +251,7 @@ def test_c4_acts_for_properties():
                 rel = _acts_for_suite(h)
                 # monotonicity: every single-edge extension only grows the relation
                 for edge in pool:
-                    grown = h.delegate(*edge)
+                    grown = h.delegate(edge)
                     assert grown.acts_for(*edge)
                     for pq, held in rel.items():
                         if held:

@@ -1,18 +1,26 @@
+import ast as pyast
+import time
+from pathlib import Path
+
 import pytest
 
+import minijif.checker as checker_module
 from minijif.checker import (
     Checker,
     MethodContext,
     TrustConfig,
     _types_match,
     check_program,
+    decide,
 )
 from minijif.diagnostics import CATALOG, render_json
 from minijif.labels import EMPTY, interpret_label, label_to_text
 from minijif.lexer import tokenize
 from minijif.parser import _Parser, parse_label, parse_program
 from minijif.principals import Named, TOP, UnknownPrincipal
+from minijif.span import Span
 from minijif import syntax as ast
+from conftest import bench_gen
 from oracles import SemOracle
 
 
@@ -668,6 +676,29 @@ class TestDeclarations:
     def test_unknown_principal_in_actsfor(self):
         assert codes("principal A;\nactsfor A >= Ghost;\n") == ["E-UNDEF"]
 
+    def test_each_bad_actsfor_is_reported_at_its_line(self):
+        src = "principal A;\nactsfor A >= Ghost;\nactsfor A >= A;\nactsfor Spook >= A;\n"
+        diagnostics = check_program(parse_program(src))
+        assert [(d.code, d.span.start, d.message) for d in diagnostics] == [
+            ("E-UNDEF", (2, 1), "undeclared principal: Ghost"),
+            ("E-UNDEF", (4, 1), "undeclared principal: Spook"),
+        ]
+
+    def test_hierarchy_is_built_in_one_step(self):
+        # a tree of 16,000 principals; declaring them and their edges one at
+        # a time copied the declared and edge sets per declaration: O(n^2)
+        n = 16_000
+        lines = [f"principal P{i};" for i in range(n)]
+        lines += [f"actsfor P{(i - 1) // 2} >= P{i};" for i in range(1, n)]
+        lines.append(wrap(f"        int{{P{n - 1}->*}} x = 1;\n        int{{P0->*}} y = x;\n"
+                          "        int{} z = x;", prelude=""))
+        program = parse_program("\n".join(lines))
+        start = time.perf_counter()
+        checker = Checker(program)
+        assert [d.code for d in checker.run()] == ["E-FLOW"]
+        assert time.perf_counter() - start < 2.0
+        assert len(checker.hierarchy.declared) == n and len(checker.hierarchy.delegations) == n - 1
+
     def test_label_variables_unsupported(self):
         src = "class V {\n    void set{L}(int{L} i) {\n        return;\n    }\n}\n"
         assert codes(src) == ["E-UNSUPPORTED", "E-UNSUPPORTED"]
@@ -729,11 +760,17 @@ class TestDeterminism:
         assert len(CATALOG) == 13
 
 
+# flows_to and label_to_text calls in checking each benchmark workload at seed 1
+DECISION_CALLS = {
+    "deep_nesting": (1064, 960),
+    "large_source": (6750, 0),
+    "wide_principals": (2100, 200),
+}
+
+
 def test_label_operations_are_called_through_the_checker_module(monkeypatch, corpus_dir):
     # the benchmark tracer wraps these module globals to count label work;
     # a checker that bound them another way would silently zero its counts
-    import minijif.checker as checker_module
-
     calls = dict.fromkeys(("flows_to", "join", "join_all", "label_to_text"), 0)
     for name in calls:
         def counting(*args, _name=name, _fn=getattr(checker_module, name)):
@@ -743,3 +780,37 @@ def test_label_operations_are_called_through_the_checker_module(monkeypatch, cor
     path = corpus_dir / "booking_bob_leak.mjif"
     assert check_program(parse_program(path.read_text(), file=str(path)))
     assert all(calls.values()), calls
+    gen = bench_gen()
+    for workload, pinned in DECISION_CALLS.items():
+        calls.update(flows_to=0, label_to_text=0)
+        check_program(parse_program(gen.generate(workload, 1)[0]))
+        assert (calls["flows_to"], calls["label_to_text"]) == pinned, workload
+
+
+def test_a_verdict_is_a_function_of_records_and_hierarchy():
+    # the record of `int{B->*} y = x;` with `x : {A->*}`, at the empty pc
+    h = Checker(parse_program("principal A; principal B;")).hierarchy
+    span = Span("f.mjif", (4, 9), (4, 25))
+    record = ("E-FLOW", parse_label("{A->*}"), EMPTY, parse_label("{B->*}"), span, "'y'")
+    [d] = decide([record], h, frozenset())
+    assert (d.code, d.span, d.message, d.from_label, d.to_label) == (
+        "E-FLOW", span, "value does not flow to 'y'", "{A->*}", "{B->*}")
+    assert decide([record], h.delegate((Named("B"), Named("A"))), frozenset()) == []
+
+
+def test_flows_are_decided_only_in_decide():
+    # the loop's "did the pc rise" test in check_branch is the one exception
+    deciders = {"flows_to", "interpret_label"}
+
+    def owners(node, owner):
+        for child in pyast.iter_child_nodes(node):
+            if isinstance(child, pyast.FunctionDef):
+                yield from owners(child, child.name)
+                continue
+            if (isinstance(child, pyast.Name) and child.id in deciders
+                    or isinstance(child, pyast.Attribute) and child.attr in deciders):
+                yield owner
+            yield from owners(child, owner)
+
+    tree = pyast.parse(Path(checker_module.__file__).read_text(encoding="utf-8"))
+    assert set(owners(tree, None)) == {"decide", "check_branch"}

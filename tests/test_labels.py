@@ -345,7 +345,7 @@ class TestOracleEquivalence:
             h = random_hierarchy(rng, max_principals=4)
             pool = sorted(h.all_principals(), key=str)
             sup, inf = rng.choice(pool), rng.choice(pool)
-            h2 = h.delegate(sup, inf)
+            h2 = h.delegate((sup, inf))
             owner = rng.choice(pool)
             members = (rng.choice(pool),)
             cp, ip = ConfPolicy(owner, members), IntegPolicy(owner, members)

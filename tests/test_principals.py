@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +27,7 @@ ALICE, BOB, CAROL = Named("Alice"), Named("Bob"), Named("Carol")
 
 
 def hier(*names: str) -> PrincipalHierarchy:
-    h = PrincipalHierarchy()
-    for n in names:
-        h = h.declare(n)
-    return h
+    return PrincipalHierarchy().declare(*names)
 
 
 class TestDeclare:
@@ -51,27 +49,27 @@ class TestDeclare:
 
 class TestDelegation:
     def test_superior_acts_for_inferior(self):
-        h = hier("Alice", "Bob").delegate(ALICE, BOB)
+        h = hier("Alice", "Bob").delegate((ALICE, BOB))
         assert h.acts_for(ALICE, BOB)
 
     def test_idempotent(self):
-        h = hier("Alice", "Bob").delegate(ALICE, BOB)
-        assert h.delegate(ALICE, BOB) == h
+        h = hier("Alice", "Bob").delegate((ALICE, BOB))
+        assert h.delegate((ALICE, BOB)) == h
 
     def test_transitive_chain(self):
         h = hier("Alice", "Bob", "Carol")
-        h = h.delegate(ALICE, BOB)
-        h = h.delegate(BOB, CAROL)
+        h = h.delegate((ALICE, BOB))
+        h = h.delegate((BOB, CAROL))
         # frozen from the brute-force reachability oracle
         assert h.acts_for(ALICE, CAROL)
 
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownPrincipal):
-            hier("Alice").delegate(ALICE, BOB)
+            hier("Alice").delegate((ALICE, BOB))
 
     def test_top_bottom_endpoints_accepted(self):
-        h = hier("Alice").delegate(TOP, ALICE)
-        h = h.delegate(ALICE, BOTTOM)
+        h = hier("Alice").delegate((TOP, ALICE))
+        h = h.delegate((ALICE, BOTTOM))
         assert h.acts_for(ALICE, BOTTOM)
 
 
@@ -83,7 +81,7 @@ class TestActsFor:
         assert hier("Alice").acts_for(ALICE, ALICE)
 
     def test_no_path(self):
-        h = hier("Alice", "Bob").delegate(ALICE, BOB)
+        h = hier("Alice", "Bob").delegate((ALICE, BOB))
         assert not h.acts_for(BOB, ALICE)
 
     def test_total_on_undeclared(self):
@@ -97,7 +95,7 @@ class TestActsFor:
 
     def test_delegating_to_top_grants_everything(self):
         # Alice >= * makes Alice act for everyone, transitively through top.
-        h = hier("Alice", "Bob").delegate(ALICE, TOP)
+        h = hier("Alice", "Bob").delegate((ALICE, TOP))
         assert h.acts_for(ALICE, BOB)
 
 
@@ -146,7 +144,7 @@ class TestInvariants:
             universe = sorted(h.all_principals(), key=str)
             pool = [p for p in universe]
             sup, inf = rng.choice(pool), rng.choice(pool)
-            h2 = h.delegate(sup, inf)
+            h2 = h.delegate((sup, inf))
             for p in universe:
                 for q in universe:
                     if h.acts_for(p, q):
@@ -164,7 +162,7 @@ class TestInvariants:
 
 class TestTextFormat:
     def test_round_trip(self):
-        h = hier("Alice", "Bob").delegate(ALICE, BOB)
+        h = hier("Alice", "Bob").delegate((ALICE, BOB))
         assert parse_hierarchy(format_hierarchy(h)) == h
 
     def test_comments_and_blanks(self):
@@ -180,6 +178,15 @@ class TestTextFormat:
                                       "actsfor A >= B\n"])
     def test_malformed(self, text):
         with pytest.raises(HierarchyParseError):
+            parse_hierarchy(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("principal A\nactsfor A >= B\nprincipal 9x\n", "line 3: invalid principal name: '9x'"),
+        ("principal A\nactsfor A >= B\nactsfor C >= A\n", "line 2: undeclared principal: B"),
+        ("principal A\nbogus\n", "line 2: cannot parse 'bogus'"),
+    ])
+    def test_errors_name_their_line(self, text, message):
+        with pytest.raises(HierarchyParseError, match=f"^{re.escape(message)}$"):
             parse_hierarchy(text)
 
     def test_principal_tokens(self):

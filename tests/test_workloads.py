@@ -4,8 +4,10 @@ Each generator states the diagnostics its program must produce, from how the
 program was built. A front-end or checker change that breaks one of them
 would make every benchmark check fail; this catches it in the test suite.
 The whole ``--json`` output is pinned too, by its sha256 with the file name
-normalised, so a refactor that changes one byte of it fails here.  Update a
-digest only together with a CHANGES.md line that says why the output changed.
+normalised, so a refactor that changes one byte of it fails here; so is the
+output of every corpus file, under default trust and under ``--no-trust-main``.
+Update a digest only together with a CHANGES.md line that says why the output
+changed.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import pytest
 from minijif.cli import main
 from minijif.labels import JoinNode
 from minijif.parser import parse_label
-from conftest import bench_gen
+from conftest import bench_gen, corpus_files
 
 gen = bench_gen()
 
@@ -25,6 +27,61 @@ OUTPUT_SHA256 = {
     "large_source": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "wide_principals": "f9db662973a52c100e37c35ef0cf46d60393d8b03f6cc50d924f0bf6aa611ef5",
 }
+
+# per corpus file: (default trust, --no-trust-main)
+CORPUS_SHA256 = {
+    "arity": ("cc841015a11ecbb675401cd0089b8da0d9f75e1a3cb53630d6e602b1cdc127e4",
+              "cc841015a11ecbb675401cd0089b8da0d9f75e1a3cb53630d6e602b1cdc127e4"),
+    "authority_claim": ("fdc49c1b3cc849c1f5a6a7274b4098b3035e83dcf1fcaeb04c4426ceeb3d5bdd",
+                        "fdc49c1b3cc849c1f5a6a7274b4098b3035e83dcf1fcaeb04c4426ceeb3d5bdd"),
+    "booking_bob_leak": ("73f7eaee4c1b51e55b81919e11c5386a8462a7f868ee071c5d4fa4f5de9e30aa",
+                         "a56c278fe7afe086181e00f6621aa910b3d5ce932b20d2b85a9d4ea9b052ca14"),
+    "booking_no_authority": ("b0ae404b795ba984341ccae6f0d84080fef138caad021701f0d76bfed371b900",
+                             "7aa27b6e0328e8bd69a96c2b2b59b9bc4f2e74609cc120bf693594011153610e"),
+    "booking_no_declassify": ("24a06442f5a2acf5f5bb6b06e813fbe787b80e277e80031b3b3884f1d95f01c7",
+                              "8ee95de585c7098074cb1d99c1ca6ea5c7b58a79e4991d0fe8882fc37b0d488e"),
+    "booking_ok": ("37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+                   "61640f74da366510bdb5b1da792c55c38cd0585c1ca9e38335f8be76debf814a"),
+    "call_receiver_leak": ("99c7a4f33d142d9861d23988f27e34b7852e7fbe5954e995301963b6863346b6",
+                           "99c7a4f33d142d9861d23988f27e34b7852e7fbe5954e995301963b6863346b6"),
+    "creator_authority": ("608d66b63faee358453e7fb73778c6b77e42decbccc43a0a9e4e9ccbb05d4e27",
+                          "608d66b63faee358453e7fb73778c6b77e42decbccc43a0a9e4e9ccbb05d4e27"),
+    "declassify_from": ("61605472580e8a5f8c10dea20cde603f458e66f9e3ecf33662a8dd754b00d91e",
+                        "61605472580e8a5f8c10dea20cde603f458e66f9e3ecf33662a8dd754b00d91e"),
+    "declassify_integrity": ("1c851ca64225ffdf422792a2923c9d54efa3d7e3901d4760cf7a33784bc120de",
+                             "1c851ca64225ffdf422792a2923c9d54efa3d7e3901d4760cf7a33784bc120de"),
+    "delegation": ("37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+                   "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    "early_return_leak": ("877eaf40e17c97fa2d96457824c4bd82fd0d6135fe9c0c2fcc10830b854a7302",
+                          "877eaf40e17c97fa2d96457824c4bd82fd0d6135fe9c0c2fcc10830b854a7302"),
+    "end_label": ("a8c0b1d001f07ae1aa850db9a1438c133674c75284dcbb0148302920e8f49f0f",
+                  "a8c0b1d001f07ae1aa850db9a1438c133674c75284dcbb0148302920e8f49f0f"),
+    "implicit_flow": ("d1982cb7ac29e50869dab5e17904ada50c406c0fa8c5e583e59d43641cf99a99",
+                      "d1982cb7ac29e50869dab5e17904ada50c406c0fa8c5e583e59d43641cf99a99"),
+    "label_variables": ("241b503473c840bdb9a7212d6f3175005cefc232920ead0e4d9e12465c478c3a",
+                        "241b503473c840bdb9a7212d6f3175005cefc232920ead0e4d9e12465c478c3a"),
+    "loop_condition_leak": ("eb8c29e93d7f64534cc067007fdf2067efd3c4c78f916bd381d613a8e4365f05",
+                            "eb8c29e93d7f64534cc067007fdf2067efd3c4c78f916bd381d613a8e4365f05"),
+    "loop_return_leak": ("141c4d2fbe3c69607032da7e6a85f9a23429be65a9439a31c51976167791c0e9",
+                         "141c4d2fbe3c69607032da7e6a85f9a23429be65a9439a31c51976167791c0e9"),
+    "pc_mismatch": ("bbbe5dd69889aeb8a3fb5799c4e534583f6495d4c3e73c8bfcd0ad5ab1bf83e4",
+                    "bbbe5dd69889aeb8a3fb5799c4e534583f6495d4c3e73c8bfcd0ad5ab1bf83e4"),
+    "secret_declaration": ("37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+                           "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    "short_circuit_leak": ("e24a98419aa6d5a725689f118be6b7192535160b9d60d5abe6fe5f84670d8874",
+                           "e24a98419aa6d5a725689f118be6b7192535160b9d60d5abe6fe5f84670d8874"),
+    "type_errors": ("8bea7663d936a11e44b80b1f504d6b0ef916ca222b81f4f1faf4285074309a7c",
+                    "8bea7663d936a11e44b80b1f504d6b0ef916ca222b81f4f1faf4285074309a7c"),
+    "undefined_names": ("4f6fbc40c18d7a13981bc9846cea80e1adb114260b6d40d9b32d73004755c845",
+                        "4f6fbc40c18d7a13981bc9846cea80e1adb114260b6d40d9b32d73004755c845"),
+    "unknown_method": ("8955344fd53d8258066cef1c2489053548d54aa208c6763d2466bbdaca65aa93",
+                       "8955344fd53d8258066cef1c2489053548d54aa208c6763d2466bbdaca65aa93"),
+}
+
+
+def _digest(out: str, path) -> str:
+    normalised = out.replace(json.dumps(str(path)), json.dumps(path.name))
+    return hashlib.sha256(normalised.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))
@@ -39,8 +96,7 @@ def test_workload_verdict_matches_generator(workload, tmp_path, capsys):
     diagnostics = json.loads(out)
     actual = sorted((d["code"], d["span"]["start"][0]) for d in diagnostics)
     assert actual == expected
-    normalised = out.replace(json.dumps(str(path)), json.dumps(path.name))
-    assert hashlib.sha256(normalised.encode()).hexdigest() == OUTPUT_SHA256[workload]
+    assert _digest(out, path) == OUTPUT_SHA256[workload]
     # a label the checker computes lists each `;` component once
     for text in {d[k] for d in diagnostics for k in ("from", "to") if d[k] is not None}:
         parts, label = [], parse_label(text)
@@ -49,3 +105,14 @@ def test_workload_verdict_matches_generator(workload, tmp_path, capsys):
             label = label.left
         parts.append(label)
         assert len(set(parts)) == len(parts), text
+
+
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.stem)
+def test_corpus_output_is_pinned(path, capsys):
+    digests = []
+    for flags in ([], ["--no-trust-main"]):
+        main(["check", "--json", *flags, str(path)])
+        out, err = capsys.readouterr()
+        assert err == ""
+        digests.append(_digest(out, path))
+    assert tuple(digests) == CORPUS_SHA256[path.stem]
