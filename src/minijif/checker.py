@@ -46,12 +46,7 @@ from .labels import (
     label_to_text,
     leaves,
 )
-from .principals import (
-    Named,
-    PrincipalHierarchy,
-    PrincipalId,
-    UnknownPrincipal,
-)
+from .principals import PrincipalHierarchy, PrincipalId, UnknownPrincipal
 from .span import Span
 from . import syntax as ast
 
@@ -130,17 +125,12 @@ class MethodContext:
         self.records: list[FlowRecord] = []
 
 
-def substitute_principal(p: PrincipalId, sub: dict[str, PrincipalId]) -> PrincipalId:
-    return sub.get(p.name, p) if isinstance(p, Named) else p
-
-
 def substitute_label(label: Label, sub: dict[str, PrincipalId]) -> Label:
     if not sub:
         return label
     match label:
         case ConfPolicy(owner, members) | IntegPolicy(owner, members):
-            return type(label)(substitute_principal(owner, sub),
-                               tuple(substitute_principal(m, sub) for m in members))
+            return type(label)(sub.get(owner, owner), tuple(sub.get(m, m) for m in members))
         case JoinNode():
             return join_all([substitute_label(c, sub) for c in _flatten(label, JoinNode)])
         case MeetNode(left, right):
@@ -151,9 +141,7 @@ def substitute_label(label: Label, sub: dict[str, PrincipalId]) -> Label:
 
 def substitute_type(t: ast.Type, sub: dict[str, PrincipalId]) -> ast.Type:
     if isinstance(t, ast.ClassType) and sub:
-        return ast.ClassType(
-            t.name, tuple(substitute_principal(p, sub) for p in t.principal_args)
-        )
+        return ast.ClassType(t.name, tuple(sub.get(p, p) for p in t.principal_args))
     return t
 
 
@@ -191,7 +179,7 @@ class Checker:
                 self.add("E-TYPE", c.span, f"duplicate class '{c.name}'")
                 continue
             for p in c.principal_params:
-                if Named(p) in self.hierarchy.declared:
+                if p in self.hierarchy.declared:
                     self.add("E-TYPE", c.span,
                              f"principal parameter '{p}' shadows a declared principal")
             self.classes[c.name] = ClassInfo(c, self.hierarchy.declare(*c.principal_params))
@@ -260,8 +248,8 @@ class Checker:
         return frozenset(effective)
 
     def _principal_known(self, info: ClassInfo, p: PrincipalId, span: Span) -> bool:
-        if isinstance(p, Named) and p not in info.hierarchy.declared:
-            self.add("E-UNDEF", span, f"unknown principal '{p.name}'")
+        if p not in info.hierarchy.universe:
+            self.add("E-UNDEF", span, f"unknown principal '{p}'")
             return False
         return True
 
@@ -504,7 +492,7 @@ class Checker:
             return ERROR, result_label
         cls, sub = self._member_class(ctype, e.span)
         # the instance's methods may spend the class's authority, so its creator must hold it
-        for p in {substitute_principal(p, sub) for p in cls.authority}:
+        for p in {sub.get(p, p) for p in cls.authority}:
             if not any(ctx.cls.hierarchy.acts_for(a, p) for a in ctx.method.authority):
                 self.add("E-AUTH-CLAIM", e.span,
                          f"creating a '{ctype}' needs the authority of '{p}', "

@@ -43,7 +43,7 @@ def _load_hierarchy(path: "str | None") -> PrincipalHierarchy:
 
 
 def _principal_set_text(principals) -> str:
-    return "{" + ", ".join(str(p) for p in sorted(principals, key=principal_sort_key)) + "}"
+    return "{" + ", ".join(sorted(principals, key=principal_sort_key)) + "}"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -118,7 +118,7 @@ def _read_expectations(path: Path) -> list[tuple[str, int]]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not parts[1].isdigit():
+        if len(parts) != 2 or not parts[1].isdecimal():
             raise _UsageError(f"{path}:{lineno}: expected '<code> <line>'")
         expected.append((parts[0], int(parts[1])))
     return sorted(expected)

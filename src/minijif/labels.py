@@ -92,7 +92,7 @@ def _members(owner: PrincipalId, listed: tuple[PrincipalId, ...],
 # labels and hierarchies are immutable values, so interpretation is cacheable
 @lru_cache(maxsize=1 << 16)
 def interpret_label(label: Label, h: PrincipalHierarchy) -> SemLabel:
-    everyone = h.all_principals()
+    everyone = h.universe
     match label:
         case EmptyLabel() | JoinNode():
             # fold the `;` components onto the meaning of {}: a loop, since
@@ -120,10 +120,6 @@ def flows_to(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
     """The flow order: the destination may only shrink readers and admit more writers."""
     a, b = interpret_label(l1, h), interpret_label(l2, h)
     return b.readers <= a.readers and a.writers <= b.writers
-
-
-def equivalent(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
-    return flows_to(l1, l2, h) and flows_to(l2, l1, h)
 
 
 # For each label `join` builds, a dict from each of its components to its
@@ -193,9 +189,9 @@ def conf_owners(label: Label) -> list[PrincipalId]:
 def _policy_text(label: Label) -> str:
     match label:
         case ConfPolicy(owner, readers):
-            return f"{owner}->" + ",".join(map(str, readers))
+            return f"{owner}->" + ",".join(readers)
         case IntegPolicy(owner, writers):
-            return f"{owner}<-" + ",".join(map(str, writers))
+            return f"{owner}<-" + ",".join(writers)
         case LabelVar(name):
             return name
         case MeetNode(left, right):

@@ -15,7 +15,7 @@ from .labels import (
     MeetNode,
 )
 from .lexer import Token, tokenize
-from .principals import BOTTOM, Named, PrincipalId, TOP
+from .principals import PrincipalId
 from .span import Span
 from . import syntax as ast
 
@@ -94,12 +94,7 @@ class _Parser:
     # ------------------------------------------------------------ principals
 
     def principal(self) -> PrincipalId:
-        tok = self.expect("IDENT", "*", "_")
-        if tok.kind == "*":
-            return TOP
-        if tok.kind == "_":
-            return BOTTOM
-        return Named(tok.text)
+        return self.expect("IDENT", "*", "_").text
 
     def principal_list(self) -> tuple[PrincipalId, ...]:
         out = [self.principal()]

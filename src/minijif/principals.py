@@ -1,10 +1,10 @@
 """Principals and the acts-for delegation hierarchy.
 
-The hierarchy is a closed world: the universe is exactly the declared
-principals plus the distinguished top (``*``) and bottom (``_``) principals.
-All values are immutable, and principals are interned; operations return new
-hierarchies.  Each computes once who acts for each principal: acts-for and
-policy members read those sets.
+A principal is its name: an identifier, or the text of the distinguished
+top (``*``) or bottom (``_``) principal.  The hierarchy is a closed world: the
+universe is exactly the declared names plus top and bottom.  Hierarchies are
+immutable; operations return new ones.  Each computes once who acts for each
+principal: acts-for and policy members read those sets.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-
-from .interned import Interned
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -26,50 +24,18 @@ class UnknownPrincipal(ValueError):
     """Raised when a delegation endpoint is neither declared nor top/bottom."""
 
 
-# Principals are interned (one object each); each hashes by its text, so the
-# order of a set of principals does not depend on where the objects live.
-
-class Named(Interned):
-    __slots__ = __match_args__ = ("name",)
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __str__(self) -> str:
-        return self.name
-
-
-class Top(Interned):
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash("*")
-
-    def __str__(self) -> str:
-        return "*"
-
-
-class Bottom(Interned):
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash("_")
-
-    def __str__(self) -> str:
-        return "_"
-
-
-PrincipalId = Named | Top | Bottom
+PrincipalId = str  # an identifier, TOP or BOTTOM
 Edge = tuple[PrincipalId, PrincipalId]  # (superior, inferior)
 
-TOP = Top()
-BOTTOM = Bottom()
+TOP = "*"
+BOTTOM = "_"
 _TOP_ONLY = frozenset({TOP})
+_RANK = {TOP: 1, BOTTOM: 2}
 
 
 def principal_sort_key(p: PrincipalId) -> tuple[int, str]:
-    """Named principals alphabetically, then top, then bottom."""
-    return (0, p.name) if isinstance(p, Named) else (1 if p is TOP else 2, "")
+    """Identifiers alphabetically, then top, then bottom."""
+    return (_RANK.get(p, 0), p)
 
 
 def _check_name(name: str) -> None:
@@ -81,19 +47,19 @@ def _check_name(name: str) -> None:
 class PrincipalHierarchy:
     """Declared principals plus delegation edges (superior acts for inferior)."""
 
-    declared: frozenset[Named] = field(default_factory=frozenset)
+    declared: frozenset[PrincipalId] = field(default_factory=frozenset)
     delegations: frozenset[Edge] = field(default_factory=frozenset)
 
     @cached_property
-    def _universe(self) -> frozenset[PrincipalId]:
-        return frozenset(self.declared) | {TOP, BOTTOM}
+    def universe(self) -> frozenset[PrincipalId]:
+        return self.declared | {TOP, BOTTOM}
 
     @cached_property
     def _actors(self) -> dict[PrincipalId, frozenset[PrincipalId]]:
         # Who acts for each q: closure over the reversed explicit edges plus the
         # top/bottom axiom edges; exotic declarations such as p >= * are honored
         # transitively, otherwise the relation would not stay a preorder.
-        universe = self._universe
+        universe = self.universe
         rev: dict[PrincipalId, set[PrincipalId]] = {q: {TOP} for q in universe}
         rev[BOTTOM] |= universe
         for sup, inf in self.delegations:
@@ -110,21 +76,18 @@ class PrincipalHierarchy:
             closure[start] = frozenset(seen)
         return closure
 
-    def all_principals(self) -> frozenset[PrincipalId]:
-        return self._universe
-
     def declare(self, *names: str) -> "PrincipalHierarchy":
         """Add named principals in one step; idempotent on re-declaration."""
         for name in names:
             _check_name(name)
-        declared = self.declared.union(map(Named, names))
+        declared = self.declared.union(names)
         return self if len(declared) == len(self.declared) else replace(self, declared=declared)
 
     def check_edge(self, superior: PrincipalId, inferior: PrincipalId) -> "Edge":
         """The edge ``superior >= inferior``, or UnknownPrincipal for an undeclared end."""
         for p in (superior, inferior):
-            if isinstance(p, Named) and p not in self.declared:
-                raise UnknownPrincipal(f"undeclared principal: {p.name}")
+            if p not in self.universe:
+                raise UnknownPrincipal(f"undeclared principal: {p}")
         return superior, inferior
 
     def delegate(self, *edges: "Edge") -> "PrincipalHierarchy":
@@ -138,7 +101,7 @@ class PrincipalHierarchy:
 
     def acts_for(self, p: PrincipalId, q: PrincipalId) -> bool:
         """Total query: reflexive-transitive delegation with top/bottom axioms."""
-        if p == q or isinstance(p, Top) or isinstance(q, Bottom):
+        if p == q or p == TOP or q == BOTTOM:
             return True
         return p in self.actors(q)
 
@@ -147,15 +110,11 @@ class HierarchyParseError(ValueError):
     """Malformed line in the hierarchy text format."""
 
 
-_PR_TOKEN = {"*": TOP, "_": BOTTOM}
-
-
 def principal_from_token(tok: str) -> PrincipalId:
     """`*` is top, `_` is bottom, anything else must be an identifier."""
-    if tok in _PR_TOKEN:
-        return _PR_TOKEN[tok]
-    _check_name(tok)
-    return Named(tok)
+    if tok not in (TOP, BOTTOM):
+        _check_name(tok)
+    return tok
 
 
 def parse_hierarchy(text: str) -> PrincipalHierarchy:
@@ -188,11 +147,3 @@ def parse_hierarchy(text: str) -> PrincipalHierarchy:
             raise HierarchyParseError(f"line {lineno}: {exc}") from exc
     return h.delegate(*(edge for _, edge in edges))
 
-
-def format_hierarchy(h: PrincipalHierarchy) -> str:
-    lines = [f"principal {p.name}" for p in sorted(h.declared, key=principal_sort_key)]
-    lines += [
-        f"actsfor {sup} >= {inf}"
-        for sup, inf in sorted(h.delegations, key=lambda e: (principal_sort_key(e[0]), principal_sort_key(e[1])))
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -56,7 +56,7 @@ class ClassType(Interned):
     def __str__(self) -> str:
         if not self.principal_args:
             return self.name
-        return f"{self.name}[" + ", ".join(map(str, self.principal_args)) + "]"
+        return f"{self.name}[" + ", ".join(self.principal_args) + "]"
 
 
 Type = Union[IntType, BoolType, StringType, VoidType, ClassType]

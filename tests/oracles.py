@@ -4,7 +4,10 @@ These deliberately re-derive everything from first principles (Warshall
 closure over raw delegation edges, set comprehensions over the universe)
 rather than calling the production query paths, so they can arbitrate them.
 ``strip_spans`` and ``ast_equal`` compare ASTs modulo spans, for the parser's
-round-trip checks; ``span_contains`` checks that spans nest.
+round-trip checks; ``span_contains`` checks that spans nest.  ``equivalent``
+and ``format_hierarchy`` are helpers that only the tests need: label
+equivalence under the production order, and the inverse of
+``parse_hierarchy``.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ from minijif.labels import (
     JoinNode,
     Label,
     MeetNode,
+    flows_to,
 )
 from minijif.principals import (
     BOTTOM,
-    Named,
     PrincipalHierarchy,
     PrincipalId,
     TOP,
+    principal_sort_key,
 )
 from minijif.span import Span
 
@@ -100,6 +104,19 @@ def oracle_flows(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
     return SemOracle(h).flows(l1, l2)
 
 
+def equivalent(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
+    return flows_to(l1, l2, h) and flows_to(l2, l1, h)
+
+
+def format_hierarchy(h: PrincipalHierarchy) -> str:
+    lines = [f"principal {p}" for p in sorted(h.declared)]
+    lines += [
+        f"actsfor {sup} >= {inf}"
+        for sup, inf in sorted(h.delegations, key=lambda e: (principal_sort_key(e[0]), principal_sort_key(e[1])))
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 # ------------------------------------------------------------- generators
 
 def hierarchy_from_edges(names, edges) -> PrincipalHierarchy:
@@ -109,9 +126,8 @@ def hierarchy_from_edges(names, edges) -> PrincipalHierarchy:
 def all_edge_subsets(names, edge_pool=None):
     """Every hierarchy over `names` built from subsets of the given edge pool
     (default: all directed edges between distinct named principals)."""
-    principals = [Named(n) for n in names]
     if edge_pool is None:
-        edge_pool = [(p, q) for p in principals for q in principals if p != q]
+        edge_pool = [(p, q) for p in names for q in names if p != q]
     for k in range(len(edge_pool) + 1):
         for combo in itertools.combinations(edge_pool, k):
             yield hierarchy_from_edges(names, combo)
@@ -121,8 +137,7 @@ def random_hierarchy(rng: random.Random, max_principals: int = 5,
                      acyclic: bool = False, allow_distinguished: bool = True):
     n = rng.randint(0, max_principals)
     names = [f"P{i}" for i in range(n)]
-    principals: list[PrincipalId] = [Named(x) for x in names]
-    endpoints = list(principals)
+    endpoints: list[PrincipalId] = list(names)
     if allow_distinguished and rng.random() < 0.3:
         endpoints += [TOP, BOTTOM]
     edges = []
@@ -130,9 +145,9 @@ def random_hierarchy(rng: random.Random, max_principals: int = 5,
         if not endpoints:
             break
         sup, inf = rng.choice(endpoints), rng.choice(endpoints)
-        if acyclic and isinstance(sup, Named) and isinstance(inf, Named):
+        if acyclic and sup not in (TOP, BOTTOM) and inf not in (TOP, BOTTOM):
             # orient by index so named-to-named edges cannot form cycles
-            if principals.index(sup) >= principals.index(inf):
+            if names.index(sup) >= names.index(inf):
                 continue
         if sup != inf:
             edges.append((sup, inf))

@@ -17,7 +17,7 @@ from minijif.diagnostics import CATALOG, render_json
 from minijif.labels import EMPTY, interpret_label, label_to_text
 from minijif.lexer import tokenize
 from minijif.parser import _Parser, parse_label, parse_program
-from minijif.principals import Named, TOP, UnknownPrincipal
+from minijif.principals import TOP, UnknownPrincipal
 from minijif.span import Span
 from minijif import syntax as ast
 from conftest import bench_gen
@@ -85,7 +85,7 @@ class TestCheckExpr:
     def test_call_label_substitutes_receiver_principals(self):
         checker, info, ctx = checker_with_ctx(BOOKING, "Application", "main")
         ctx.locals["booking1"] = (
-            ast.ClassType("Booking", (Named("Alice"), Named("Chuck"))),
+            ast.ClassType("Booking", ("Alice", "Chuck")),
             parse_label("{Alice->Chuck}"),
         )
         typ, label = checker.check_expr(ctx, parse_expr("booking1.getFullCardNumber()"))
@@ -96,7 +96,7 @@ class TestCheckExpr:
     def test_substitution_that_repeats_a_component_lists_it_once(self):
         src = wrap("", "principal Alice;\nclass Box[principal P] { int{P->*; Alice->*} f; }\n")
         checker, info, ctx = checker_with_ctx(src, "Main", "main")
-        ctx.locals["b"] = (ast.ClassType("Box", (Named("Alice"),)), EMPTY)
+        ctx.locals["b"] = (ast.ClassType("Box", ("Alice",)), EMPTY)
         _, label = checker.check_expr(ctx, parse_expr("b.f"))
         assert label_to_text(label) == "{Alice->*}"
 
@@ -106,7 +106,7 @@ class TestCheckExpr:
         field = "; ".join(f"{a}->*" for a in ["P", *owners])
         src = wrap("", prelude + f"class Box[principal P] {{ int{{{field}}} f; }}\n")
         checker, info, ctx = checker_with_ctx(src, "Main", "main")
-        ctx.locals["b"] = (ast.ClassType("Box", (Named("B"),)), EMPTY)
+        ctx.locals["b"] = (ast.ClassType("Box", ("B",)), EMPTY)
         _, label = checker.check_expr(ctx, parse_expr("b.f"))
         assert label_to_text(label) == "{" + "; ".join(f"{a}->*" for a in ["B", *owners]) + "}"
         assert interpret_label(label, info.hierarchy).readers == {TOP}
@@ -125,7 +125,7 @@ class TestCheckExpr:
     def test_field_access_joins_receiver_label(self):
         checker, info, ctx = checker_with_ctx(BOOKING, "Application", "main")
         ctx.locals["b"] = (
-            ast.ClassType("Booking", (Named("Alice"), Named("Chuck"))),
+            ast.ClassType("Booking", ("Alice", "Chuck")),
             parse_label("{Bob->*}"),
         )
         _, label = checker.check_expr(ctx, parse_expr("b.cardNumber"))
@@ -732,14 +732,14 @@ class TestTrustConfig:
         src = wrap("        String{Alice->Bob} memo = \"m\";\n        String{Alice->Carol} copy = memo;",
                    prelude="principal Alice;\nprincipal Bob;\nprincipal Carol;\n")
         assert codes(src) == ["E-FLOW"]
-        trust = TrustConfig(extra_delegations=((Named("Carol"), Named("Bob")),))
+        trust = TrustConfig(extra_delegations=(("Carol", "Bob"),))
         assert codes(src, trust) == []
 
     def test_extra_delegation_endpoints_must_be_declared(self):
         with pytest.raises(UnknownPrincipal):
             check_program(
                 parse_program("principal A;\n"),
-                TrustConfig(extra_delegations=((Named("A"), Named("Ghost")),)),
+                TrustConfig(extra_delegations=(("A", "Ghost"),)),
             )
 
 
@@ -795,7 +795,7 @@ def test_a_verdict_is_a_function_of_records_and_hierarchy():
     [d] = decide([record], h, frozenset())
     assert (d.code, d.span, d.message, d.from_label, d.to_label) == (
         "E-FLOW", span, "value does not flow to 'y'", "{A->*}", "{B->*}")
-    assert decide([record], h.delegate((Named("B"), Named("A"))), frozenset()) == []
+    assert decide([record], h.delegate(("B", "A")), frozenset()) == []
 
 
 def test_flows_are_decided_only_in_decide():
@@ -814,3 +814,23 @@ def test_flows_are_decided_only_in_decide():
 
     tree = pyast.parse(Path(checker_module.__file__).read_text(encoding="utf-8"))
     assert set(owners(tree, None)) == {"decide", "check_branch"}
+
+
+def test_every_package_definition_is_referenced_in_the_package():
+    # a function or class that no module of the package names is code only
+    # the tests keep alive: it belongs under tests/, or nowhere
+    defined, referenced = {}, set()
+    for path in sorted(Path(checker_module.__file__).parent.glob("*.py")):
+        for node in pyast.walk(pyast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (pyast.FunctionDef, pyast.AsyncFunctionDef, pyast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, pyast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, pyast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, pyast.alias):
+                referenced.add(node.name)
+    unreferenced = sorted(f"{where} {name}" for name, where in defined.items()
+                          if name not in referenced
+                          and not (name.startswith("__") and name.endswith("__")))
+    assert unreferenced == []

@@ -119,6 +119,23 @@ class TestCheck:
         code, *_ = run_cli("check", "--hierarchy", str(trust), str(src), capsys=capsys)
         assert code == 0
 
+    def test_hierarchy_edges_reach_the_checker_as_names(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def recording(program, trust):
+            seen.append(trust)
+            return check_program(program, trust)
+
+        monkeypatch.setattr("minijif.cli.check_program", recording)
+        trust = tmp_path / "trust.hier"
+        trust.write_text("principal Alice\nactsfor * >= Alice\n")
+        code, *_ = run_cli("check", "--hierarchy", str(trust),
+                           str(CORPUS_DIR / "booking_ok.mjif"), capsys=capsys)
+        assert code == 0
+        (edge,) = seen[0].extra_delegations
+        assert edge == ("*", "Alice")
+        assert all(type(p) is str for p in edge)
+
     def test_hierarchy_endpoint_must_be_declared_by_program(self, tmp_path, capsys):
         src = tmp_path / "tiny.mjif"
         src.write_text("principal Alice;\n")
@@ -453,6 +470,15 @@ class TestCorpus:
         assert code == 2
         assert out.startswith("FAIL ") and out.count("\n") == 1
         assert err == ""
+
+    @pytest.mark.parametrize("line", ["E-FLOW \u00b2", "E-FLOW x"])
+    def test_malformed_expectation_is_a_usage_error(self, tmp_path, line, capsys):
+        (tmp_path / "ok.mjif").write_text("principal Alice;\n")
+        (tmp_path / "ok.expect").write_text(line + "\n", encoding="utf-8")
+        code, _, err = run_cli("corpus", str(tmp_path), capsys=capsys)
+        assert code == 2
+        assert err == f"error: {tmp_path / 'ok.expect'}:1: expected '<code> <line>'\n"
+        assert "internal error" not in err
 
     def test_missing_directory_exits_two(self, capsys):
         code, _, err = run_cli("corpus", "does/not/exist", capsys=capsys)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from minijif.labels import ConfPolicy, EMPTY, IntegPolicy, JoinNode, LabelVar, MeetNode
 from minijif.lexer import LexError, tokenize
 from minijif.parser import ParseError, parse_label, parse_program
-from minijif.principals import BOTTOM, Named, TOP
+from minijif.principals import BOTTOM, TOP
 from minijif.span import Span
 from minijif import syntax as ast
 from conftest import CORPUS_DIR, bench_gen, corpus_files
@@ -86,12 +86,12 @@ class TestLexer:
 
 class TestParseLabel:
     def test_owner_star(self):
-        assert parse_label("{Owner->*}") == ConfPolicy(Named("Owner"), (TOP,))
+        assert parse_label("{Owner->*}") == ConfPolicy("Owner", (TOP,))
 
     def test_meet(self):
         lab = parse_label("{Alice->Chuck meet Bob->Chuck}")
         assert isinstance(lab, MeetNode)
-        assert lab.left == ConfPolicy(Named("Alice"), (Named("Chuck"),))
+        assert lab.left == ConfPolicy("Alice", ("Chuck",))
 
     def test_empty(self):
         assert parse_label("{}") == EMPTY
@@ -99,13 +99,13 @@ class TestParseLabel:
     def test_pair_form_desugars_to_join(self):
         lab = parse_label("{Alice->_; Alice<-*}")
         assert lab == JoinNode(
-            ConfPolicy(Named("Alice"), (BOTTOM,)),
-            IntegPolicy(Named("Alice"), (TOP,)),
+            ConfPolicy("Alice", (BOTTOM,)),
+            IntegPolicy("Alice", (TOP,)),
         )
 
     def test_reader_list(self):
         assert parse_label("{A->B,C,*}") == ConfPolicy(
-            Named("A"), (Named("B"), Named("C"), TOP)
+            "A", ("B", "C", TOP)
         )
 
     def test_label_variable(self):
@@ -147,9 +147,9 @@ class TestParseProgram:
         )
         cls = program.decls[0]
         assert cls.principal_params == ("Owner", "Operator")
-        assert cls.authority == (Named("Owner"),)
+        assert cls.authority == ("Owner",)
         assert len(cls.fields) == 1
-        assert cls.fields[0].label == ConfPolicy(Named("Owner"), (TOP,))
+        assert cls.fields[0].label == ConfPolicy("Owner", (TOP,))
 
     def test_truncated_class_header(self):
         with pytest.raises(ParseError) as err:
@@ -165,10 +165,10 @@ class TestParseProgram:
             "}"
         )
         m = program.decls[0].methods[0]
-        assert m.begin_label == ConfPolicy(Named("A"), (TOP,))
-        assert m.end_label == ConfPolicy(Named("A"), (Named("B"),))
-        assert m.authority == (Named("A"),)
-        assert m.params[0].label == ConfPolicy(Named("A"), (TOP,))
+        assert m.begin_label == ConfPolicy("A", (TOP,))
+        assert m.end_label == ConfPolicy("A", ("B",))
+        assert m.authority == ("A",)
+        assert m.params[0].label == ConfPolicy("A", (TOP,))
 
     def test_duplicate_principal_params_rejected(self):
         with pytest.raises(ParseError):
@@ -203,13 +203,21 @@ class TestParseProgram:
         )
         init = program.decls[0].methods[0].body.stmts[0].init
         assert isinstance(init, ast.New)
-        assert init.principal_args == (Named("Alice"), Named("Chuck"))
+        assert init.principal_args == ("Alice", "Chuck")
 
     def test_actsfor_declaration(self):
         program = parse_program("principal A;\nprincipal B;\nactsfor A >= B;")
         decl = program.decls[2]
-        assert decl.superior == Named("A")
-        assert decl.inferior == Named("B")
+        assert decl.superior == "A"
+        assert decl.inferior == "B"
+
+    def test_principals_parse_to_their_names(self):
+        program = parse_program("principal A;\nprincipal B;\nactsfor A >= *;\n"
+                                "class C { Box[B, _] f; }")
+        decl, ftype = program.decls[2], program.decls[3].fields[0].type
+        names = [decl.superior, decl.inferior, *ftype.principal_args]
+        assert names == ["A", "*", "B", "_"]
+        assert all(type(p) is str for p in names)
 
     def test_declassify_expression(self):
         program = parse_program(

@@ -14,7 +14,6 @@ from minijif.labels import (
     MeetNode,
     SemLabel,
     conf_owners,
-    equivalent,
     flows_to,
     interpret_label,
     join,
@@ -25,9 +24,10 @@ from minijif.labels import (
 )
 from minijif import interned, syntax as ast
 from minijif.parser import parse_label, parse_program
-from minijif.principals import BOTTOM, Named, TOP
+from minijif.principals import BOTTOM, TOP
 from oracles import (
     SemOracle,
+    equivalent,
     hierarchy_from_edges,
     oracle_sem,
     random_hierarchy,
@@ -35,8 +35,8 @@ from oracles import (
     random_policy,
 )
 
-ALICE, BOB, CHUCK = Named("Alice"), Named("Bob"), Named("Chuck")
-OWNER, OPERATOR = Named("Owner"), Named("Operator")
+ALICE, BOB, CHUCK = "Alice", "Bob", "Chuck"
+OWNER, OPERATOR = "Owner", "Operator"
 
 
 def conf(owner, *readers):
@@ -51,7 +51,7 @@ class TestPolicyInterpretation:
     def test_bottom_reader_means_everyone(self):
         # {Alice->_}: everyone can read
         h = hierarchy_from_edges(["Alice", "Bob"], [])
-        assert interpret_label(conf(ALICE, BOTTOM), h).readers == h.all_principals()
+        assert interpret_label(conf(ALICE, BOTTOM), h).readers == h.universe
 
     def test_owner_only(self):
         # frozen from the enumeration oracle
@@ -59,8 +59,8 @@ class TestPolicyInterpretation:
         assert interpret_label(conf(OWNER, TOP), h).readers == {OWNER, TOP}
 
     def test_delegated_reader(self):
-        h = hierarchy_from_edges(["Alice", "Bob", "Carol"], [(Named("Carol"), BOB)])
-        assert interpret_label(conf(ALICE, BOB), h).readers == {ALICE, BOB, Named("Carol"), TOP}
+        h = hierarchy_from_edges(["Alice", "Bob", "Carol"], [("Carol", BOB)])
+        assert interpret_label(conf(ALICE, BOB), h).readers == {ALICE, BOB, "Carol", TOP}
 
     def test_integ_owner_only(self):
         # {Alice<-*}: only Alice can write
@@ -69,11 +69,11 @@ class TestPolicyInterpretation:
 
     def test_integ_listed_writer(self):
         h = hierarchy_from_edges(["Charles", "Bob"], [])
-        assert interpret_label(integ(Named("Charles"), BOB), h).writers == {Named("Charles"), BOB, TOP}
+        assert interpret_label(integ("Charles", BOB), h).writers == {"Charles", BOB, TOP}
 
     def test_integ_bottom_writer_means_everyone(self):
         h = hierarchy_from_edges(["Alice", "Bob", "Chuck"], [])
-        assert interpret_label(integ(ALICE, BOTTOM), h).writers == h.all_principals()
+        assert interpret_label(integ(ALICE, BOTTOM), h).writers == h.universe
 
     def test_policies_need_members(self):
         with pytest.raises(ValueError):
@@ -101,28 +101,28 @@ class TestLabelInterpretation:
 
     def test_empty_is_public_trusted(self):
         sem = interpret_label(EMPTY, self.h)
-        assert sem == SemLabel(self.h.all_principals(), frozenset({TOP}))
+        assert sem == SemLabel(self.h.universe, frozenset({TOP}))
 
     def test_empty_writers_stay_top_when_everyone_acts_for_top(self):
         # under _ >= * every principal acts for top, yet {} admits top alone as writer
         h = hierarchy_from_edges(["Alice"], [(BOTTOM, TOP)])
-        assert h.actors(TOP) == h.all_principals()
+        assert h.actors(TOP) == h.universe
         assert interpret_label(EMPTY, h).writers == {TOP}
 
     def test_conf_leaf_is_writer_unrestricted(self):
         sem = interpret_label(conf(ALICE, TOP), self.h)
-        assert sem.writers == self.h.all_principals()
+        assert sem.writers == self.h.universe
 
     def test_integ_leaf_is_reader_unrestricted(self):
         sem = interpret_label(integ(ALICE, TOP), self.h)
-        assert sem.readers == self.h.all_principals()
+        assert sem.readers == self.h.universe
         assert sem.writers == {ALICE, TOP}
 
     def test_pair_form_keeps_reader_restriction(self):
         # {Alice->_; Alice<-*} reads as a join of both components
         lab = JoinNode(conf(ALICE, BOTTOM), integ(ALICE, TOP))
         sem = interpret_label(lab, self.h)
-        assert sem.readers == self.h.all_principals()
+        assert sem.readers == self.h.universe
 
     def test_label_var_has_no_meaning(self):
         with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ class TestLabelInterpretation:
         rng = random.Random(11)
         for _ in range(200):
             h = random_hierarchy(rng)
-            pool = sorted(h.all_principals(), key=str)
+            pool = sorted(h.universe)
             sem = interpret_label(random_label(rng, pool), h)
             assert TOP in sem.readers
             assert TOP in sem.writers
@@ -153,7 +153,7 @@ class TestFlowOrder:
         rng = random.Random(3)
         for _ in range(100):
             h = random_hierarchy(rng)
-            pool = sorted(h.all_principals(), key=str)
+            pool = sorted(h.universe)
             lab = random_label(rng, pool)
             assert flows_to(lab, lab, h)
 
@@ -161,7 +161,7 @@ class TestFlowOrder:
         rng = random.Random(5)
         for _ in range(200):
             h = random_hierarchy(rng)
-            pool = sorted(h.all_principals(), key=str)
+            pool = sorted(h.universe)
             assert flows_to(EMPTY, random_label(rng, pool), h)
 
 
@@ -197,7 +197,7 @@ class TestJoinMeet:
         rng = random.Random(13)
         for _ in range(300):
             h = random_hierarchy(rng, max_principals=4)
-            pool = sorted(h.all_principals(), key=str)
+            pool = sorted(h.universe)
             a, b = random_label(rng, pool, 2), random_label(rng, pool, 2)
             oracle = SemOracle(h)
             ra, wa = oracle.sem(a)
@@ -225,7 +225,7 @@ class TestJoinNormalForm:
 
     def operands(self, rng):
         h = random_hierarchy(rng, max_principals=2)
-        pool = sorted(h.all_principals(), key=str)
+        pool = sorted(h.universe)
         a, b = random_label(rng, pool, 2), random_label(rng, pool, 2)
         if rng.random() < 0.5:  # make the operands share a component
             b = JoinNode(b, rng.choice(join_parts(a) or [EMPTY]))
@@ -270,7 +270,7 @@ class TestJoinNormalForm:
         # a sum over many differently labelled values, with repeated
         # components, joins onto recent labels and operands that are joins
         rng = random.Random(43)
-        pool = [conf(Named(f"P{i}"), TOP) for i in range(4000)]
+        pool = [conf(f"P{i}", TOP) for i in range(4000)]
         fast, slow = [EMPTY], [EMPTY]
         for _ in range(3000):
             k = len(fast) - 1 - (rng.randrange(1, 4) if rng.random() < 0.1 else 0)
@@ -334,7 +334,7 @@ class TestOracleEquivalence:
     @given(st.randoms(use_true_random=False))
     def test_interpret_matches_enumeration(self, pyrng):
         h = random_hierarchy(pyrng, max_principals=4)
-        pool = sorted(h.all_principals(), key=str)
+        pool = sorted(h.universe)
         lab = random_label(pyrng, pool)
         sem = interpret_label(lab, h)
         assert (sem.readers, sem.writers) == oracle_sem(lab, h)
@@ -343,7 +343,7 @@ class TestOracleEquivalence:
         rng = random.Random(17)
         for _ in range(200):
             h = random_hierarchy(rng, max_principals=4)
-            pool = sorted(h.all_principals(), key=str)
+            pool = sorted(h.universe)
             sup, inf = rng.choice(pool), rng.choice(pool)
             h2 = h.delegate((sup, inf))
             owner = rng.choice(pool)
@@ -387,6 +387,12 @@ class TestInterning:
         assert f.label is conf(ALICE, TOP)
         assert g.type is ast.INT
 
+    def test_labels_intern_by_principal_value(self):
+        # strings built at run time are distinct objects; the label is still one
+        assert parse_label("{Alice->*}") is ConfPolicy("Alice", (TOP,))
+        assert ConfPolicy("".join(["Ali", "ce"]), ("*",)) is conf(ALICE, TOP)
+        assert ast.ClassType("C", ("".join(["Ali", "ce"]),)) is ast.ClassType("C", (ALICE,))
+
     def test_types_of_different_kinds_stay_distinct(self):
         assert ast.INT is not ast.BOOLEAN
         assert ast.IntType() is ast.INT and ast.VoidType() is ast.VOID
@@ -417,15 +423,15 @@ class TestInterning:
             del label.readers
         with pytest.raises(AttributeError):
             ast.ClassType("C").name = "D"
-        assert label is conf(ALICE, BOB) and label.owner is ALICE
+        assert label is conf(ALICE, BOB) and label.owner == ALICE
 
     def test_repr_names_the_fields(self):
-        assert repr(conf(ALICE, TOP)) == "ConfPolicy(owner=Named(name='Alice'), readers=(Top(),))"
+        assert repr(conf(ALICE, TOP)) == "ConfPolicy(owner='Alice', readers=('*',))"
         assert repr(ast.ClassType("C")) == "ClassType(name='C', principal_args=())"
 
     def test_dropped_labels_leave_the_table(self):
         before = len(interned._table)
-        labels = [JoinNode(conf(Named(f"P{i}"), TOP), integ(ALICE, Named(f"W{i}")))
+        labels = [JoinNode(conf(f"P{i}", TOP), integ(ALICE, f"W{i}"))
                   for i in range(10_000)]
         assert len(interned._table) >= before + 10_000
         del labels
@@ -434,10 +440,10 @@ class TestInterning:
     def test_deep_join_chain_hashes_without_recursion(self):
         label = EMPTY
         for i in range(5_000):
-            label = JoinNode(label, conf(Named(f"P{i % 7}"), TOP))
+            label = JoinNode(label, conf(f"P{i % 7}", TOP))
         assert label in {label: 1} and label == label
         rebuilt = EMPTY
         for i in range(5_000):
-            rebuilt = JoinNode(rebuilt, conf(Named(f"P{i % 7}"), TOP))
+            rebuilt = JoinNode(rebuilt, conf(f"P{i % 7}", TOP))
         assert rebuilt is label
         del label, rebuilt  # freeing the chain must not overflow either
