@@ -26,7 +26,7 @@ charges its effects (a call that writes a field) to that operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic
 from .labels import (
@@ -51,8 +51,7 @@ from .span import Span
 from . import syntax as ast
 
 
-@dataclass(frozen=True)
-class TrustConfig:
+class TrustConfig(NamedTuple):
     """External trust decisions: who grants ``main`` its authority claims and
     which extra delegations hold at the deployment site."""
 
@@ -60,14 +59,8 @@ class TrustConfig:
     extra_delegations: tuple[tuple[PrincipalId, PrincipalId], ...] = ()
 
 
-class ErrorType:
-    """Poison type: silences follow-on mismatches after a reported error."""
-
-    def __str__(self) -> str:
-        return "<error>"
-
-
-ERROR = ErrorType()
+# poison type: silences follow-on mismatches after a reported error
+ERROR = ast.PrimType("<error>")
 
 BUILTINS: dict[str, tuple[tuple[ast.Type, ...], ast.Type]] = {
     "substring": ((ast.STRING, ast.INT, ast.INT), ast.STRING),
@@ -80,8 +73,7 @@ def _types_match(a, b) -> bool:
     return a == b or a is ERROR or b is ERROR
 
 
-@dataclass(frozen=True)
-class ParamInfo:
+class ParamInfo(NamedTuple):
     """A declared parameter or field: its name, resolved type and label."""
 
     name: str
@@ -89,8 +81,7 @@ class ParamInfo:
     label: Label
 
 
-@dataclass(frozen=True)
-class MethodInfo:
+class MethodInfo(NamedTuple):
     decl: ast.MethodDecl
     return_type: ast.Type
     return_label: Label
@@ -100,13 +91,15 @@ class MethodInfo:
     authority: frozenset[PrincipalId]
 
 
-@dataclass
 class ClassInfo:
-    decl: ast.ClassDecl
-    hierarchy: PrincipalHierarchy  # program hierarchy plus rigid parameters
-    authority: frozenset[PrincipalId] = field(default_factory=frozenset)
-    fields: dict[str, ParamInfo] = field(default_factory=dict)  # in declaration order
-    methods: dict[str, MethodInfo] = field(default_factory=dict)
+    """A class declaration; the declaration pass fills in the rest."""
+
+    def __init__(self, decl: ast.ClassDecl, hierarchy: PrincipalHierarchy):
+        self.decl = decl
+        self.hierarchy = hierarchy  # program hierarchy plus rigid parameters
+        self.authority: frozenset[PrincipalId] = frozenset()
+        self.fields: dict[str, ParamInfo] = {}  # in declaration order
+        self.methods: dict[str, MethodInfo] = {}
 
 
 FlowRecord = tuple[str, Label, "Label | None", Label, Span, "str | None"]  # see decide
@@ -270,7 +263,7 @@ class Checker:
         return label if ok else EMPTY
 
     def _resolve_type(self, info: ClassInfo, t: ast.Type, span: Span, allow_void: bool) -> ast.Type:
-        if isinstance(t, ast.VoidType) and not allow_void:
+        if t is ast.VOID and not allow_void:
             self.add("E-TYPE", span, "void is only valid as a return type")
             return ERROR
         if not isinstance(t, ast.ClassType):
@@ -410,11 +403,11 @@ class Checker:
         mi = ctx.method
         ctx.returned = True
         if s.value is None:
-            if not isinstance(mi.return_type, (ast.VoidType, ErrorType)):
+            if mi.return_type not in (ast.VOID, ERROR):
                 self.add("E-TYPE", s.span, f"method '{mi.decl.name}' must return a value")
         else:
             vtype, vlabel = self.check_expr(ctx, s.value)
-            if isinstance(mi.return_type, ast.VoidType):
+            if mi.return_type is ast.VOID:
                 self.add("E-TYPE", s.span, f"void method '{mi.decl.name}' cannot return a value")
             elif not _types_match(vtype, mi.return_type):
                 self.add("E-TYPE", s.span,

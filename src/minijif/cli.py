@@ -51,7 +51,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise _UsageError(f"--max-errors must be non-negative, got {args.max_errors}")
     trust = TrustConfig(
         grant_main_authority=not args.no_trust_main,
-        extra_delegations=tuple(_load_hierarchy(args.hierarchy).delegations),
+        # sorted, so that the first undeclared endpoint reported does not vary
+        extra_delegations=tuple(sorted(_load_hierarchy(args.hierarchy).delegations,
+                                       key=lambda e: tuple(map(principal_sort_key, e)))),
     )
     diagnostics: list[Diagnostic] = []
     failed = False

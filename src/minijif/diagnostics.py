@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .span import Span
 
@@ -26,17 +25,16 @@ CATALOG = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    span: Span
-    message: str
-    from_label: Optional[str] = None  # pretty-printed
-    to_label: Optional[str] = None
+class Diagnostic(NamedTuple("Diagnostic", [
+        ("code", str), ("span", Span), ("message", str),
+        ("from_label", Optional[str]), ("to_label", Optional[str])])):  # labels pretty-printed
+    __slots__ = ()  # the catalog check needs __new__, which a NamedTuple body may not define
 
-    def __post_init__(self) -> None:
-        if self.code not in CATALOG:
-            raise ValueError(f"unknown diagnostic code {self.code!r}")
+    def __new__(cls, code: str, span: Span, message: str,
+                from_label: Optional[str] = None, to_label: Optional[str] = None):
+        if code not in CATALOG:
+            raise ValueError(f"unknown diagnostic code {code!r}")
+        return super().__new__(cls, code, span, message, from_label, to_label)
 
     def sort_key(self) -> tuple:
         return (self.span.file, self.span.start, self.span.end, self.code, self.message)

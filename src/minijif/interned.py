@@ -1,15 +1,17 @@
 """Hash-consed immutable values: one live object per distinct value.
 
-A subclass names its fields in ``__match_args__`` and ``__slots__``.  Building
-an instance whose class and fields equal those of a live one returns the live
-one, so equality is identity and hashing is O(1) however deep the value is.
+A subclass names its fields in ``__match_args__``, and in ``__slots__`` unless
+it keeps cached properties in an instance ``__dict__``.  Building an instance
+whose class and fields equal those of a live one returns the live one, so
+equality is identity and hashing is O(1) however deep the value is.
 Copying and unpickling rebuild through the constructor, so they return the
 same object too.
 
 The table holds its values weakly: an entry goes when its value dies, and
 never while the value lives, since two live equal values would compare
 unequal.  Its keys hold the fields, which are themselves interned or plain
-strings and tuples, so a table key hashes in time independent of depth.
+strings, tuples and frozensets, so a table key hashes in time independent of
+depth.
 """
 
 from __future__ import annotations

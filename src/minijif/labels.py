@@ -15,9 +15,8 @@ only by the top principal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 from weakref import WeakKeyDictionary
 
 from .interned import Interned
@@ -72,8 +71,7 @@ EMPTY: Label = EmptyLabel()
 Label = Union[ConfPolicy, IntegPolicy, JoinNode, MeetNode, LabelVar, EmptyLabel]
 
 
-@dataclass(frozen=True)
-class SemLabel:
+class SemLabel(NamedTuple):
     """A label's meaning: effective reader and writer sets.
 
     Top is always a member of both sets (it acts for every owner).

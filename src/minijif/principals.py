@@ -3,15 +3,17 @@
 A principal is its name: an identifier, or the text of the distinguished
 top (``*``) or bottom (``_``) principal.  The hierarchy is a closed world: the
 universe is exactly the declared names plus top and bottom.  Hierarchies are
-immutable; operations return new ones.  Each computes once who acts for each
-principal: acts-for and policy members read those sets.
+interned like labels: operations return new ones, and equal hierarchies are
+one object.  Each computes once who acts for each principal: acts-for and
+policy members read those sets.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from functools import cached_property
+
+from .interned import Interned
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -43,12 +45,15 @@ def _check_name(name: str) -> None:
         raise InvalidIdentifier(f"invalid principal name: {name!r}")
 
 
-@dataclass(frozen=True)
-class PrincipalHierarchy:
+class PrincipalHierarchy(Interned):
     """Declared principals plus delegation edges (superior acts for inferior)."""
 
-    declared: frozenset[PrincipalId] = field(default_factory=frozenset)
-    delegations: frozenset[Edge] = field(default_factory=frozenset)
+    # no __slots__: the cached properties below live in the instance __dict__
+    __match_args__ = ("declared", "delegations")
+
+    def __new__(cls, declared: frozenset[PrincipalId] = frozenset(),
+                delegations: frozenset[Edge] = frozenset()):
+        return super().__new__(cls, declared, delegations)
 
     @cached_property
     def universe(self) -> frozenset[PrincipalId]:
@@ -80,8 +85,7 @@ class PrincipalHierarchy:
         """Add named principals in one step; idempotent on re-declaration."""
         for name in names:
             _check_name(name)
-        declared = self.declared.union(names)
-        return self if len(declared) == len(self.declared) else replace(self, declared=declared)
+        return PrincipalHierarchy(self.declared.union(names), self.delegations)
 
     def check_edge(self, superior: PrincipalId, inferior: PrincipalId) -> "Edge":
         """The edge ``superior >= inferior``, or UnknownPrincipal for an undeclared end."""
@@ -92,7 +96,7 @@ class PrincipalHierarchy:
 
     def delegate(self, *edges: "Edge") -> "PrincipalHierarchy":
         """Record in one step that each edge's superior acts for its inferior."""
-        return replace(self, delegations=self.delegations.union(
+        return PrincipalHierarchy(self.declared, self.delegations.union(
             self.check_edge(*e) for e in edges))
 
     def actors(self, q: PrincipalId) -> frozenset[PrincipalId]:

@@ -3,8 +3,9 @@
 AST nodes are ``typing.NamedTuple``s, which are cheap to define and to build.
 Two nodes of different kinds with equal fields therefore compare equal, so
 compare ASTs with ``ast_equal`` (in ``tests/oracles.py``), never with ``==``.
-Types are interned, like labels: equal types are one object, and
-``INT is not BOOLEAN``.
+Types are interned, like labels: equal types are one object.  A primitive
+type is a ``PrimType`` named as the source writes it, so
+``PrimType("int") is INT`` and ``INT is not BOOLEAN``.
 """
 
 from __future__ import annotations
@@ -19,32 +20,13 @@ from .span import Span
 
 # ---------------------------------------------------------------- types
 
-class IntType(Interned):
-    __slots__ = ()
+class PrimType(Interned):
+    """A primitive type, named as the source writes it."""
+
+    __slots__ = __match_args__ = ("name",)
 
     def __str__(self) -> str:
-        return "int"
-
-
-class BoolType(Interned):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "boolean"
-
-
-class StringType(Interned):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "String"
-
-
-class VoidType(Interned):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "void"
+        return self.name
 
 
 class ClassType(Interned):
@@ -59,12 +41,12 @@ class ClassType(Interned):
         return f"{self.name}[" + ", ".join(self.principal_args) + "]"
 
 
-Type = Union[IntType, BoolType, StringType, VoidType, ClassType]
+Type = Union[PrimType, ClassType]
 
-INT = IntType()
-BOOLEAN = BoolType()
-STRING = StringType()
-VOID = VoidType()
+INT = PrimType("int")
+BOOLEAN = PrimType("boolean")
+STRING = PrimType("String")
+VOID = PrimType("void")
 
 
 # ---------------------------------------------------------------- expressions

@@ -28,11 +28,11 @@ class _Return(Exception):
 
 def _zero(t: ast.Type):
     match t:
-        case ast.IntType():
+        case ast.INT:
             return 0
-        case ast.BoolType():
+        case ast.BOOLEAN:
             return False
-        case ast.StringType():
+        case ast.STRING:
             return ""
     raise EvalTypeError(f"cannot evaluate a variable of type {t}")
 

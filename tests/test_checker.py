@@ -13,7 +13,7 @@ from minijif.checker import (
     check_program,
     decide,
 )
-from minijif.diagnostics import CATALOG, render_json
+from minijif.diagnostics import CATALOG, Diagnostic, render_json
 from minijif.labels import EMPTY, interpret_label, label_to_text
 from minijif.lexer import tokenize
 from minijif.parser import _Parser, parse_label, parse_program
@@ -758,6 +758,10 @@ class TestDeterminism:
 
     def test_all_codes_are_catalogued(self):
         assert len(CATALOG) == 13
+
+    def test_unknown_code_is_rejected(self):
+        with pytest.raises(ValueError, match="^unknown diagnostic code 'E-BOGUS'$"):
+            Diagnostic("E-BOGUS", Span("f.mjif", (1, 1), (1, 2)), "message")
 
 
 # flows_to and label_to_text calls in checking each benchmark workload at seed 1

@@ -145,6 +145,23 @@ class TestCheck:
         assert code == 2
         assert "Ghost" in err
 
+    def test_undeclared_hierarchy_endpoint_reported_does_not_depend_on_hash_seed(self, tmp_path):
+        # the edges come from a set, whose iteration order varies with the string hash seed
+        src = tmp_path / "tiny.mjif"
+        src.write_text("principal Alice;\n")
+        trust = tmp_path / "trust.hier"
+        trust.write_text("principal Alice\n" + "".join(
+            f"principal G{i}\nactsfor G{i} >= Alice\n" for i in (3, 1, 2)))
+        errs = set()
+        for seed in range(1, 5):
+            env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONHASHSEED": str(seed)}
+            proc = subprocess.run([sys.executable, "-m", "minijif.cli", "check", "--hierarchy",
+                                   str(trust), str(src)],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2
+            errs.add(proc.stderr)
+        assert errs == {f"error: --hierarchy: undeclared principal: G1 (not declared by {src})\n"}
+
     def test_non_utf8_source_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.mjif"
         bad.write_bytes(NOT_UTF8)
@@ -496,13 +513,23 @@ def test_console_script_installed():
     assert proc.returncode == 0
 
 
-def test_package_is_the_cli_import_closure():
-    # the package ships what `minijif` runs and nothing more
-    script = "import sys, minijif.cli\nprint(*sorted(m for m in sys.modules if m.startswith('minijif.')))"
+def cli_import_closure() -> list[str]:
+    """Modules a fresh interpreter has loaded after ``import minijif.cli``."""
+    script = "import sys, minijif.cli\nprint(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_package_is_the_cli_import_closure():
+    # the package ships what `minijif` runs and nothing more
     package = REPO_ROOT / "src" / "minijif"
-    assert proc.stdout.split() == sorted(f"minijif.{p.stem}" for p in package.glob("*.py")
-                                         if p.stem != "__init__")
+    assert sorted(m for m in cli_import_closure() if m.startswith("minijif.")) == sorted(
+        f"minijif.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+
+
+def test_cli_import_closure_leaves_out_dataclasses_and_inspect():
+    # each is milliseconds of start-up that every `minijif` run would pay
+    assert {"dataclasses", "inspect"}.isdisjoint(cli_import_closure())

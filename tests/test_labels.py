@@ -24,7 +24,7 @@ from minijif.labels import (
 )
 from minijif import interned, syntax as ast
 from minijif.parser import parse_label, parse_program
-from minijif.principals import BOTTOM, TOP
+from minijif.principals import BOTTOM, PrincipalHierarchy, TOP
 from oracles import (
     SemOracle,
     equivalent,
@@ -395,7 +395,7 @@ class TestInterning:
 
     def test_types_of_different_kinds_stay_distinct(self):
         assert ast.INT is not ast.BOOLEAN
-        assert ast.IntType() is ast.INT and ast.VoidType() is ast.VOID
+        assert ast.PrimType("int") is ast.INT and ast.PrimType("void") is ast.VOID
         assert ast.ClassType("C", (ALICE,)) is ast.ClassType("C", (ALICE,))
         assert ast.ClassType("C") is ast.ClassType("C", ())
         assert ast.ClassType("C", (ALICE,)) is not ast.ClassType("C", (BOB,))
@@ -407,6 +407,7 @@ class TestInterning:
         EMPTY, LabelVar("L"), MeetNode(conf(ALICE, TOP), integ(BOB, BOTTOM)),
         JoinNode(conf(ALICE, BOB, CHUCK), integ(ALICE, TOP)),
         ast.INT, ast.ClassType("C", (ALICE, TOP)),
+        PrincipalHierarchy().declare(ALICE).delegate((ALICE, TOP)),
     ], ids=repr)
     def test_copies_and_pickles_are_the_same_object(self, value):
         assert copy.copy(value) is value

@@ -205,3 +205,11 @@ class TestInterning:
         ((sup, inf),) = h.delegations
         assert all(type(p) is str for p in (*h.declared, sup, inf))
         assert h.acts_for(written, BOB)
+
+    def test_one_object_per_hierarchy(self):
+        # equal hierarchies are one object, however and in whatever order they were built
+        h = parse_hierarchy("actsfor Alice >= Bob\nprincipal Bob\nprincipal Alice\n")
+        assert h is PrincipalHierarchy().declare(ALICE, BOB).delegate((ALICE, BOB))
+        assert h is hier(BOB).declare(ALICE, BOB).delegate((ALICE, BOB), (ALICE, BOB))
+        assert h.delegate((ALICE, BOB)) is h and h.declare(ALICE) is h
+        assert h is not hier(ALICE, BOB)
