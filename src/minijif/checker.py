@@ -4,13 +4,13 @@ Flows are checked in JFlow's two steps: generate constraints, then solve them.
 The body pass walks each method under one ``MethodContext`` (class, method, pc,
 locals) and records each flow obligation on ``ctx.records``; then ``decide``
 turns the records into diagnostics under the class's hierarchy and the method's
-authority.  Only a loop's "did the pc rise" test is decided during the walk.
+authority.  The walk itself reads no hierarchy: it never decides a flow.
 
 Each class is checked once, generically: its principal parameters are treated
 as rigid, otherwise-unrelated principals.  Call sites substitute the concrete
 principal arguments of the receiver's static type into the callee's labels.
 An instance's methods spend its class's authority for whoever created it, so
-``new`` needs the creating method to hold that authority, after substitution.
+``new`` records that its creator must hold that authority, after substitution.
 The program-counter label starts at a method's begin-label and is only ever
 raised (by joining branch-condition labels); it is restored when the branch
 construct ends, unless the construct's body may return: whether the code after
@@ -18,7 +18,7 @@ it runs then depends on the condition, so the raised pc stays for the rest of
 the method (JFlow's path labels in their simplest sound form).  A loop's
 condition and body run again only if the last condition held, so a ``while``
 is checked as one fixpoint: each pass checks the condition, then the body, at
-the pc the last pass ended with, until the pc stops rising.
+the pc the last pass ended with, until a pass adds no component to the pc.
 The right operand of ``&&`` and ``||`` runs only for some values of the left
 one, so it is checked at the pc joined with the left operand's label, which
 charges its effects (a call that writes a field) to that operand.
@@ -102,7 +102,8 @@ class ClassInfo:
         self.methods: dict[str, MethodInfo] = {}
 
 
-FlowRecord = tuple[str, Label, "Label | None", Label, Span, "str | None"]  # see decide
+# (code, source, pc, target, span, message): see decide
+FlowRecord = tuple[str, "Label | PrincipalId", "Label | None", "Label | None", Span, "str | None"]
 
 
 class MethodContext:
@@ -370,7 +371,6 @@ class Checker:
 
     def check_branch(self, ctx: MethodContext, s: "ast.If | ast.While") -> None:
         saved_pc, returned = ctx.pc, ctx.returned
-        h = ctx.cls.hierarchy
         mark, records = len(self.diagnostics), len(ctx.records)
         while True:
             start = ctx.pc
@@ -385,13 +385,13 @@ class Checker:
                 break
             # A loop is one fixpoint: the condition and the body run again
             # only if the last condition held and no return fired, so each
-            # pass starts at the pc the last one ended with, until the pc
-            # stops rising; only the last pass's diagnostics and records are
-            # kept.  The body is skipped in a pass whose condition raised the
-            # pc, as the next pass checks it at the raised pc.
-            if ctx.pc is start or flows_to(ctx.pc, start, h):
+            # pass starts at the pc the last one ended with, until a pass adds
+            # no component to it (`join` then returns the pc itself); only the
+            # last pass's diagnostics and records are kept.  A pass whose
+            # condition raised the pc skips the body, checked at it next pass.
+            if ctx.pc is start:
                 self._check_block(ctx, s.body)
-                if ctx.pc is start or flows_to(ctx.pc, start, h):
+                if ctx.pc is start:
                     break
             del self.diagnostics[mark:], ctx.records[records:]
         # a body that may return keeps the raised pc (see the module docstring)
@@ -485,11 +485,10 @@ class Checker:
             return ERROR, result_label
         cls, sub = self._member_class(ctype, e.span)
         # the instance's methods may spend the class's authority, so its creator must hold it
-        for p in {sub.get(p, p) for p in cls.authority}:
-            if not any(ctx.cls.hierarchy.acts_for(a, p) for a in ctx.method.authority):
-                self.add("E-AUTH-CLAIM", e.span,
+        ctx.records += [("authority", p, None, None, e.span,
                          f"creating a '{ctype}' needs the authority of '{p}', "
                          f"which method '{ctx.method.decl.name}' does not hold")
+                        for p in {sub.get(p, p) for p in cls.authority}]
         # implicit constructor: one argument per field, in declaration order
         if len(e.args) != len(cls.fields):
             self.add("E-ARITY", e.span,
@@ -568,7 +567,7 @@ class Checker:
 def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
            authority: frozenset[PrincipalId]) -> list[Diagnostic]:
     """Turn one method's flow records into diagnostics, under ``hierarchy``
-    and the ``authority`` the method holds: the only place a flow is decided.
+    and the ``authority`` the method holds: the only code that reads a hierarchy.
 
     A record fails unless its source flows to its target; it then yields its
     code and message.  A record with a pc is assignment-shaped, and its
@@ -576,15 +575,20 @@ def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
     (``E-FLOW-IMPLICIT``) when the value alone would flow.  A ``declassify``
     record relabels its source to its target: weakening a confidentiality
     policy needs the authority of its owner, and integrity must not grow.
+    An ``authority`` record's source is a principal the method must act for.
     """
     out = []
     for code, source, pc, target, span, message in records:
+        if code == "authority":
+            if authority.isdisjoint(hierarchy.actors(source)):
+                out.append(Diagnostic("E-AUTH-CLAIM", span, message))
+            continue
         if code == "declassify":
             failed = []
             if not flows_to(source, target, hierarchy):
                 failed += [("E-DECL-AUTH", f"declassification requires the authority of '{owner}'")
                            for owner in conf_owners(source)
-                           if not any(hierarchy.acts_for(a, owner) for a in authority)]
+                           if authority.isdisjoint(hierarchy.actors(owner))]
             if not (interpret_label(source, hierarchy).writers
                     <= interpret_label(target, hierarchy).writers):
                 failed.append(("E-DECL-INTEG", "declassification must not strengthen integrity"))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Optional
 
 from .span import Span
@@ -62,4 +61,5 @@ def to_json_obj(d: Diagnostic) -> dict:
 
 
 def render_json(diagnostics: list[Diagnostic]) -> str:
+    import json  # only here: the import costs every other run milliseconds of start-up
     return json.dumps([to_json_obj(d) for d in diagnostics], indent=2)

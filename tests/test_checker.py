@@ -800,11 +800,16 @@ def test_a_verdict_is_a_function_of_records_and_hierarchy():
     assert (d.code, d.span, d.message, d.from_label, d.to_label) == (
         "E-FLOW", span, "value does not flow to 'y'", "{A->*}", "{B->*}")
     assert decide([record], h.delegate(("B", "A")), frozenset()) == []
+    # the record of `new Vault()` for `class Vault authority(A)`, in a method holding B's authority
+    message = "creating a 'Vault' needs the authority of 'A', which method 'run' does not hold"
+    record = ("authority", "A", None, None, span, message)
+    assert decide([record], h, frozenset({"B"})) == [Diagnostic("E-AUTH-CLAIM", span, message)]
+    assert decide([record], h.delegate(("B", "A")), frozenset({"B"})) == []
 
 
 def test_flows_are_decided_only_in_decide():
-    # the loop's "did the pc rise" test in check_branch is the one exception
-    deciders = {"flows_to", "interpret_label"}
+    # the body pass reads no hierarchy: whatever it records, decide rules on
+    deciders = {"flows_to", "interpret_label", "acts_for", "actors"}
 
     def owners(node, owner):
         for child in pyast.iter_child_nodes(node):
@@ -817,7 +822,27 @@ def test_flows_are_decided_only_in_decide():
             yield from owners(child, owner)
 
     tree = pyast.parse(Path(checker_module.__file__).read_text(encoding="utf-8"))
-    assert set(owners(tree, None)) == {"decide", "check_branch"}
+    assert set(owners(tree, None)) == {"decide"}
+
+
+def test_nested_loops_walk_each_body_once(monkeypatch):
+    # a pass whose condition raised the pc skips the body: without that rule,
+    # d nested loops whose conditions each raise the pc walk 2^(d+1) - 1 blocks
+    depth = 16
+    body = "".join(f"int{{P{i}->*}} v{i} = {i};\n" for i in range(depth))
+    body += "".join(f"while (v{i} > 0) {{\n" for i in range(depth)) + "}\n" * depth
+    src = wrap(body, "".join(f"principal P{i};\n" for i in range(depth)))
+    walks = 0
+    check_block = Checker._check_block
+
+    def counting(self, ctx, block):
+        nonlocal walks
+        walks += 1
+        return check_block(self, ctx, block)
+
+    monkeypatch.setattr(Checker, "_check_block", counting)
+    assert check_program(parse_program(src)) == []
+    assert walks == depth + 1
 
 
 def test_every_package_definition_is_referenced_in_the_package():

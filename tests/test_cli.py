@@ -1,3 +1,4 @@
+import ast as pyast
 import gc
 import io
 import json
@@ -118,6 +119,23 @@ class TestCheck:
         trust.write_text("principal Bob\nprincipal Carol\nactsfor Carol >= Bob\n")
         code, *_ = run_cli("check", "--hierarchy", str(trust), str(src), capsys=capsys)
         assert code == 0
+
+    def test_loop_labels_do_not_depend_on_the_hierarchy(self, tmp_path, capsys):
+        # with A >= B the loop condition adds {B->*} to a pc of {A->*} without
+        # raising it; the loop still ends only when a pass adds no component
+        src = tmp_path / "loop.mjif"
+        src.write_text(
+            "principal A; principal B;\n"
+            "class K { int g{}(int{} x) { return x; }\n"
+            "  void main{}() { int{A->*} s = 1; int{B->*} t = 2; K{} k = new K();\n"
+            "    if (s > 0) { while (t > k.g(0)) { t = t - 1; } } } }\n"
+        )
+        trust = tmp_path / "trust.hier"
+        trust.write_text("principal A\nprincipal B\nactsfor A >= B\n")
+        code, out, _ = run_cli("check", "--json", str(src), capsys=capsys)
+        assert code == 1
+        assert run_cli("check", "--json", "--hierarchy", str(trust), str(src),
+                       capsys=capsys) == (code, out, "")
 
     def test_hierarchy_edges_reach_the_checker_as_names(self, tmp_path, monkeypatch, capsys):
         seen = []
@@ -532,4 +550,12 @@ def test_package_is_the_cli_import_closure():
 
 def test_cli_import_closure_leaves_out_dataclasses_and_inspect():
     # each is milliseconds of start-up that every `minijif` run would pay
-    assert {"dataclasses", "inspect"}.isdisjoint(cli_import_closure())
+    assert {"dataclasses", "inspect", "json"}.isdisjoint(cli_import_closure())
+
+
+def test_sources_parse_under_the_oldest_supported_grammar():
+    # requires-python is ">=3.10"; this checks the grammar only, not library APIs
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (REPO_ROOT / d).rglob("*.py"))
+    assert paths
+    for path in paths:
+        pyast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
