@@ -14,7 +14,7 @@ from .labels import (
     LabelVar,
     MeetNode,
 )
-from .lexer import Token, tokenize
+from .lexer import Tokens, tokenize, unescape
 from .principals import PrincipalId
 from .span import Span
 from . import syntax as ast
@@ -25,7 +25,6 @@ class ParseError(Exception):
         super().__init__(f"{span}: expected {' or '.join(expected)}, got {got or 'end of input'}")
         self.span = span
         self.expected = expected
-        self.got = got
 
 
 _TYPE_KEYWORDS = {"int": ast.INT, "boolean": ast.BOOLEAN, "String": ast.STRING, "void": ast.VOID}
@@ -39,62 +38,64 @@ MAX_NESTING = 150
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens, file: str):
+        t = self.tokens = tokens
+        self.kinds, self.texts, self.lines, self.cols = t.kinds, t.texts, t.lines, t.cols
         self.file = file
-        self.pos = 0  # past the final EOF token only after expecting EOF
+        self.pos = 0  # index of the next token; past EOF only after expecting EOF
         self.depth = 0
 
     # ------------------------------------------------------------- plumbing
 
-    def peek(self, offset: int = 0) -> Token:
-        if offset:
-            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-        return self.tokens[self.pos]
-
     def at(self, *kinds: str) -> bool:
-        return self.tokens[self.pos].kind in kinds
+        return self.kinds[self.pos] in kinds
 
-    def advance(self) -> Token:
-        """Take the next token, which the caller has seen is not EOF."""
-        tok = self.tokens[self.pos]
+    def advance(self) -> int:
+        """Take the next token, which the caller has seen is not EOF; returns its index."""
         self.pos += 1
-        return tok
+        return self.pos - 1
 
     def accept(self, kind: str) -> bool:
         """Take the next token if it is a ``kind`` (never EOF)."""
-        if self.tokens[self.pos].kind == kind:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
             return True
         return False
 
-    def expect(self, *kinds: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind not in kinds:
-            raise ParseError(tok.span, kinds, tok.kind)
-        self.pos += 1
-        return tok
+    def expect(self, *kinds: str) -> int:
+        """Take the next token, which must be one of ``kinds``; returns its index."""
+        pos = self.pos
+        if self.kinds[pos] not in kinds:
+            raise ParseError(self.tokens.span(pos), kinds, self.kinds[pos])
+        self.pos = pos + 1
+        return pos
+
+    def name(self) -> str:
+        return self.texts[self.expect("IDENT")]
+
+    def start_of(self, i: int) -> tuple[int, int]:
+        return (self.lines[i], self.cols[i])
 
     def span_from(self, start: tuple[int, int]) -> Span:
         """From ``start`` to the end of the last token taken."""
-        tok = self.tokens[self.pos - 1]
-        return Span(self.file, start, (tok.line, tok.col + len(tok.text)))
+        i = self.pos - 1
+        return Span(self.file, start, (self.lines[i], self.cols[i] + len(self.texts[i])))
 
     def fail(self, *expected: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(tok.span, expected, tok.kind)
+        return ParseError(self.tokens.span(self.pos), expected, self.kinds[self.pos])
 
-    def nest(self, tok: Token) -> Token:
-        """Count one more level of nesting, opened by ``tok``."""
+    def nest(self, i: int) -> tuple[int, int]:
+        """Count one more level of nesting, opened by token ``i``; returns where it starts."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(tok.span, (f"at most {MAX_NESTING} levels of nesting",), tok.kind)
-        return tok
+            raise ParseError(self.tokens.span(i), (f"at most {MAX_NESTING} levels of nesting",),
+                             self.kinds[i])
+        return self.start_of(i)
 
     # ------------------------------------------------------------ principals
 
     def principal(self) -> PrincipalId:
-        return self.expect("IDENT", "*", "_").text
+        return self.texts[self.expect("IDENT", "*", "_")]
 
     def principal_list(self) -> tuple[PrincipalId, ...]:
         out = [self.principal()]
@@ -143,30 +144,29 @@ class _Parser:
             self.depth -= 1
             self.expect(")")
             return lab
-        if self.at("IDENT") and not self.peek(1).kind in ("->", "<-"):
-            return LabelVar(self.advance().text)
+        if self.at("IDENT") and not self.kinds[self.pos + 1] in ("->", "<-"):
+            return LabelVar(self.texts[self.advance()])
         owner = self.principal()
-        arrow = self.expect("->", "<-")
-        members = self.principal_list()
-        if arrow.kind == "->":
-            return ConfPolicy(owner, members)
-        return IntegPolicy(owner, members)
+        if self.kinds[self.expect("->", "<-")] == "->":
+            return ConfPolicy(owner, self.principal_list())
+        return IntegPolicy(owner, self.principal_list())
 
     # ----------------------------------------------------------------- types
 
     def type(self) -> tuple[ast.Type, tuple[int, int]]:
         """A type and the position it starts at."""
-        tok = self.tokens[self.pos]
-        if tok.kind in _TYPE_KEYWORDS:
+        start = self.start_of(self.pos)
+        kind = self.kinds[self.pos]
+        if kind in _TYPE_KEYWORDS:
             self.pos += 1
-            return _TYPE_KEYWORDS[tok.kind], tok.start
-        if tok.kind == "IDENT":
-            self.pos += 1
+            return _TYPE_KEYWORDS[kind], start
+        if kind == "IDENT":
+            name = self.texts[self.advance()]
             args: tuple[PrincipalId, ...] = ()
             if self.accept("["):
                 args = self.principal_list()
                 self.expect("]")
-            return ast.ClassType(tok.text, args), tok.start
+            return ast.ClassType(name, args), start
         raise self.fail("a type")
 
     # ----------------------------------------------------------- expressions
@@ -174,7 +174,7 @@ class _Parser:
     def expr(self, min_prec: int = 1) -> ast.Expr:
         """Precedence climbing: operators binding at least ``min_prec``, to the left."""
         left = self.postfix()
-        while (prec := ast.BINARY_PRECEDENCE.get(op := self.tokens[self.pos].kind, 0)) >= min_prec:
+        while (prec := ast.BINARY_PRECEDENCE.get(op := self.kinds[self.pos], 0)) >= min_prec:
             self.pos += 1
             right = self.expr(prec + 1)
             left = ast.BinOp(op, left, right, Span(self.file, left.span.start, right.span.end))
@@ -183,10 +183,9 @@ class _Parser:
     def postfix(self) -> ast.Expr:
         e = self.primary()
         depth = self.depth
-        while (tok := self.tokens[self.pos]).kind == ".":
-            self.pos += 1
-            self.nest(tok)
-            name = self.expect("IDENT").text
+        while self.kinds[self.pos] == ".":
+            self.nest(self.advance())
+            name = self.name()
             if self.at("("):
                 e = ast.Call(e, name, self.call_args(), self.span_from(e.span.start))
             else:
@@ -206,22 +205,23 @@ class _Parser:
         return tuple(args)
 
     def primary(self) -> ast.Expr:
-        tok = self.tokens[self.pos]
-        kind = tok.kind
+        pos = self.pos
+        kind = self.kinds[pos]
         if kind == "IDENT":
+            if self.kinds[pos + 1] == "(":
+                start = self.start_of(self.advance())
+                return ast.Builtin(self.texts[pos], self.call_args(), self.span_from(start))
             self.pos += 1
-            if self.at("("):
-                return ast.Builtin(tok.text, self.call_args(), self.span_from(tok.start))
-            return ast.Var(tok.text, tok.span)
+            return ast.Var(self.texts[pos], self.tokens.span(pos))
         if kind == "INT":
             self.pos += 1
-            return ast.IntLit(tok.value, tok.span)
+            return ast.IntLit(int(self.texts[pos]), self.tokens.span(pos))
         if kind == "STRING":
             self.pos += 1
-            return ast.StrLit(tok.value, tok.span)
+            return ast.StrLit(unescape(self.texts[pos]), self.tokens.span(pos))
         if kind in ("true", "false"):
             self.pos += 1
-            return ast.BoolLit(kind == "true", tok.span)
+            return ast.BoolLit(kind == "true", self.tokens.span(pos))
         if kind == "(":
             self.nest(self.advance())
             e = self.expr()
@@ -229,16 +229,16 @@ class _Parser:
             self.expect(")")
             return e
         if kind == "new":
-            self.pos += 1
-            name = self.expect("IDENT")
+            start = self.start_of(self.advance())
+            name = self.name()
             pargs: tuple[PrincipalId, ...] = ()
             if self.accept("["):
                 pargs = self.principal_list()
                 self.expect("]")
             args = self.call_args()
-            return ast.New(name.text, pargs, args, self.span_from(tok.start))
+            return ast.New(name, pargs, args, self.span_from(start))
         if kind == "declassify":
-            self.pos += 1
+            start = self.start_of(self.advance())
             self.nest(self.expect("("))
             e = self.expr()
             self.expect(",")
@@ -247,13 +247,13 @@ class _Parser:
             to_label = self.label()
             self.depth -= 1
             self.expect(")")
-            return ast.Declassify(e, from_label, to_label, self.span_from(tok.start))
+            return ast.Declassify(e, from_label, to_label, self.span_from(start))
         raise self.fail("an expression")
 
     # ------------------------------------------------------------ statements
 
     def block(self) -> ast.Block:
-        start = self.nest(self.expect("{")).start
+        start = self.nest(self.expect("{"))
         stmts: list[ast.Stmt] = []
         while not self.at("}", "EOF"):
             stmts.append(self.stmt())
@@ -262,24 +262,23 @@ class _Parser:
         return ast.Block(tuple(stmts), self.span_from(start))
 
     def stmt(self) -> ast.Stmt:
-        tok = self.tokens[self.pos]
-        kind = tok.kind
+        kind = self.kinds[self.pos]
         if kind == "if":
             return self.if_stmt()
         if kind == "while":
-            self.pos += 1
+            start = self.start_of(self.advance())
             self.expect("(")
             cond = self.expr()
             self.expect(")")
             body = self.block()
-            return ast.While(cond, body, self.span_from(tok.start))
+            return ast.While(cond, body, self.span_from(start))
         if kind == "return":
-            self.pos += 1
+            start = self.start_of(self.advance())
             value = None if self.at(";") else self.expr()
             self.expect(";")
-            return ast.Return(value, self.span_from(tok.start))
+            return ast.Return(value, self.span_from(start))
         if kind in _TYPE_KEYWORDS or (
-            kind == "IDENT" and self.peek(1).kind in ("IDENT", "[", "{")
+            kind == "IDENT" and self.kinds[self.pos + 1] in ("IDENT", "[", "{")
         ):
             return self.var_decl()
         e = self.expr()
@@ -293,7 +292,7 @@ class _Parser:
         return ast.ExprStmt(e, self.span_from(e.span.start))
 
     def if_stmt(self) -> ast.If:
-        start = self.expect("if").start
+        start = self.start_of(self.expect("if"))
         self.expect("(")
         cond = self.expr()
         self.expect(")")
@@ -301,7 +300,7 @@ class _Parser:
         orelse = None
         if self.accept("else"):
             if self.at("if"):
-                self.nest(self.peek())
+                self.nest(self.pos)
                 nested = self.if_stmt()
                 self.depth -= 1
                 orelse = ast.Block((nested,), nested.span)
@@ -312,10 +311,10 @@ class _Parser:
     def var_decl(self) -> ast.VarDecl:
         typ, start = self.type()
         label = self.optional_label()
-        name = self.expect("IDENT")
+        name = self.name()
         init = self.expr() if self.accept("=") else None
         self.expect(";")
-        return ast.VarDecl(typ, label, name.text, init, self.span_from(start))
+        return ast.VarDecl(typ, label, name, init, self.span_from(start))
 
     # ---------------------------------------------------------- declarations
 
@@ -323,38 +322,39 @@ class _Parser:
         decls: list[ast.Decl] = []
         while not self.at("EOF"):
             decls.append(self.decl())
-        end = self.peek().start if decls else (1, 1)
+        end = self.start_of(self.pos) if decls else (1, 1)
         return ast.Program(tuple(decls), Span(self.file, (1, 1), end))
 
     def decl(self) -> ast.Decl:
-        tok = self.tokens[self.pos]
-        if tok.kind == "principal":
-            self.pos += 1
-            name = self.expect("IDENT")
+        kind = self.kinds[self.pos]
+        if kind == "principal":
+            start = self.start_of(self.advance())
+            name = self.name()
             self.expect(";")
-            return ast.PrincipalDecl(name.text, self.span_from(tok.start))
-        if tok.kind == "actsfor":
-            self.pos += 1
+            return ast.PrincipalDecl(name, self.span_from(start))
+        if kind == "actsfor":
+            start = self.start_of(self.advance())
             sup = self.principal()
             self.expect(">=")
             inf = self.principal()
             self.expect(";")
-            return ast.ActsForDecl(sup, inf, self.span_from(tok.start))
-        if tok.kind == "class":
+            return ast.ActsForDecl(sup, inf, self.span_from(start))
+        if kind == "class":
             return self.class_decl()
         raise self.fail("principal", "actsfor", "class")
 
     def class_decl(self) -> ast.ClassDecl:
-        start = self.expect("class").start
-        name = self.expect("IDENT")
+        start = self.start_of(self.expect("class"))
+        name = self.name()
         params: list[str] = []
         if self.accept("["):
             while True:
                 self.expect("principal")
-                p = self.expect("IDENT")
-                if p.text in params:
-                    raise ParseError(p.span, ("a distinct principal parameter",), p.text)
-                params.append(p.text)
+                p = self.name()
+                if p in params:
+                    raise ParseError(self.tokens.span(self.pos - 1),
+                                     ("a distinct principal parameter",), p)
+                params.append(p)
                 if not self.accept(","):
                     break
             self.expect("]")
@@ -370,16 +370,16 @@ class _Parser:
                 methods.append(member)
         self.expect("}")
         return ast.ClassDecl(
-            name.text, tuple(params), authority, tuple(fields), tuple(methods),
+            name, tuple(params), authority, tuple(fields), tuple(methods),
             self.span_from(start),
         )
 
     def member(self) -> "ast.FieldDecl | ast.MethodDecl":
         typ, start = self.type()
         label = self.optional_label()
-        name = self.expect("IDENT")
+        name = self.name()
         if self.accept(";"):
-            return ast.FieldDecl(typ, label, name.text, self.span_from(start))
+            return ast.FieldDecl(typ, label, name, self.span_from(start))
         begin_label = self.optional_label()
         self.expect("(")
         params: list[ast.Param] = []
@@ -387,8 +387,8 @@ class _Parser:
             while True:
                 ptyp, pstart = self.type()
                 plabel = self.optional_label()
-                pname = self.expect("IDENT")
-                params.append(ast.Param(ptyp, plabel, pname.text, self.span_from(pstart)))
+                pname = self.name()
+                params.append(ast.Param(ptyp, plabel, pname, self.span_from(pstart)))
                 if not self.accept(","):
                     break
         self.expect(")")
@@ -396,7 +396,7 @@ class _Parser:
         authority = self.authority() if self.accept("where") else ()
         body = self.block()
         return ast.MethodDecl(
-            typ, label, name.text, begin_label, tuple(params), end_label,
+            typ, label, name, begin_label, tuple(params), end_label,
             authority, body, self.span_from(start),
         )
 

@@ -7,13 +7,16 @@ rather than calling the production query paths, so they can arbitrate them.
 round-trip checks; ``span_contains`` checks that spans nest.  ``equivalent``
 and ``format_hierarchy`` are helpers that only the tests need: label
 equivalence under the production order, and the inverse of
-``parse_hierarchy``.
+``parse_hierarchy``.  ``oracle_tokenize`` is the lexer as it was before
+it built parallel lists: one ``Token`` tuple per token, one line at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
+from typing import NamedTuple
 
 from minijif.labels import (
     ConfPolicy,
@@ -31,6 +34,7 @@ from minijif.principals import (
     TOP,
     principal_sort_key,
 )
+from minijif.lexer import ESCAPES, KEYWORDS, SYMBOLS, LexError
 from minijif.span import Span
 
 
@@ -213,3 +217,70 @@ def ast_equal(a: object, b: object) -> bool:
 def span_contains(outer: Span, inner: Span) -> bool:
     """Whether ``inner`` lies within ``outer`` (same file)."""
     return outer.start <= inner.start and inner.end <= outer.end
+
+
+# ------------------------------------------------------------------ lexer
+
+_TOKEN = re.compile(
+    r'[ \t\r]*(?:(?P<COMMENT>//)|(?P<INT>[0-9]+)'
+    r'|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)'
+    r'|(?P<STRING>"(?:[^"\\]|\\[nt"\\])*(?P<close>")?)'
+    r'|(?P<SYM>' + "|".join(map(re.escape, SYMBOLS)) + "))?"
+)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+class Token(NamedTuple):
+    """One token; its span is computed on demand from ``line`` and ``col``."""
+
+    kind: str  # IDENT, INT, STRING, EOF, a keyword, or a symbol
+    text: str
+    value: object  # decoded payload for INT/STRING, else None
+    file: str
+    line: int
+    col: int
+
+    @property
+    def start(self) -> tuple[int, int]:
+        return (self.line, self.col)
+
+    @property
+    def span(self) -> Span:
+        # exact, since no token crosses a line
+        return Span(self.file, (self.line, self.col), (self.line, self.col + len(self.text)))
+
+
+def oracle_tokenize(source: str, file: str = "<string>") -> list[Token]:
+    """The reference lexer: each line of ``source`` matched on its own."""
+    tokens: list[Token] = []
+    append, new = tokens.append, tuple.__new__
+    lines = source.split("\n")
+    for line_no, line in enumerate(lines, 1):
+        for m in _TOKEN.finditer(line):
+            kind = m.lastgroup
+            if kind is None:  # blanks only: end of line or a stray character
+                col = m.end()
+                if col < len(line):
+                    raise LexError(Span(file, (line_no, col + 1), (line_no, col + 2)),
+                                   f"unexpected character {line[col]!r}")
+                break
+            if kind == "COMMENT":
+                break
+            start, end = m.span(kind)
+            text = line[start:end]
+            value: object = None
+            if kind == "SYM" or (kind == "IDENT" and text in KEYWORDS):
+                kind = text
+            elif kind == "INT":
+                value = int(text)
+            elif kind == "STRING":
+                if m["close"] is None:
+                    if line.startswith("\\", end):
+                        raise LexError(Span(file, (line_no, start + 1), (line_no, end + 2)),
+                                       "bad string escape")
+                    raise LexError(Span(file, (line_no, start + 1), (line_no, end + 1)),
+                                   "unterminated string literal")
+                value = _ESCAPE.sub(lambda e: ESCAPES[e[1]], text[1:-1])
+            append(new(Token, (kind, text, value, file, line_no, start + 1)))
+    append(new(Token, ("EOF", "", None, file, len(lines), len(lines[-1]) + 1)))
+    return tokens

@@ -24,6 +24,9 @@ from oracles import ast_equal
 from pretty import pretty_print
 
 NOT_UTF8 = b"\xff\xfe"
+# a 5,000-digit literal, more than int() converts on CPython 3.10.7 and later
+LONG_LITERAL_PREFIX = "class C { void m{}() { int x = "
+LONG_LITERAL = LONG_LITERAL_PREFIX + "9" * 5000 + "; } }\n"
 
 
 def run_cli(*argv, capsys=None):
@@ -197,6 +200,15 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot read hierarchy file") and err.count("\n") == 1
+
+    def test_long_integer_literal_is_a_lex_error(self, tmp_path, capsys):
+        bad = tmp_path / "long.mjif"
+        bad.write_text(LONG_LITERAL)
+        code, out, err = run_cli("check", str(bad), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        col = len(LONG_LITERAL_PREFIX) + 1
+        assert err == f"error: {bad}:1:{col}: integer literal too long\n"
 
     def test_internal_error_is_one_line_and_exits_two(self, monkeypatch, capsys):
         def fault(*args):
@@ -490,6 +502,20 @@ class TestCorpus:
         assert code == 1
         assert "FAIL" in out
         assert "booking_ok" in out
+
+    def test_long_integer_literal_fails_only_its_file(self, tmp_path, capsys):
+        long, ok = tmp_path / "a_long.mjif", tmp_path / "b_ok.mjif"
+        long.write_text(LONG_LITERAL)
+        ok.write_text("principal Alice;\n")
+        code, out, err = run_cli("corpus", str(tmp_path), capsys=capsys)
+        assert code == 1
+        col = len(LONG_LITERAL_PREFIX) + 1
+        assert out.splitlines() == [
+            f"FAIL {long}: parse error: {long}:1:{col}: integer literal too long",
+            f"ok   {ok}",
+            "1/2 corpus files matched",
+        ]
+        assert err == ""
 
     def test_empty_directory_warns(self, tmp_path, capsys):
         code, out, _ = run_cli("corpus", str(tmp_path), capsys=capsys)

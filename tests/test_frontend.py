@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minijif.labels import ConfPolicy, EMPTY, IntegPolicy, JoinNode, LabelVar, MeetNode
-from minijif.lexer import LexError, tokenize
+from minijif import lexer, parser
+from minijif.lexer import KEYWORDS, LexError, tokenize
 from minijif.parser import ParseError, parse_label, parse_program
 from minijif.principals import BOTTOM, TOP
 from minijif.span import Span
 from minijif import syntax as ast
-from conftest import CORPUS_DIR, bench_gen, corpus_files
-from oracles import ast_equal, span_contains, strip_spans
+from conftest import CORPUS_DIR, bench_gen, corpus_files, corpus_mutants
+from oracles import ast_equal, oracle_tokenize, span_contains, strip_spans
 from pretty import expr_to_text, pretty_print
 
 
@@ -59,6 +60,9 @@ class TestLexer:
         ('\n  "oops', (2, 3), (2, 8), "unterminated string literal"),
         ('"a\\q"', (1, 1), (1, 4), "bad string escape"),
         ('f(\n "ok\\n" "\\', (2, 9), (2, 11), "bad string escape"),
+        # more digits than int() converts on CPython 3.10.7 and later
+        pytest.param("int x = " + "9" * 4301 + ";", (1, 9), (1, 4310), "integer literal too long",
+                     id="integer-literal-too-long"),
     ])
     def test_error_spans(self, source, start, end, message):
         with pytest.raises(LexError) as err:
@@ -82,6 +86,102 @@ class TestLexer:
             prev = tok.span.end
         eof = (len(lines), len(lines[-1]) + 1)
         assert toks[-1].kind == "EOF" and toks[-1].span.start == toks[-1].span.end == eof
+
+
+    def test_longest_integer_literal(self):
+        program = parse_program("class C { void m{}() { int x = " + "9" * 4300 + "; } }")
+        assert program.decls[0].methods[0].body.stmts[0].init.value == 10 ** 4300 - 1
+
+
+# the alphabet of test_spans_slice_back_to_token_text, plus digits and keywords
+ORACLE_PIECES = [*'aZz_09 \t\r\n"\\/{}-<>=!&|;,.:*+()[]@#n\u00e9\u0663', *"12345678",
+                 *sorted(KEYWORDS)]
+
+
+def lexed(lex, source: str):
+    """Kind, text, value and span of each token ``lex`` gives, or its LexError."""
+    try:
+        toks = lex(source, "f.mjif")
+    except LexError as err:
+        return err.message, err.span
+    return [(t.kind, t.text, t.value, t.span) for t in toks]
+
+
+def parse_outcome(source: str):
+    """span_walk of the parsed program, or the error's text and span."""
+    try:
+        return span_walk(parse_program(source, "f.mjif"))
+    except (LexError, ParseError) as err:
+        return type(err).__name__, str(err), err.span
+
+
+# sha256 of parse_outcome's repr over the 3,000 mutants of corpus_mutants(3000,
+# "lexer-oracle"), one after the other, as the per-line lexer and its parser
+# gave it.  Update it only together with a CHANGES.md line that says why the
+# outcome of a parse changed.
+MUTANTS_SHA256 = "ae4bcd4d406d68206a3ad05a0ab636de6f7a08b306d25febd55be66201694474"
+
+
+class TestLexerOracle:
+    """The lexer against ``oracle_tokenize``, the per-line lexer it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(ORACLE_PIECES), max_size=30).map("".join))
+    def test_matches_the_oracle(self, source):
+        assert lexed(tokenize, source) == lexed(oracle_tokenize, source)
+
+    def test_arrays_match_the_token_views(self):
+        toks = tokenize('class C {\n  int x = 12; // c\n  String s = "a\\tb";\n}')
+        views = list(toks)
+        assert [t.kind for t in views] == toks.kinds and [t.text for t in views] == toks.texts
+        assert [t.span.start for t in views] == list(zip(toks.lines, toks.cols))
+        assert [t.value for t in views if t.value is not None] == [12, "a\tb"]
+
+    def test_matches_the_oracle_on_mutated_corpus_files(self):
+        digest = hashlib.sha256()
+        errors = {"LexError": 0, "ParseError": 0}
+        for source in corpus_mutants(3000, "lexer-oracle"):
+            assert lexed(tokenize, source) == lexed(oracle_tokenize, source), source
+            outcome = parse_outcome(source)
+            if isinstance(outcome, tuple):
+                errors[outcome[0]] += 1
+            digest.update(repr(outcome).encode())
+        # each kind of outcome is well represented
+        assert min(errors.values()) > 300 and sum(errors.values()) < 2700
+        assert digest.hexdigest() == MUTANTS_SHA256
+
+
+PARSE_INPUTS = [*(path.name for path in corpus_files()),
+                "wide_principals", "deep_nesting", "large_source"]
+
+
+def _source(name: str) -> str:
+    if name.endswith(".mjif"):
+        return (CORPUS_DIR / name).read_text()
+    return bench_gen().generate(name, 1)[0]
+
+
+def test_parsing_builds_no_token_objects(monkeypatch):
+    def no_token(*args):
+        raise AssertionError("the parse built a Token")
+
+    monkeypatch.setattr(lexer, "Token", no_token)
+    with pytest.raises(AssertionError):
+        tokenize("x")[0]
+    for name in PARSE_INPUTS:
+        parse_program(_source(name), file=name)
+
+
+def test_parse_program_tokenizes_once(monkeypatch):
+    results = []
+
+    def counting(*args):
+        results.append(tokenize(*args))
+        return results[-1]
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    parse_program(_source("large_source"))
+    assert [len(tokens) for tokens in results] == [51_803]
 
 
 class TestParseLabel:
