@@ -17,8 +17,9 @@ construct ends, unless the construct's body may return: whether the code after
 it runs then depends on the condition, so the raised pc stays for the rest of
 the method (JFlow's path labels in their simplest sound form).  A loop's
 condition and body run again only if the last condition held, so a ``while``
-is checked as one fixpoint: each pass checks the condition, then the body, at
-the pc the last pass ended with, until a pass adds no component to the pc.
+is walked once, at a variable pc that the body can only join other labels
+onto; the least solution is thus the body's end pc at the entry pc joined with
+the condition's label, and the loop's records are rewritten to read it.
 The right operand of ``&&`` and ``||`` runs only for some values of the left
 one, so it is checked at the pc joined with the left operand's label, which
 charges its effects (a call that writes a field) to that operand.
@@ -119,7 +120,7 @@ class MethodContext:
         self.records: list[FlowRecord] = []
 
 
-def substitute_label(label: Label, sub: dict[str, PrincipalId]) -> Label:
+def substitute_label(label: Label, sub: "dict[str, PrincipalId] | dict[LabelVar, Label]") -> Label:
     if not sub:
         return label
     match label:
@@ -129,6 +130,8 @@ def substitute_label(label: Label, sub: dict[str, PrincipalId]) -> Label:
             return join_all([substitute_label(c, sub) for c in _flatten(label, JoinNode)])
         case MeetNode(left, right):
             return MeetNode(substitute_label(left, sub), substitute_label(right, sub))
+        case LabelVar():
+            return sub.get(label, label)
         case _:
             return label
 
@@ -370,30 +373,26 @@ class Checker:
         return cls, dict(zip(cls.decl.principal_params, rtype.principal_args))
 
     def check_branch(self, ctx: MethodContext, s: "ast.If | ast.While") -> None:
-        saved_pc, returned = ctx.pc, ctx.returned
-        mark, records = len(self.diagnostics), len(ctx.records)
-        while True:
-            start = ctx.pc
-            ctype, clabel = self.check_expr(ctx, s.cond)
-            if not _types_match(ctype, ast.BOOLEAN):
-                self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
-            ctx.pc, ctx.returned = join(start, clabel), False
-            if isinstance(s, ast.If):
-                self._check_block(ctx, s.then)
-                if s.orelse is not None:
-                    self._check_block(ctx, s.orelse)
-                break
-            # A loop is one fixpoint: the condition and the body run again
-            # only if the last condition held and no return fired, so each
-            # pass starts at the pc the last one ended with, until a pass adds
-            # no component to it (`join` then returns the pc itself); only the
-            # last pass's diagnostics and records are kept.  A pass whose
-            # condition raised the pc skips the body, checked at it next pass.
-            if ctx.pc is start:
-                self._check_block(ctx, s.body)
-                if ctx.pc is start:
-                    break
-            del self.diagnostics[mark:], ctx.records[records:]
+        saved_pc, returned, records = ctx.pc, ctx.returned, len(ctx.records)
+        if isinstance(s, ast.While):
+            ctx.pc = var = LabelVar(f"pc@{s.span.start}")  # a name no source can produce
+        ctype, clabel = self.check_expr(ctx, s.cond)
+        if not _types_match(ctype, ast.BOOLEAN):
+            self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
+        ctx.pc, ctx.returned = join(ctx.pc, clabel), False
+        if isinstance(s, ast.If):
+            self._check_block(ctx, s.then)
+            if s.orelse is not None:
+                self._check_block(ctx, s.orelse)
+        else:
+            self._check_block(ctx, s.body)
+            # solve the loop pc (see the module docstring)
+            ctx.pc = substitute_label(ctx.pc, {var: join(saved_pc, clabel)})
+            sub = {var: ctx.pc}
+            ctx.records[records:] = [
+                (code, *[substitute_label(x, sub) if var in _flatten(x, JoinNode) else x
+                         for x in labels], span, message)
+                for code, *labels, span, message in ctx.records[records:]]
         # a body that may return keeps the raised pc (see the module docstring)
         if not ctx.returned:
             ctx.pc = saved_pc

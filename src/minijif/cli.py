@@ -14,7 +14,7 @@ from pathlib import Path
 from .checker import TrustConfig, check_program
 from .diagnostics import Diagnostic, render_human, render_json
 from .labels import flows_to, interpret_label, join, label_to_text, meet
-from .lexer import LexError
+from .lexer import MAX_INT_DIGITS, LexError
 from .parser import ParseError, parse_label, parse_program
 from .principals import (
     HierarchyParseError,
@@ -120,7 +120,7 @@ def _read_expectations(path: Path) -> list[tuple[str, int]]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not parts[1].isdecimal():
+        if len(parts) != 2 or not parts[1].isdecimal() or len(parts[1]) > MAX_INT_DIGITS:
             raise _UsageError(f"{path}:{lineno}: expected '<code> <line>'")
         expected.append((parts[0], int(parts[1])))
     return sorted(expected)

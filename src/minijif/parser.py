@@ -9,10 +9,10 @@ from .labels import (
     ConfPolicy,
     EMPTY,
     IntegPolicy,
-    JoinNode,
     Label,
     LabelVar,
     MeetNode,
+    join,
 )
 from .lexer import Tokens, tokenize, unescape
 from .principals import PrincipalId
@@ -124,7 +124,7 @@ class _Parser:
     def label_components(self) -> Label:
         lab = self.label_component()
         while self.accept(";"):
-            lab = JoinNode(lab, self.label_component())
+            lab = join(lab, self.label_component())
         return lab
 
     def label_component(self) -> Label:

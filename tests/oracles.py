@@ -9,6 +9,9 @@ and ``format_hierarchy`` are helpers that only the tests need: label
 equivalence under the production order, and the inverse of
 ``parse_hierarchy``.  ``oracle_tokenize`` is the lexer as it was before
 it built parallel lists: one ``Token`` tuple per token, one line at a time.
+``RewalkingChecker`` is the checker as it was before a loop's pc was solved
+at the loop's end: it walks a ``while`` again until a pass leaves the pc
+unchanged and keeps only the last pass's diagnostics and records.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import random
 import re
 from typing import NamedTuple
 
+from minijif import syntax as ast
+from minijif.checker import Checker, MethodContext, _types_match
 from minijif.labels import (
     ConfPolicy,
     EmptyLabel,
@@ -26,6 +31,7 @@ from minijif.labels import (
     Label,
     MeetNode,
     flows_to,
+    join,
 )
 from minijif.principals import (
     BOTTOM,
@@ -284,3 +290,37 @@ def oracle_tokenize(source: str, file: str = "<string>") -> list[Token]:
             append(new(Token, (kind, text, value, file, line_no, start + 1)))
     append(new(Token, ("EOF", "", None, file, len(lines), len(lines[-1]) + 1)))
     return tokens
+
+
+class RewalkingChecker(Checker):
+    """The body pass with the re-walking ``while`` fixpoint."""
+
+    def check_branch(self, ctx: MethodContext, s: "ast.If | ast.While") -> None:
+        saved_pc, returned = ctx.pc, ctx.returned
+        mark, records = len(self.diagnostics), len(ctx.records)
+        while True:
+            start = ctx.pc
+            ctype, clabel = self.check_expr(ctx, s.cond)
+            if not _types_match(ctype, ast.BOOLEAN):
+                self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
+            ctx.pc, ctx.returned = join(start, clabel), False
+            if isinstance(s, ast.If):
+                self._check_block(ctx, s.then)
+                if s.orelse is not None:
+                    self._check_block(ctx, s.orelse)
+                break
+            # A loop is one fixpoint: the condition and the body run again
+            # only if the last condition held and no return fired, so each
+            # pass starts at the pc the last one ended with, until a pass adds
+            # no component to it (`join` then returns the pc itself); only the
+            # last pass's diagnostics and records are kept.  A pass whose
+            # condition raised the pc skips the body, checked at it next pass.
+            if ctx.pc is start:
+                self._check_block(ctx, s.body)
+                if ctx.pc is start:
+                    break
+            del self.diagnostics[mark:], ctx.records[records:]
+        # a body that may return keeps the raised pc (see the module docstring)
+        if not ctx.returned:
+            ctx.pc = saved_pc
+        ctx.returned |= returned

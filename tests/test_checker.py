@@ -825,13 +825,8 @@ def test_flows_are_decided_only_in_decide():
     assert set(owners(tree, None)) == {"decide"}
 
 
-def test_nested_loops_walk_each_body_once(monkeypatch):
-    # a pass whose condition raised the pc skips the body: without that rule,
-    # d nested loops whose conditions each raise the pc walk 2^(d+1) - 1 blocks
-    depth = 16
-    body = "".join(f"int{{P{i}->*}} v{i} = {i};\n" for i in range(depth))
-    body += "".join(f"while (v{i} > 0) {{\n" for i in range(depth)) + "}\n" * depth
-    src = wrap(body, "".join(f"principal P{i};\n" for i in range(depth)))
+def count_walks(monkeypatch, src: str) -> int:
+    """``Checker._check_block`` calls in checking ``src``, which must be clean."""
     walks = 0
     check_block = Checker._check_block
 
@@ -842,7 +837,28 @@ def test_nested_loops_walk_each_body_once(monkeypatch):
 
     monkeypatch.setattr(Checker, "_check_block", counting)
     assert check_program(parse_program(src)) == []
-    assert walks == depth + 1
+    return walks
+
+
+def test_nested_loops_walk_each_body_once(monkeypatch):
+    # d nested loops whose conditions each raise the pc: a checker that walked
+    # a loop again whenever its pc rose would walk 2^(d+1) - 1 blocks
+    depth = 16
+    body = "".join(f"int{{P{i}->*}} v{i} = {i};\n" for i in range(depth))
+    body += "".join(f"while (v{i} > 0) {{\n" for i in range(depth)) + "}\n" * depth
+    src = wrap(body, "".join(f"principal P{i};\n" for i in range(depth)))
+    assert count_walks(monkeypatch, src) == depth + 1
+
+
+def test_nested_loops_with_returns_walk_each_body_at_most_twice(monkeypatch):
+    # each loop's body returns under its own secret, so each loop raises the pc
+    # of every loop around it: a checker that walked a loop again whenever its
+    # pc rose would walk O(depth^2) blocks
+    depth = 140
+    body = "".join(f"int{{P{i}->*}} v{i} = {i};\n" for i in range(depth))
+    body += "".join(f"while (v{i} > 0) {{ if (v{i} > 1) {{ return; }}\n" for i in range(depth))
+    src = wrap(body + "}\n" * depth, "".join(f"principal P{i};\n" for i in range(depth)))
+    assert count_walks(monkeypatch, src) == 2 * depth + 1
 
 
 def test_every_package_definition_is_referenced_in_the_package():

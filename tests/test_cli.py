@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from minijif.checker import check_program
 from minijif.cli import main
-from minijif.lexer import KEYWORDS, SYMBOLS
+from minijif.lexer import KEYWORDS, MAX_INT_DIGITS, SYMBOLS
 from minijif.parser import MAX_NESTING, parse_program
 from minijif import syntax as ast
 from conftest import CORPUS_DIR, REPO_ROOT, bench_gen, corpus_files
@@ -384,6 +384,33 @@ def test_check_never_crashes(source):
     assert (code == 1) == (out.getvalue() != "")
 
 
+# one E-FLOW, at line 3, so that the sidecar `E-FLOW 3` matches
+_SIDECAR_PROGRAM = "principal A;\nclass C { void m{}() {\nint{A->*} s = 1; int{} p = s; } }\n"
+_SIDECAR_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds("{} {}".format, st.sampled_from(["E-FLOW", "E-TYPE", "#", ""]), st.one_of(
+        st.integers(0, 9).map(str),
+        st.integers(MAX_INT_DIGITS - 1, MAX_INT_DIGITS + 2).map("9".__mul__),
+        st.text(max_size=8),
+    )),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_SIDECAR_LINES, max_size=4).map("\n".join))
+def test_corpus_never_crashes_on_a_sidecar(sidecar):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "f.mjif").write_text(_SIDECAR_PROGRAM, encoding="utf-8")
+        (Path(tmp) / "f.expect").write_text(sidecar, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["corpus", tmp])
+    assert code in (0, 1, 2)
+    assert "internal error" not in err.getvalue()
+    # the sidecar is readable, so exit 2 is a usage error, said on stderr
+    assert (code == 2) == (err.getvalue() != "")
+
+
 class TestCyclicCollector:
     """A run turns the cyclic collector off, which is safe only while checking builds no cycles."""
 
@@ -465,6 +492,11 @@ class TestQuery:
         code, out, _ = run_cli("query", "join", "{Chuck->*}", "{Alice->Chuck}", capsys=capsys)
         assert (code, out.strip()) == (0, "{Chuck->*; Alice->Chuck}")
 
+    def test_written_label_lists_each_component_once(self, capsys):
+        # `;` is parsed as a join, so a written label is join-normal as a computed one is
+        code, out, _ = run_cli("query", "join", "{A->B; A->B}", "{}", capsys=capsys)
+        assert (code, out.strip()) == (0, "{A->B}")
+
     def test_meet_of_joins_reparses(self, capsys):
         code, out, _ = run_cli(
             "query", "meet", "{A->*; B->*}", "{C->*}", capsys=capsys
@@ -544,6 +576,18 @@ class TestCorpus:
     def test_missing_directory_exits_two(self, capsys):
         code, _, err = run_cli("corpus", "does/not/exist", capsys=capsys)
         assert code == 2
+
+    def test_line_number_longer_than_an_int_literal_is_a_usage_error(self, tmp_path, capsys):
+        # bounded by length, as the lexer bounds INT literals: int() refuses longer digit strings
+        (tmp_path / "ok.mjif").write_text("principal Alice;\n")
+        expect = tmp_path / "ok.expect"
+        expect.write_text("E-FLOW " + "9" * MAX_INT_DIGITS + "\n")
+        code, _, err = run_cli("corpus", str(tmp_path), capsys=capsys)
+        assert (code, err) == (1, "")
+        expect.write_text("E-FLOW " + "9" * (MAX_INT_DIGITS + 1) + "\n")
+        code, _, err = run_cli("corpus", str(tmp_path), capsys=capsys)
+        assert code == 2
+        assert err == f"error: {expect}:1: expected '<code> <line>'\n"
 
 
 def test_console_script_installed():
