@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import labels
 from .diagnostics import Diagnostic
 from .labels import (
     ConfPolicy,
@@ -68,6 +69,9 @@ BUILTINS: dict[str, tuple[tuple[ast.Type, ...], ast.Type]] = {
     "concat": ((ast.STRING, ast.STRING), ast.STRING),
     "length": ((ast.STRING,), ast.INT),
 }
+
+
+LITERAL_TYPES = {ast.IntLit: ast.INT, ast.StrLit: ast.STRING, ast.BoolLit: ast.BOOLEAN}
 
 
 def _types_match(a, b) -> bool:
@@ -149,6 +153,23 @@ class Checker:
         self.diagnostics: list[Diagnostic] = []
         self.hierarchy = self._build_hierarchy()
         self.classes: dict[str, ClassInfo] = {}
+        # The body pass dispatches on the node's class, to the functions of the
+        # checker's own class, so that a subclass's override is the one called.
+        # (Bound methods would make each checker a reference cycle, which a run
+        # with the cyclic collector off would never free.)
+        c = type(self)
+        self._stmt_rules = {
+            ast.VarDecl: c._check_var_decl, ast.Assign: c.check_assign,
+            ast.If: c.check_branch, ast.While: c.check_branch,
+            ast.Return: c.check_return, ast.ExprStmt: c._check_expr_stmt,
+        }
+        self._expr_rules = {
+            ast.IntLit: c._check_literal, ast.StrLit: c._check_literal,
+            ast.BoolLit: c._check_literal, ast.Var: c._check_access,
+            ast.FieldAccess: c._check_access, ast.Call: c.check_call,
+            ast.New: c._check_new, ast.Declassify: c.check_declassify,
+            ast.Builtin: c._check_builtin, ast.BinOp: c._check_binop,
+        }
 
     # -------------------------------------------------------------- plumbing
 
@@ -188,6 +209,10 @@ class Checker:
                 self._check_block(ctx, mi.decl.body)
                 self.diagnostics += decide(ctx.records, info.hierarchy, mi.authority)
         self.diagnostics.sort(key=Diagnostic.sort_key)
+        # the memo of joins holds each loop's pc variable and the labels built on
+        # it, which no later check can reuse: it lasts one check (reached through
+        # its module, since bench/trace_child.py may wrap this module's `join`)
+        labels.join.cache_clear()
         return self.diagnostics
 
     def _declare_members(self, info: ClassInfo) -> None:
@@ -288,23 +313,13 @@ class Checker:
     # ------------------------------------------------------------- body pass
 
     def _check_block(self, ctx: MethodContext, block: ast.Block) -> None:
-        outer = dict(ctx.locals)
+        outer, rules = dict(ctx.locals), self._stmt_rules
         for s in block.stmts:
-            self._check_stmt(ctx, s)
+            rules[type(s)](self, ctx, s)
         ctx.locals = outer
 
-    def _check_stmt(self, ctx: MethodContext, s: ast.Stmt) -> None:
-        match s:
-            case ast.VarDecl():
-                self._check_var_decl(ctx, s)
-            case ast.Assign():
-                self.check_assign(ctx, s)
-            case ast.If() | ast.While():
-                self.check_branch(ctx, s)
-            case ast.Return():
-                self.check_return(ctx, s)
-            case ast.ExprStmt(expr, _):
-                self.check_expr(ctx, expr)
+    def _check_expr_stmt(self, ctx: MethodContext, s: ast.ExprStmt) -> None:
+        self.check_expr(ctx, s.expr)
 
     def _check_var_decl(self, ctx: MethodContext, s: ast.VarDecl) -> None:
         typ = self._resolve_type(ctx.cls, s.type, s.span, allow_void=False)
@@ -391,8 +406,8 @@ class Checker:
             sub = {var: ctx.pc}
             ctx.records[records:] = [
                 (code, *[substitute_label(x, sub) if var in _flatten(x, JoinNode) else x
-                         for x in labels], span, message)
-                for code, *labels, span, message in ctx.records[records:]]
+                         for x in parts], span, message)
+                for code, *parts, span, message in ctx.records[records:]]
         # a body that may return keeps the raised pc (see the module docstring)
         if not ctx.returned:
             ctx.pc = saved_pc
@@ -420,27 +435,14 @@ class Checker:
     # ------------------------------------------------------------ expressions
 
     def check_expr(self, ctx: MethodContext, e: ast.Expr) -> tuple[ast.Type, Label]:
-        match e:
-            case ast.IntLit():
-                return ast.INT, EMPTY
-            case ast.StrLit():
-                return ast.STRING, EMPTY
-            case ast.BoolLit():
-                return ast.BOOLEAN, EMPTY
-            case ast.Var() | ast.FieldAccess():
-                t, label, receiver, _ = self._lookup(ctx, e)
-                return (ERROR if t is None else t), join(receiver, label)
-            case ast.Call():
-                return self.check_call(ctx, e)
-            case ast.New():
-                return self._check_new(ctx, e)
-            case ast.Declassify():
-                return self.check_declassify(ctx, e)
-            case ast.Builtin():
-                return self._check_builtin(ctx, e)
-            case ast.BinOp():
-                return self._check_binop(ctx, e)
-        raise TypeError(f"not an expression: {e!r}")
+        return self._expr_rules[type(e)](self, ctx, e)
+
+    def _check_literal(self, ctx: MethodContext, e: "ast.IntLit | ast.StrLit | ast.BoolLit"):
+        return LITERAL_TYPES[type(e)], EMPTY
+
+    def _check_access(self, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
+        t, label, receiver, _ = self._lookup(ctx, e)
+        return (ERROR if t is None else t), join(receiver, label)
 
     def check_call(self, ctx: MethodContext, e: ast.Call) -> tuple[ast.Type, Label]:
         rtype, rlabel = self.check_expr(ctx, e.receiver)

@@ -22,18 +22,23 @@ SYMBOLS = [
 
 ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-# One pass over the whole source. Each match skips the blanks and a `//` comment
-# before a token; without a token it ends the source or stops at a character no
-# token starts. No token spans a newline, nor does a comment.
-# ASCII classes on purpose: \d and \w would also accept non-ASCII digits and letters.
-# A string without its closing quote stops before the end of line or a bad escape.
+# One pass over the whole source. Each match skips the blanks before one piece,
+# which group 1 holds: a `//` comment, a word, a symbol, digits, a closed string,
+# or any other character, a newline among them. A keyword or symbol is its own
+# kind; any other piece is classified by its first character. No piece spans a
+# newline. The blanks are part of each match, not searched past: that is faster
+# on indented code. ASCII classes on purpose: \d and \w would also accept
+# non-ASCII digits and letters, which must be unexpected characters.
+_STRING_START = r'"(?:[^"\\\n]|\\[nt"\\])*'  # stops before the end of line or a bad escape
 _TOKEN = re.compile(
-    r'[ \t\r]*(?://[^\n]*)?(?:([A-Za-z][A-Za-z0-9_]*|'
-    + "|".join(map(re.escape, SYMBOLS)) + r')|(\n)|([0-9]+)'
-    r'|("(?:[^"\\\n]|\\[nt"\\])*(")?))?'
+    r'[ \t\r]*(//[^\n]*|[A-Za-z][A-Za-z0-9_]*|'
+    + "|".join(re.escape(s) for s in SYMBOLS if len(s) == 2)
+    + "|[" + "".join(re.escape(s) for s in SYMBOLS if len(s) == 1) + "]"
+    + r'|[0-9]+|' + _STRING_START + r'"|[^ \t\r])'
 )
-_WORD, _NEWLINE, _INT, _STRING, _CLOSE = range(1, 6)  # m.lastindex values
+_OPEN_STRING = re.compile(_STRING_START)
 _ESCAPE = re.compile(r"\\(.)")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 MAX_INT_DIGITS = 4300  # int() refuses longer digit strings on CPython 3.10.7 and later
 _KINDS = {word: word for word in (*KEYWORDS, *SYMBOLS)}  # any other word is an IDENT
 
@@ -87,35 +92,40 @@ def tokenize(source: str, file: str = "<string>") -> Tokens:
     tokens = Tokens([], [], [], [], file)
     kinds, texts, lines, cols = tokens.kinds, tokens.texts, tokens.lines, tokens.cols
     line, base = 1, -1  # a column is an index minus base, the index before the line
-    for m in _TOKEN.finditer(source):
-        group = m.lastindex
-        if group is None:  # no token: the end of the source, or a stray character
-            if m.end() < len(source):
-                col = m.end() - base
-                raise LexError(Span(file, (line, col), (line, col + 1)),
-                               f"unexpected character {source[m.end()]!r}")
-            break
-        if group == _NEWLINE:
-            line, base = line + 1, m.end() - 1
-            continue
-        start, end = m.span(group)
-        text = source[start:end]
-        if group == _WORD:
-            kinds.append(_KINDS.get(text, "IDENT"))
-        elif group == _INT:
-            if end - start > MAX_INT_DIGITS:
-                raise LexError(Span(file, (line, start - base), (line, end - base)),
-                               "integer literal too long")
-            kinds.append("INT")
-        elif m[_CLOSE] is None:  # a bad escape's span runs through its backslash
-            bad = source.startswith("\\", end)
-            raise LexError(Span(file, (line, start - base), (line, end - base + bad)),
-                           "bad string escape" if bad else "unterminated string literal")
-        else:
-            kinds.append("STRING")
+    for m in _TOKEN.finditer(source):  # back to back: only trailing blanks match nothing
+        text = m[1]
+        kind = _KINDS.get(text)
+        if kind is None:
+            first = text[0]
+            if first == "\n":
+                line, base = line + 1, m.end() - 1
+                continue
+            if first in _LETTERS:
+                kind = "IDENT"
+            elif "0" <= first <= "9":
+                if len(text) > MAX_INT_DIGITS:
+                    start = m.start(1) - base
+                    raise LexError(Span(file, (line, start), (line, start + len(text))),
+                                   "integer literal too long")
+                kind = "INT"
+            elif first == '"' and len(text) > 1:
+                kind = "STRING"
+            elif first == "/":  # a comment
+                continue
+            else:  # a stray character, or the quote of a string that does not close
+                start = m.start(1)
+                if first != '"':
+                    end, message = start + 1, f"unexpected character {first!r}"
+                else:
+                    end = _OPEN_STRING.match(source, start).end()
+                    bad = source.startswith("\\", end)  # its span runs through the backslash
+                    end += bad
+                    message = "bad string escape" if bad else "unterminated string literal"
+                raise LexError(Span(file, (line, start - base), (line, end - base)), message)
+        kinds.append(kind)
         texts.append(text)
         lines.append(line)
-        cols.append(start - base)
+        cols.append(m.start(1) - base)
     kinds.append("EOF")
     texts.append("")
     lines.append(line)

@@ -1,4 +1,5 @@
 import ast as pyast
+import gc
 import time
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from minijif.checker import (
     decide,
 )
 from minijif.diagnostics import CATALOG, Diagnostic, render_json
-from minijif.labels import EMPTY, interpret_label, label_to_text
+from minijif.labels import EMPTY, LabelVar, interpret_label, join, label_to_text
 from minijif.lexer import tokenize
 from minijif.parser import _Parser, parse_label, parse_program
 from minijif.principals import TOP, UnknownPrincipal
@@ -859,6 +860,24 @@ def test_nested_loops_with_returns_walk_each_body_at_most_twice(monkeypatch):
     body += "".join(f"while (v{i} > 0) {{ if (v{i} > 1) {{ return; }}\n" for i in range(depth))
     src = wrap(body + "}\n" * depth, "".join(f"principal P{i};\n" for i in range(depth)))
     assert count_walks(monkeypatch, src) == 2 * depth + 1
+
+
+def test_loop_variables_do_not_outlive_the_check():
+    # each loop's pc is a label variable of its own; the labels built on it
+    # are of no use to a later check, and a memo that kept them would fill up
+    # with them in a long-lived process
+    source = bench_gen().generate("large_source", 1)[0]
+    assert "while (" in source
+    collecting = gc.isenabled()
+    gc.disable()  # as in a CLI run: reference counting alone must free them
+    try:
+        assert check_program(parse_program(source)) == []
+        live = [o for o in gc.get_objects() if isinstance(o, LabelVar) and o.name.startswith("pc@")]
+    finally:
+        if collecting:
+            gc.enable()
+    assert live == []
+    assert join.cache_info().currsize == 0
 
 
 def test_every_package_definition_is_referenced_in_the_package():

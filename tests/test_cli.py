@@ -368,20 +368,33 @@ _PROGRAMS = st.one_of(
 )
 
 
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``main``'s exit code, stdout and stderr; an argparse usage error counts as its exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_no_crash(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert "internal error" not in err
+    # exit 2 always says why on stderr; 0 and 1 never write there
+    assert (code == 2) == (err != "")
+
+
 @settings(max_examples=400, deadline=None)
 @given(_PROGRAMS)
 def test_check_never_crashes(source):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.mjif"
         path.write_text(source, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["check", str(path)])
-    assert code in (0, 1, 2)
-    assert "internal error" not in err.getvalue()
-    # exit 2 always says why on stderr; 0 and 1 never write there
-    assert (code == 2) == (err.getvalue() != "")
-    assert (code == 1) == (out.getvalue() != "")
+        code, out, err = _run_main(["check", str(path)])
+    _assert_no_crash(code, err)
+    assert (code == 1) == (out != "")
 
 
 # one E-FLOW, at line 3, so that the sidecar `E-FLOW 3` matches
@@ -402,13 +415,86 @@ def test_corpus_never_crashes_on_a_sidecar(sidecar):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "f.mjif").write_text(_SIDECAR_PROGRAM, encoding="utf-8")
         (Path(tmp) / "f.expect").write_text(sidecar, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["corpus", tmp])
-    assert code in (0, 1, 2)
-    assert "internal error" not in err.getvalue()
+        code, _, err = _run_main(["corpus", tmp])
     # the sidecar is readable, so exit 2 is a usage error, said on stderr
-    assert (code == 2) == (err.getvalue() != "")
+    _assert_no_crash(code, err)
+
+
+_NAMES = st.sampled_from(["A", "B", "C", "*", "_"])
+_ODD_NAMES = st.one_of(
+    st.sampled_from(["D", "class", "a1", "1a", "\u00e9", "A-B", "x" * 300, "9" * (MAX_INT_DIGITS + 1)]),
+    st.text(max_size=6),
+)
+_HIERARCHY_LINES = st.one_of(
+    st.builds("principal {}".format, _NAMES),
+    st.builds("actsfor {} >= {}".format, _NAMES, _NAMES),
+    st.sampled_from(["# comment", "", "actsfor A >= B # c", "  principal\tC  "]),
+)
+_ODD_HIERARCHY_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds("principal {}".format, _ODD_NAMES),
+    st.builds("actsfor {} {} {}".format, st.one_of(_NAMES, _ODD_NAMES),
+              st.sampled_from([">=", "<=", ">", ""]), st.one_of(_NAMES, _ODD_NAMES)),
+    st.sampled_from(["principal", "actsfor", "principal A B", "actsfor A >= B >= C"]),
+)
+_HIERARCHY_FILES = st.one_of(
+    st.lists(_HIERARCHY_LINES, max_size=6)
+    .map(lambda lines: "\n".join(["principal A", "principal B", *lines]).encode()),
+    st.lists(st.one_of(_HIERARCHY_LINES, _ODD_HIERARCHY_LINES), max_size=6)
+    .map("\n".join).map(str.encode),
+    st.binary(max_size=20),
+)
+# declares A, B and C, and has one E-FLOW unless the hierarchy lets B read A's secret
+_HIERARCHY_PROGRAM = ("principal A;\nprincipal B;\nprincipal C;\n"
+                      "class K { void m{}() { int{A->*} s = 1; int{B->*} p = s; } }\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_HIERARCHY_FILES, st.sampled_from([["check"], ["query", "actsfor", "A", "B"],
+                                          ["query", "readers", "{A->B}"]]))
+def test_hierarchy_files_never_crash(hierarchy, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "h.txt").write_bytes(hierarchy)
+        (Path(tmp) / "f.mjif").write_text(_HIERARCHY_PROGRAM, encoding="utf-8")
+        argv = [command[0], "--hierarchy", str(Path(tmp) / "h.txt"), *command[1:]]
+        if command == ["check"]:
+            argv.append(str(Path(tmp) / "f.mjif"))
+        code, _, err = _run_main(argv)
+    _assert_no_crash(code, err)
+
+
+_LABELS = st.sampled_from(["{}", "{A->B}", "{A->*; B<-_}", "{A->B meet B->*}", "{B->A,B}",
+                           "{*->_}", "{C<-A}", "{A->B; A->B}"])
+_ODD_ARGS = st.one_of(
+    st.sampled_from(["{A<-}", "{A->", "{L}", "{\u00e9->*}", "{A->B} x",
+                     "{" * (MAX_NESTING + 1) + "}" * (MAX_NESTING + 1),
+                     "9" * (MAX_INT_DIGITS + 1), "-x", "--", ""]),
+    st.text(alphabet="{}[]();,-<>*_ ABmet\u00e9", max_size=20),
+    st.text(max_size=10),
+)
+_QUERIES = st.one_of(
+    st.tuples(st.just("actsfor"), st.lists(st.one_of(_NAMES, _ODD_NAMES), min_size=2, max_size=2)),
+    st.tuples(st.sampled_from(["leq", "join", "meet"]),
+              st.lists(st.one_of(_LABELS, _ODD_ARGS), min_size=2, max_size=2)),
+    st.tuples(st.sampled_from(["readers", "writers"]),
+              st.lists(st.one_of(_LABELS, _ODD_ARGS), min_size=1, max_size=1)),
+    st.tuples(st.sampled_from(["actsfor", "leq", "join", "meet", "readers", "writers", "other"]),
+              st.lists(st.one_of(_NAMES, _LABELS, _ODD_ARGS), max_size=3)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_QUERIES, st.booleans())
+def test_query_arguments_never_crash(query, with_hierarchy):
+    subcommand, args = query
+    with tempfile.TemporaryDirectory() as tmp:
+        hierarchy = Path(tmp) / "h.txt"
+        hierarchy.write_text("principal A\nprincipal B\nactsfor A >= B\n", encoding="utf-8")
+        options = ["--hierarchy", str(hierarchy)] if with_hierarchy else []
+        code, out, err = _run_main(["query", *options, subcommand, *args])
+    _assert_no_crash(code, err)
+    assert code != 1  # a query reports no diagnostics
+    assert (code == 0) == (out != "")
 
 
 class TestCyclicCollector:

@@ -93,9 +93,18 @@ class TestLexer:
         assert program.decls[0].methods[0].body.stmts[0].init.value == 10 ** 4300 - 1
 
 
-# the alphabet of test_spans_slice_back_to_token_text, plus digits and keywords
+# the alphabet of test_spans_slice_back_to_token_text, plus digits and keywords,
+# and the pieces that each alternative of the token pattern must take whole or
+# leave alone: comments, a lone slash, long runs of blanks, a comment marker
+# inside a string, CRLF, and a string whose last quote is escaped
 ORACLE_PIECES = [*'aZz_09 \t\r\n"\\/{}-<>=!&|;,.:*+()[]@#n\u00e9\u0663', *"12345678",
-                 *sorted(KEYWORDS)]
+                 *sorted(KEYWORDS), "// c", "//", "/", " " * 40, "\t \t  \r", '"a//b"',
+                 "\r\n", '"x\\"']
+
+# the same shapes at fixed places: at the end of input, before and after a newline
+ORACLE_EDGES = ["x // c", "x //", "// c\ny", "a / b / c", "a" + " " * 500 + "b", '"a//b"',
+                'f("a//b") // "c"', "a\r\nb\r\n", '"x\\"', '"x\\"\n', '"x\\" y', '"x\\\\"',
+                "\t\r \n \t", "   ", "1/2//3", '"//"']
 
 
 def lexed(lex, source: str):
@@ -128,6 +137,15 @@ class TestLexerOracle:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from(ORACLE_PIECES), max_size=30).map("".join))
     def test_matches_the_oracle(self, source):
+        assert lexed(tokenize, source) == lexed(oracle_tokenize, source)
+
+    @pytest.mark.parametrize("source", ORACLE_EDGES)
+    def test_matches_the_oracle_on_edges(self, source):
+        assert lexed(tokenize, source) == lexed(oracle_tokenize, source)
+
+    @pytest.mark.parametrize("workload", ["wide_principals", "deep_nesting", "large_source"])
+    def test_matches_the_oracle_on_the_workloads(self, workload):
+        source = bench_gen().generate(workload, 1)[0]
         assert lexed(tokenize, source) == lexed(oracle_tokenize, source)
 
     def test_arrays_match_the_token_views(self):

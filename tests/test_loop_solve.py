@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 
+from minijif import syntax as ast
 from minijif.checker import Checker, TrustConfig
 from minijif.diagnostics import render_json
 from minijif.parser import parse_program
@@ -114,7 +115,17 @@ def generate_loop_program(rng: random.Random) -> str:
     return "\n".join(lines + ["}", ""])
 
 
-def test_walking_a_loop_once_matches_the_rewalking_fixpoint():
+def test_walking_a_loop_once_matches_the_rewalking_fixpoint(monkeypatch):
+    # count the loops that the re-walking rule checks, so that the comparison
+    # cannot pass by running the one-walk rule on both sides
+    rewalk, rewalked = RewalkingChecker.check_branch, 0
+
+    def counting(self, ctx, s):
+        nonlocal rewalked
+        rewalked += isinstance(s, ast.While)
+        rewalk(self, ctx, s)
+
+    monkeypatch.setattr(RewalkingChecker, "check_branch", counting)
     rng, began = random.Random(2101), time.perf_counter()
     loops = 0
     for _ in range(2000):
@@ -125,4 +136,5 @@ def test_walking_a_loop_once_matches_the_rewalking_fixpoint():
             expected = render_json(RewalkingChecker(program, trust).run())
             assert render_json(Checker(program, trust).run()) == expected, source
     assert loops > 2000
+    assert rewalked >= 2 * loops  # every loop, under both trust settings
     assert time.perf_counter() - began < 15
