@@ -186,7 +186,8 @@ class Checker:
                     edges.append(h.check_edge(d.superior, d.inferior))
                 except UnknownPrincipal as exc:
                     self.add("E-UNDEF", d.span, str(exc))
-        return h.delegate(*edges, *self.trust.extra_delegations)  # UnknownPrincipal on bad trust
+        h = PrincipalHierarchy(h.declared, frozenset(edges))  # checked above: not validated again
+        return h.delegate(*self.trust.extra_delegations)  # UnknownPrincipal on bad trust
 
     # --------------------------------------------------------- declaration pass
 
@@ -578,10 +579,10 @@ def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
     policy needs the authority of its owner, and integrity must not grow.
     An ``authority`` record's source is a principal the method must act for.
     """
-    out = []
+    out, held = [], hierarchy.mask(authority)
     for code, source, pc, target, span, message in records:
         if code == "authority":
-            if authority.isdisjoint(hierarchy.actors(source)):
+            if not held & hierarchy.actor_mask(source):
                 out.append(Diagnostic("E-AUTH-CLAIM", span, message))
             continue
         if code == "declassify":
@@ -589,9 +590,9 @@ def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
             if not flows_to(source, target, hierarchy):
                 failed += [("E-DECL-AUTH", f"declassification requires the authority of '{owner}'")
                            for owner in conf_owners(source)
-                           if authority.isdisjoint(hierarchy.actors(owner))]
-            if not (interpret_label(source, hierarchy).writers
-                    <= interpret_label(target, hierarchy).writers):
+                           if not held & hierarchy.actor_mask(owner)]
+            if (interpret_label(source, hierarchy).writers
+                    & ~interpret_label(target, hierarchy).writers):
                 failed.append(("E-DECL-INTEG", "declassification must not strengthen integrity"))
         elif pc is None:
             failed = [] if flows_to(source, target, hierarchy) else [(code, message)]

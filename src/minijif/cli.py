@@ -42,10 +42,6 @@ def _load_hierarchy(path: "str | None") -> PrincipalHierarchy:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def _principal_set_text(principals) -> str:
-    return "{" + ", ".join(sorted(principals, key=principal_sort_key)) + "}"
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     if args.max_errors is not None and args.max_errors < 0:
         raise _UsageError(f"--max-errors must be non-negative, got {args.max_errors}")
@@ -104,7 +100,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         else:  # readers / writers
             sem = interpret_label(parse_label(args.args[0]), h)
             members = sem.readers if args.subcommand == "readers" else sem.writers
-            print(_principal_set_text(members))
+            print("{" + ", ".join(h.decode(members)) + "}")
     except (LexError, ParseError, InvalidIdentifier, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
     return 0

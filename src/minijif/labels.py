@@ -8,19 +8,20 @@ are distinct, in first-occurrence order.  ``join``, ``label_to_text`` and
 ``interpret_label`` are pure functions of interned values, memoized in
 bounded caches.  All flow decisions go through a label's semantic
 interpretation under a principal hierarchy, which is a pair of effective
-reader/writer sets over the closed universe.  The empty label is the
-distinguished public-trusted bottom element: readable by everyone, writable
-only by the top principal.
+reader/writer sets over the closed universe, as the hierarchy's bit masks.
+The empty label is the distinguished public-trusted bottom element: readable
+by everyone, writable only by the top principal.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import NamedTuple, Union
 from weakref import WeakKeyDictionary
 
 from .interned import Interned
-from .principals import PrincipalHierarchy, PrincipalId, TOP
+from .principals import BOTTOM, PrincipalHierarchy, PrincipalId, TOP
 
 
 class ConfPolicy(Interned):
@@ -72,35 +73,34 @@ Label = Union[ConfPolicy, IntegPolicy, JoinNode, MeetNode, LabelVar, EmptyLabel]
 
 
 class SemLabel(NamedTuple):
-    """A label's meaning: effective reader and writer sets.
+    """A label's meaning: effective reader and writer sets, as its hierarchy's masks.
 
     Top is always a member of both sets (it acts for every owner).
     """
 
-    readers: frozenset[PrincipalId]
-    writers: frozenset[PrincipalId]
+    readers: int
+    writers: int
 
 
 def _members(owner: PrincipalId, listed: tuple[PrincipalId, ...],
-             h: PrincipalHierarchy) -> frozenset[PrincipalId]:
+             h: PrincipalHierarchy) -> int:
     """Anyone acting for the owner or for a listed principal."""
-    return h.actors(owner).union(*map(h.actors, listed))
+    return reduce(or_, map(h.actor_mask, listed), h.actor_mask(owner))
 
 
 # labels and hierarchies are immutable values, so interpretation is cacheable
 @lru_cache(maxsize=1 << 16)
 def interpret_label(label: Label, h: PrincipalHierarchy) -> SemLabel:
-    everyone = h.universe
+    everyone = h.actor_mask(BOTTOM)  # everyone acts for bottom
     match label:
         case EmptyLabel() | JoinNode():
             # fold the `;` components onto the meaning of {}: a loop, since
             # the labels the checker builds may have any number of them
-            readers, writers = everyone, frozenset({TOP})
+            readers, writers = everyone, h.mask((TOP,))
             for c in _flatten(label, JoinNode):
                 sem = interpret_label(c, h)
-                readers = readers & sem.readers
-                if writers is not everyone:  # a confidentiality policy admits every writer
-                    writers = everyone if sem.writers is everyone else writers | sem.writers
+                readers &= sem.readers
+                writers |= sem.writers
             return SemLabel(readers, writers)
         case ConfPolicy(owner, readers):
             return SemLabel(_members(owner, readers, h), everyone)
@@ -117,7 +117,7 @@ def interpret_label(label: Label, h: PrincipalHierarchy) -> SemLabel:
 def flows_to(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
     """The flow order: the destination may only shrink readers and admit more writers."""
     a, b = interpret_label(l1, h), interpret_label(l2, h)
-    return b.readers <= a.readers and a.writers <= b.writers
+    return not (b.readers & ~a.readers or a.writers & ~b.writers)
 
 
 # For each label `join` builds, a dict from each of its components to its

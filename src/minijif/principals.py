@@ -4,14 +4,16 @@ A principal is its name: an identifier, or the text of the distinguished
 top (``*``) or bottom (``_``) principal.  The hierarchy is a closed world: the
 universe is exactly the declared names plus top and bottom.  Hierarchies are
 interned like labels: operations return new ones, and equal hierarchies are
-one object.  Each computes once who acts for each principal: acts-for and
-policy members read those sets.
+one object.  Each computes once who acts for each principal, as a bit mask
+over its numbered universe; only ``decode`` names the members of a mask.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from collections.abc import Iterable
+from functools import cached_property, reduce
+from operator import or_
 
 from .interned import Interned
 
@@ -31,7 +33,6 @@ Edge = tuple[PrincipalId, PrincipalId]  # (superior, inferior)
 
 TOP = "*"
 BOTTOM = "_"
-_TOP_ONLY = frozenset({TOP})
 _RANK = {TOP: 1, BOTTOM: 2}
 
 
@@ -60,26 +61,46 @@ class PrincipalHierarchy(Interned):
         return self.declared | {TOP, BOTTOM}
 
     @cached_property
-    def _actors(self) -> dict[PrincipalId, frozenset[PrincipalId]]:
-        # Who acts for each q: closure over the reversed explicit edges plus the
-        # top/bottom axiom edges; exotic declarations such as p >= * are honored
-        # transitively, otherwise the relation would not stay a preorder.
-        universe = self.universe
-        rev: dict[PrincipalId, set[PrincipalId]] = {q: {TOP} for q in universe}
-        rev[BOTTOM] |= universe
+    def _index(self) -> dict[PrincipalId, int]:
+        # the numbering: a function of the value alone, and decodes in query order
+        return {p: i for i, p in enumerate(sorted(self.universe, key=principal_sort_key))}
+
+    @cached_property
+    def _actor_masks(self) -> dict[PrincipalId, int]:
+        # Who acts for each q: q and whoever acts for one who directly acts for q,
+        # over the declared and the axiom edges, so exotic ones such as p >= * hold
+        # transitively.  Tarjan's algorithm, on its own stack for long chains, ends
+        # a component after all it reaches: its mask is one OR per edge.
+        index = self._index
+        up = {q: [TOP] for q in index}
+        up[BOTTOM] = list(index)  # so the walk from bottom reaches everyone
         for sup, inf in self.delegations:
-            rev[inf].add(sup)
-        closure: dict[PrincipalId, frozenset[PrincipalId]] = {}
-        for start in universe:
-            seen = {start}
-            todo = [start]
-            while todo:
-                for nxt in rev[todo.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        todo.append(nxt)
-            closure[start] = frozenset(seen)
-        return closure
+            up[inf].append(sup)
+        masks, low, stack = {}, {BOTTOM: 0}, [BOTTOM]
+        work = [(BOTTOM, 0, 0, iter(up[BOTTOM]))]  # (q, its number, its stack index, next ups)
+        while work:
+            q, num, at, todo = work[-1]
+            for p in todo:
+                if p not in low:
+                    low[p] = len(low)
+                    work.append((p, low[p], len(stack), iter(up[p])))
+                    stack.append(p)
+                    break
+                if p not in masks and low[p] < low[q]:  # p is on the stack: in q's component
+                    low[q] = low[p]
+            else:
+                work.pop()
+                if work and low[q] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[q]
+                if low[q] == num:  # q roots a component: it is stack[at:]
+                    component, mask = stack[at:], 0
+                    del stack[at:]
+                    for c in component:
+                        mask |= 1 << index[c]
+                        for p in up[c]:
+                            mask |= masks.get(p, 0)
+                    masks.update(dict.fromkeys(component, mask))
+        return masks
 
     def declare(self, *names: str) -> "PrincipalHierarchy":
         """Add named principals in one step; idempotent on re-declaration."""
@@ -99,15 +120,21 @@ class PrincipalHierarchy(Interned):
         return PrincipalHierarchy(self.declared, self.delegations.union(
             self.check_edge(*e) for e in edges))
 
-    def actors(self, q: PrincipalId) -> frozenset[PrincipalId]:
-        """Principals of the universe that act for ``q``; only top for an outsider."""
-        return self._actors.get(q, _TOP_ONLY)
+    def mask(self, principals: Iterable[PrincipalId]) -> int:
+        """The members of the universe among ``principals``, as a mask."""
+        return reduce(or_, (1 << self._index[p] for p in principals if p in self._index), 0)
+
+    def decode(self, mask: int) -> list[PrincipalId]:
+        """The principals of a mask, in ``principal_sort_key`` order."""
+        return [p for p, bit in zip(self._index, bin(mask)[:1:-1]) if bit == "1"]
+
+    def actor_mask(self, q: PrincipalId) -> int:
+        """Who acts for ``q``, as a mask; only top for an outsider."""
+        return self._actor_masks.get(q) or self.mask((TOP,))
 
     def acts_for(self, p: PrincipalId, q: PrincipalId) -> bool:
         """Total query: reflexive-transitive delegation with top/bottom axioms."""
-        if p == q or p == TOP or q == BOTTOM:
-            return True
-        return p in self.actors(q)
+        return p == q or p == TOP or q == BOTTOM or bool(self.mask((p,)) & self.actor_mask(q))
 
 
 class HierarchyParseError(ValueError):
@@ -149,5 +176,5 @@ def parse_hierarchy(text: str) -> PrincipalHierarchy:
             h.check_edge(*edge)
         except UnknownPrincipal as exc:
             raise HierarchyParseError(f"line {lineno}: {exc}") from exc
-    return h.delegate(*(edge for _, edge in edges))
+    return PrincipalHierarchy(h.declared, frozenset(edge for _, edge in edges))
 

@@ -7,8 +7,9 @@ rather than calling the production query paths, so they can arbitrate them.
 round-trip checks; ``span_contains`` checks that spans nest.  ``equivalent``
 and ``format_hierarchy`` are helpers that only the tests need: label
 equivalence under the production order, and the inverse of
-``parse_hierarchy``.  ``oracle_tokenize`` is the lexer as it was before
-it built parallel lists: one ``Token`` tuple per token, one line at a time.
+``parse_hierarchy``; ``actors`` and ``decoded`` name the members of masks.
+``oracle_tokenize`` is the lexer as it was before it built parallel lists:
+one ``Token`` tuple per token, one line at a time.
 ``RewalkingChecker`` is the checker as it was before a loop's pc was solved
 at the loop's end: it walks a ``while`` again until a pass leaves the pc
 unchanged and keeps only the last pass's diagnostics and records.
@@ -30,6 +31,7 @@ from minijif.labels import (
     JoinNode,
     Label,
     MeetNode,
+    SemLabel,
     flows_to,
     join,
 )
@@ -106,6 +108,16 @@ class SemOracle:
         return r2 <= r1 and w1 <= w2
 
 
+def actors(h: PrincipalHierarchy, q: PrincipalId) -> frozenset[PrincipalId]:
+    """The principals of ``h.actor_mask(q)``: who acts for ``q``."""
+    return frozenset(h.decode(h.actor_mask(q)))
+
+
+def decoded(sem: SemLabel, h: PrincipalHierarchy) -> tuple[frozenset, frozenset]:
+    """A semantic label's reader and writer masks as sets of principals."""
+    return frozenset(h.decode(sem.readers)), frozenset(h.decode(sem.writers))
+
+
 def oracle_sem(label: Label, h: PrincipalHierarchy) -> tuple[frozenset, frozenset]:
     return SemOracle(h).sem(label)
 
@@ -144,8 +156,9 @@ def all_edge_subsets(names, edge_pool=None):
 
 
 def random_hierarchy(rng: random.Random, max_principals: int = 5,
-                     acyclic: bool = False, allow_distinguished: bool = True):
-    n = rng.randint(0, max_principals)
+                     acyclic: bool = False, allow_distinguished: bool = True,
+                     min_principals: int = 0):
+    n = rng.randint(min_principals, max_principals)
     names = [f"P{i}" for i in range(n)]
     endpoints: list[PrincipalId] = list(names)
     if allow_distinguished and rng.random() < 0.3:

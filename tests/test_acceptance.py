@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from minijif.checker import check_program
 from minijif.cli import _read_expectations
@@ -28,6 +29,8 @@ from minijif.principals import BOTTOM, TOP
 
 from conftest import corpus_files
 from oracles import (
+    actors,
+    decoded,
     oracle_closure,
     SemOracle,
     all_edge_subsets,
@@ -154,7 +157,7 @@ def _check_lattice_laws(prs, conf, integ, combos, edges):
                 oracle_w = top_only if not cc else full
             label = _join_spine(conf_part + [integ[i] for i in ic])
             sem = interpret_label(label, h)
-            got = (_mask(index, sem.readers), _mask(index, sem.writers))
+            got = (_mask(index, h.decode(sem.readers)), _mask(index, h.decode(sem.writers)))
             assert got == (oracle_r, oracle_w), f"sem mismatch for {label}"
             assert flows_to(label, label, h), f"not reflexive: {label}"
             classes.setdefault(got, label)
@@ -187,7 +190,7 @@ def _check_lattice_laws(prs, conf, integ, combos, edges):
     for i, li in enumerate(labels):
         for j, lj in enumerate(labels):
             sem = interpret_label(join(li, lj), h)
-            got = (_mask(index, sem.readers), _mask(index, sem.writers))
+            got = (_mask(index, h.decode(sem.readers)), _mask(index, h.decode(sem.writers)))
             want = (int(rvec[i] & rvec[j]), int(wvec[i] | wvec[j]))
             assert got == want, f"join sem mismatch at ({i},{j})"
             upper = leq_oracle[i, :] & leq_oracle[j, :]
@@ -195,7 +198,7 @@ def _check_lattice_laws(prs, conf, integ, combos, edges):
             assert not (upper & ~lub_below).any(), "join is not least"
 
             sem = interpret_label(meet(li, lj), h)
-            got = (_mask(index, sem.readers), _mask(index, sem.writers))
+            got = (_mask(index, h.decode(sem.readers)), _mask(index, h.decode(sem.writers)))
             want = (int(rvec[i] | rvec[j]), int(wvec[i] & wvec[j]))
             assert got == want, f"meet sem mismatch at ({i},{j})"
             lower = leq_oracle[:, i] & leq_oracle[:, j]
@@ -205,15 +208,35 @@ def _check_lattice_laws(prs, conf, integ, combos, edges):
 
 # ---------------------------------------------------------------- criterion 3
 
-def test_c3_randomized_flow_oracle():
+# (declared principals at least, at most; acyclic; hierarchies; label pairs in each)
+C3_UNIVERSES = {
+    "narrow": (0, 5, True, 10_000, 1),
+    # 66-130 principals with top and bottom: masks wider than a machine word,
+    # under cycles and, in some hierarchies, edges through * or _
+    "wide": (64, 128, False, 30, 50),
+}
+
+
+@pytest.mark.parametrize("universe", C3_UNIVERSES)
+def test_c3_randomized_flow_oracle(universe):
+    least, most, acyclic, hierarchies, pairs = C3_UNIVERSES[universe]
     rng = random.Random(424242)
-    cases = 10_000
-    with criterion(3, f"randomized flows_to oracle equivalence ({cases} cases)"):
-        for _ in range(cases):
-            h = random_hierarchy(rng, max_principals=5, acyclic=True)
+    cases = hierarchies * pairs
+    verdicts, exotic = set(), 0
+    with criterion(3, f"randomized flows_to oracle equivalence ({universe}, {cases} cases)"):
+        for _ in range(hierarchies):
+            h = random_hierarchy(rng, max_principals=most, acyclic=acyclic,
+                                 min_principals=least)
+            exotic += any(TOP in e or BOTTOM in e for e in h.delegations)
             pool = sorted(h.universe)
-            l1, l2 = random_label(rng, pool), random_label(rng, pool)
-            assert flows_to(l1, l2, h) == SemOracle(h).flows(l1, l2)
+            oracle = SemOracle(h)
+            for _ in range(pairs):
+                l1, l2 = random_label(rng, pool), random_label(rng, pool)
+                verdict = flows_to(l1, l2, h)
+                assert verdict == oracle.flows(l1, l2)
+                assert decoded(interpret_label(l1, h), h) == oracle.sem(l1)
+                verdicts.add(verdict)
+        assert verdicts == {True, False} and exotic > 0
 
 
 # ---------------------------------------------------------------- criterion 4
@@ -230,7 +253,7 @@ def _acts_for_suite(h) -> dict:
     for pq, got in rel.items():
         assert got == (pq in oracle_pairs)
     for q in universe:
-        assert h.actors(q) == {p for p in universe if rel[(p, q)]}
+        assert actors(h, q) == {p for p in universe if rel[(p, q)]}
     for p in universe:
         for q in universe:
             if not rel[(p, q)]:

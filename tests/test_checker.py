@@ -14,15 +14,16 @@ from minijif.checker import (
     check_program,
     decide,
 )
+from minijif.cli import _read_expectations
 from minijif.diagnostics import CATALOG, Diagnostic, render_json
 from minijif.labels import EMPTY, LabelVar, interpret_label, join, label_to_text
 from minijif.lexer import tokenize
 from minijif.parser import _Parser, parse_label, parse_program
-from minijif.principals import TOP, UnknownPrincipal
+from minijif.principals import PrincipalHierarchy, TOP, UnknownPrincipal
 from minijif.span import Span
 from minijif import syntax as ast
 from conftest import bench_gen
-from oracles import SemOracle
+from oracles import SemOracle, decoded
 
 
 BOOKING = """
@@ -110,18 +111,18 @@ class TestCheckExpr:
         ctx.locals["b"] = (ast.ClassType("Box", ("B",)), EMPTY)
         _, label = checker.check_expr(ctx, parse_expr("b.f"))
         assert label_to_text(label) == "{" + "; ".join(f"{a}->*" for a in ["B", *owners]) + "}"
-        assert interpret_label(label, info.hierarchy).readers == {TOP}
+        assert decoded(interpret_label(label, info.hierarchy), info.hierarchy)[0] == {TOP}
 
     def test_binop_label_is_join_of_operands(self):
         checker, info, ctx = checker_with_ctx(BOOKING, "Application", "main")
         ctx.locals["x"] = (ast.STRING, parse_label("{Alice->*}"))
         ctx.locals["y"] = (ast.STRING, parse_label("{Bob->*}"))
         _, label = checker.check_expr(ctx, parse_expr("concat(x, y)"))
-        sem = interpret_label(label, info.hierarchy)
+        readers, _ = decoded(interpret_label(label, info.hierarchy), info.hierarchy)
         oracle = SemOracle(info.hierarchy)
         ra, _ = oracle.sem(parse_label("{Alice->*}"))
         rb, _ = oracle.sem(parse_label("{Bob->*}"))
-        assert sem.readers == ra & rb
+        assert readers == ra & rb
 
     def test_field_access_joins_receiver_label(self):
         checker, info, ctx = checker_with_ctx(BOOKING, "Application", "main")
@@ -130,10 +131,10 @@ class TestCheckExpr:
             parse_label("{Bob->*}"),
         )
         _, label = checker.check_expr(ctx, parse_expr("b.cardNumber"))
-        sem = interpret_label(label, info.hierarchy)
+        readers, _ = decoded(interpret_label(label, info.hierarchy), info.hierarchy)
         oracle = SemOracle(info.hierarchy)
         expect_r, _ = oracle.sem(parse_label("{Bob->*; Alice->*}"))
-        assert sem.readers == expect_r
+        assert readers == expect_r
 
 
     def test_primitive_types_are_distinct(self):
@@ -699,6 +700,32 @@ class TestDeclarations:
         assert [d.code for d in checker.run()] == ["E-FLOW"]
         assert time.perf_counter() - start < 2.0
         assert len(checker.hierarchy.declared) == n and len(checker.hierarchy.delegations) == n - 1
+        # a chain of as many: closing it one acts-for set per principal took
+        # O(n^2) time and memory, and a recursive walk would pass the stack limit
+        lines = [f"principal P{i};" for i in range(n)]
+        lines += [f"actsfor P{i - 1} >= P{i};" for i in range(1, n)]
+        lines.append(wrap(f"        int{{P{n - 1}->*}} x = 1;\n        int{{P0->*}} y = x;\n"
+                          f"        int{{P{n - 1}->*}} z = y;", prelude=""))
+        source = "\n".join(lines)
+        start = time.perf_counter()
+        diagnostics = check_program(parse_program(source))
+        assert time.perf_counter() - start < 2.0
+        z_line = source.count("\n", 0, source.index(" z = y;")) + 1
+        assert [(d.code, d.span.start[0]) for d in diagnostics] == [("E-FLOW", z_line)]
+
+    def test_each_edge_is_validated_once(self, monkeypatch):
+        calls = []
+        check_edge = PrincipalHierarchy.check_edge
+
+        def counting(self, *edge):
+            calls.append(edge)
+            return check_edge(self, *edge)
+
+        monkeypatch.setattr(PrincipalHierarchy, "check_edge", counting)
+        source = bench_gen().generate("wide_principals", 1)[0]
+        trust = TrustConfig(extra_delegations=(("P1", "P2"),))
+        check_program(parse_program(source), trust)
+        assert len(calls) == source.count("actsfor ") + 1
 
     def test_label_variables_unsupported(self):
         src = "class V {\n    void set{L}(int{L} i) {\n        return;\n    }\n}\n"
@@ -878,6 +905,24 @@ def test_loop_variables_do_not_outlive_the_check():
             gc.enable()
     assert live == []
     assert join.cache_info().currsize == 0
+
+
+def test_the_check_path_decodes_no_mask(monkeypatch, corpus_dir):
+    # flows, authority and integrity are decided on masks: naming the members
+    # of a mask is for `query readers` / `query writers` only
+    def no_decode(*args):
+        raise AssertionError("the check decoded a mask")
+
+    monkeypatch.setattr(PrincipalHierarchy, "decode", no_decode)
+    with pytest.raises(AssertionError):
+        PrincipalHierarchy().decode(1)
+    cases = [(path.read_text(), _read_expectations(path.with_suffix(".expect")))
+             for path in sorted(corpus_dir.glob("*.mjif"))]
+    gen = bench_gen()
+    cases += [gen.generate(w, 1) for w in ("wide_principals", "deep_nesting", "large_source")]
+    for source, expected in cases:
+        found = [(d.code, d.span.start[0]) for d in check_program(parse_program(source))]
+        assert sorted(found) == sorted(expected)
 
 
 def test_every_package_definition_is_referenced_in_the_package():

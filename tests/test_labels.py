@@ -12,7 +12,6 @@ from minijif.labels import (
     JoinNode,
     LabelVar,
     MeetNode,
-    SemLabel,
     conf_owners,
     flows_to,
     interpret_label,
@@ -26,7 +25,9 @@ from minijif import interned, syntax as ast
 from minijif.parser import parse_label, parse_program
 from minijif.principals import BOTTOM, PrincipalHierarchy, TOP
 from oracles import (
+    actors,
     SemOracle,
+    decoded,
     equivalent,
     hierarchy_from_edges,
     oracle_sem,
@@ -51,29 +52,29 @@ class TestPolicyInterpretation:
     def test_bottom_reader_means_everyone(self):
         # {Alice->_}: everyone can read
         h = hierarchy_from_edges(["Alice", "Bob"], [])
-        assert interpret_label(conf(ALICE, BOTTOM), h).readers == h.universe
+        assert decoded(interpret_label(conf(ALICE, BOTTOM), h), h)[0] == h.universe
 
     def test_owner_only(self):
         # frozen from the enumeration oracle
         h = hierarchy_from_edges(["Owner", "Operator"], [])
-        assert interpret_label(conf(OWNER, TOP), h).readers == {OWNER, TOP}
+        assert decoded(interpret_label(conf(OWNER, TOP), h), h)[0] == {OWNER, TOP}
 
     def test_delegated_reader(self):
         h = hierarchy_from_edges(["Alice", "Bob", "Carol"], [("Carol", BOB)])
-        assert interpret_label(conf(ALICE, BOB), h).readers == {ALICE, BOB, "Carol", TOP}
+        assert decoded(interpret_label(conf(ALICE, BOB), h), h)[0] == {ALICE, BOB, "Carol", TOP}
 
     def test_integ_owner_only(self):
         # {Alice<-*}: only Alice can write
         h = hierarchy_from_edges(["Alice", "Bob"], [])
-        assert interpret_label(integ(ALICE, TOP), h).writers == {ALICE, TOP}
+        assert decoded(interpret_label(integ(ALICE, TOP), h), h)[1] == {ALICE, TOP}
 
     def test_integ_listed_writer(self):
         h = hierarchy_from_edges(["Charles", "Bob"], [])
-        assert interpret_label(integ("Charles", BOB), h).writers == {"Charles", BOB, TOP}
+        assert decoded(interpret_label(integ("Charles", BOB), h), h)[1] == {"Charles", BOB, TOP}
 
     def test_integ_bottom_writer_means_everyone(self):
         h = hierarchy_from_edges(["Alice", "Bob", "Chuck"], [])
-        assert interpret_label(integ(ALICE, BOTTOM), h).writers == h.universe
+        assert decoded(interpret_label(integ(ALICE, BOTTOM), h), h)[1] == h.universe
 
     def test_policies_need_members(self):
         with pytest.raises(ValueError):
@@ -89,12 +90,12 @@ class TestLabelInterpretation:
     def test_conjunction_readers(self):
         # {Chuck->*; Alice->Chuck}: frozen from the intersection oracle
         lab = JoinNode(conf(CHUCK, TOP), conf(ALICE, CHUCK))
-        assert interpret_label(lab, self.h).readers == {CHUCK, TOP}
+        assert decoded(interpret_label(lab, self.h), self.h)[0] == {CHUCK, TOP}
 
     def test_meet_readers(self):
         # {Alice->Chuck meet Bob->Chuck meet Chuck->*}: union oracle
         lab = MeetNode(MeetNode(conf(ALICE, CHUCK), conf(BOB, CHUCK)), conf(CHUCK, TOP))
-        assert interpret_label(lab, self.h).readers == {ALICE, BOB, CHUCK, TOP}
+        assert decoded(interpret_label(lab, self.h), self.h)[0] == {ALICE, BOB, CHUCK, TOP}
 
     def test_join_of_empty_groups_is_empty(self):
         # the parser joins the groups away; a join node over them means {} too
@@ -103,28 +104,28 @@ class TestLabelInterpretation:
 
     def test_empty_is_public_trusted(self):
         sem = interpret_label(EMPTY, self.h)
-        assert sem == SemLabel(self.h.universe, frozenset({TOP}))
+        assert decoded(sem, self.h) == (self.h.universe, {TOP})
 
     def test_empty_writers_stay_top_when_everyone_acts_for_top(self):
         # under _ >= * every principal acts for top, yet {} admits top alone as writer
         h = hierarchy_from_edges(["Alice"], [(BOTTOM, TOP)])
-        assert h.actors(TOP) == h.universe
-        assert interpret_label(EMPTY, h).writers == {TOP}
+        assert actors(h, TOP) == h.universe
+        assert decoded(interpret_label(EMPTY, h), h)[1] == {TOP}
 
     def test_conf_leaf_is_writer_unrestricted(self):
-        sem = interpret_label(conf(ALICE, TOP), self.h)
-        assert sem.writers == self.h.universe
+        sem = decoded(interpret_label(conf(ALICE, TOP), self.h), self.h)
+        assert sem[1] == self.h.universe
 
     def test_integ_leaf_is_reader_unrestricted(self):
-        sem = interpret_label(integ(ALICE, TOP), self.h)
-        assert sem.readers == self.h.universe
-        assert sem.writers == {ALICE, TOP}
+        sem = decoded(interpret_label(integ(ALICE, TOP), self.h), self.h)
+        assert sem[0] == self.h.universe
+        assert sem[1] == {ALICE, TOP}
 
     def test_pair_form_keeps_reader_restriction(self):
         # {Alice->_; Alice<-*} reads as a join of both components
         lab = JoinNode(conf(ALICE, BOTTOM), integ(ALICE, TOP))
-        sem = interpret_label(lab, self.h)
-        assert sem.readers == self.h.universe
+        sem = decoded(interpret_label(lab, self.h), self.h)
+        assert sem[0] == self.h.universe
 
     def test_label_var_has_no_meaning(self):
         with pytest.raises(ValueError):
@@ -135,9 +136,9 @@ class TestLabelInterpretation:
         for _ in range(200):
             h = random_hierarchy(rng)
             pool = sorted(h.universe)
-            sem = interpret_label(random_label(rng, pool), h)
-            assert TOP in sem.readers
-            assert TOP in sem.writers
+            readers, writers = decoded(interpret_label(random_label(rng, pool), h), h)
+            assert TOP in readers
+            assert TOP in writers
 
 
 class TestFlowOrder:
@@ -204,10 +205,10 @@ class TestJoinMeet:
             oracle = SemOracle(h)
             ra, wa = oracle.sem(a)
             rb, wb = oracle.sem(b)
-            sem_join = interpret_label(join(a, b), h)
-            assert (sem_join.readers, sem_join.writers) == (ra & rb, wa | wb)
-            sem_meet = interpret_label(meet(a, b), h)
-            assert (sem_meet.readers, sem_meet.writers) == (ra | rb, wa & wb)
+            sem_join = decoded(interpret_label(join(a, b), h), h)
+            assert sem_join == (ra & rb, wa | wb)
+            sem_meet = decoded(interpret_label(meet(a, b), h), h)
+            assert sem_meet == (ra | rb, wa & wb)
 
 
 def join_parts(label):
@@ -338,8 +339,7 @@ class TestOracleEquivalence:
         h = random_hierarchy(pyrng, max_principals=4)
         pool = sorted(h.universe)
         lab = random_label(pyrng, pool)
-        sem = interpret_label(lab, h)
-        assert (sem.readers, sem.writers) == oracle_sem(lab, h)
+        assert decoded(interpret_label(lab, h), h) == oracle_sem(lab, h)
 
     def test_hierarchy_growth_never_shrinks_policies(self):
         rng = random.Random(17)
@@ -351,8 +351,8 @@ class TestOracleEquivalence:
             owner = rng.choice(pool)
             members = (rng.choice(pool),)
             cp, ip = ConfPolicy(owner, members), IntegPolicy(owner, members)
-            assert interpret_label(cp, h).readers <= interpret_label(cp, h2).readers
-            assert interpret_label(ip, h).writers <= interpret_label(ip, h2).writers
+            assert decoded(interpret_label(cp, h), h)[0] <= decoded(interpret_label(cp, h2), h2)[0]
+            assert decoded(interpret_label(ip, h), h)[1] <= decoded(interpret_label(ip, h2), h2)[1]
 
 
 class TestPrettyText:

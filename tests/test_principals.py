@@ -14,7 +14,7 @@ from minijif.principals import (
     parse_hierarchy,
     principal_from_token,
 )
-from oracles import all_edge_subsets, format_hierarchy, oracle_acts_for, random_hierarchy
+from oracles import actors, all_edge_subsets, format_hierarchy, oracle_acts_for, random_hierarchy
 
 
 ALICE, BOB, CAROL = "Alice", "Bob", "Carol"
@@ -85,7 +85,7 @@ class TestActsFor:
         assert h.acts_for(TOP, ghost)
         assert h.acts_for(ghost, BOTTOM)
         assert not h.acts_for(ghost, "Other")
-        assert h.actors(ghost) == {TOP}
+        assert actors(h, ghost) == {TOP}
 
     def test_delegating_to_top_grants_everything(self):
         # Alice >= * makes Alice act for everyone, transitively through top.
