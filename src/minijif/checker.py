@@ -192,6 +192,7 @@ class Checker:
     # --------------------------------------------------------- declaration pass
 
     def run(self) -> list[Diagnostic]:
+        labels.clear_program_memos()  # the last check's: their statistics then count this one
         class_decls = [d for d in self.program.decls if isinstance(d, ast.ClassDecl)]
         for c in class_decls:
             if c.name in self.classes:

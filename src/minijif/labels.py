@@ -208,3 +208,9 @@ def _meet_operand_text(label: Label) -> str:
 def label_to_text(label: Label) -> str:
     """Canonical surface syntax, echoing the programmer's notation."""
     return "{" + "; ".join(map(_policy_text, _flatten(label, JoinNode))) + "}"
+
+
+def clear_program_memos() -> None:
+    """Empty the memos that keep a checked program's labels and hierarchies alive."""
+    interpret_label.cache_clear()
+    label_to_text.cache_clear()

@@ -907,6 +907,36 @@ def test_loop_variables_do_not_outlive_the_check():
     assert join.cache_info().currsize == 0
 
 
+def test_a_check_frees_the_labels_and_hierarchies_of_the_check_before():
+    # a long-lived process checks program after program: the memos of label
+    # interpretation and label text must not keep the earlier programs' values
+    gen = bench_gen()
+    wide, large = (parse_program(gen.generate(name, 1)[0])
+                   for name in ("wide_principals", "large_source"))
+
+    def widest_live_hierarchy():
+        return max(len(o.universe) for o in gc.get_objects() if isinstance(o, PrincipalHierarchy))
+
+    def memo_sizes():
+        return interpret_label.cache_info().currsize, label_to_text.cache_info().currsize
+
+    collecting = gc.isenabled()
+    gc.disable()  # as in a CLI run: reference counting alone must free them
+    try:
+        interpret_label.cache_clear()
+        label_to_text.cache_clear()
+        check_program(large)
+        fresh = memo_sizes()
+        check_program(wide)
+        assert widest_live_hierarchy() == 130  # 128 principals, top and bottom
+        check_program(large)
+        assert widest_live_hierarchy() < 130
+        assert memo_sizes() == fresh
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def test_the_check_path_decodes_no_mask(monkeypatch, corpus_dir):
     # flows, authority and integrity are decided on masks: naming the members
     # of a mask is for `query readers` / `query writers` only

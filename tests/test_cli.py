@@ -1,9 +1,11 @@
 import ast as pyast
 import gc
+import importlib.metadata
 import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minijif.checker import check_program
+from minijif import cli
 from minijif.cli import main
 from minijif.lexer import KEYWORDS, MAX_INT_DIGITS, SYMBOLS
 from minijif.parser import MAX_NESTING, parse_program
@@ -676,6 +679,117 @@ class TestCorpus:
         assert err == f"error: {expect}:1: expected '<code> <line>'\n"
 
 
+def cli_env(unbuffered: bool = False) -> dict[str, str]:
+    """A subprocess environment that imports ``minijif`` from the working tree."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def cli_process(*argv: str, env: "dict[str, str] | None" = None) -> subprocess.CompletedProcess:
+    """``python -m minijif.cli ARGV`` in a fresh interpreter, its output as bytes."""
+    return subprocess.run([sys.executable, "-m", "minijif.cli", *argv], capture_output=True,
+                          env=env or cli_env(), timeout=120)
+
+
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+LEAK = str(CORPUS_DIR / "booking_bob_leak.mjif")  # one E-FLOW: exit 1
+CLOSED_OUTPUT = b"error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+class TestProcessExit:
+    """A CLI process ends with ``os._exit`` once ``main`` returns, skipping the
+    interpreter's teardown: no output and no atexit handler may be lost to it."""
+
+    @UNBUFFERED
+    def test_output_closed_mid_write_is_one_error_line(self, tmp_path, unbuffered):
+        # 175 KB of JSON, more than a pipe holds: the reader leaves while it is written
+        path = tmp_path / "deep.mjif"
+        path.write_text(bench_gen().generate("deep_nesting", 1)[0])
+        proc = subprocess.Popen([sys.executable, "-m", "minijif.cli", "check", "--json", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                                env=cli_env(unbuffered))
+        assert proc.stdout.read(1) == b"["
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (2, CLOSED_OUTPUT)
+
+    @UNBUFFERED
+    def test_output_closed_before_it_is_written_is_one_error_line(self, unbuffered):
+        # buffered, a short output is first written by the final flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "minijif.cli", "check", "--json", LEAK],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=cli_env(unbuffered), timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, CLOSED_OUTPUT)
+
+    def test_atexit_handlers_run_once_and_keep_the_exit_code(self):
+        script = ("import atexit, runpy, sys\n"
+                  "atexit.register(print, 'handler ran')\n"
+                  f"sys.argv = ['minijif', 'check', {LEAK!r}]\n"
+                  "runpy.run_module('minijif.cli', run_name='__main__')\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=cli_env(), timeout=120)
+        plain = cli_process("check", LEAK)
+        assert proc.returncode == plain.returncode == 1
+        assert proc.stdout == plain.stdout + b"handler ran\n"
+        assert proc.stderr == plain.stderr == b""
+
+    @pytest.mark.parametrize("trust", [[], ["--no-trust-main"]], ids=["trust", "no-trust"])
+    def test_corpus_output_is_the_in_process_output(self, trust, capsys):
+        argv = ["check", "--json", *trust, *map(str, corpus_files())]
+        code, out, err = run_cli(*argv, capsys=capsys)
+        proc = cli_process(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+    def test_long_output_is_the_in_process_output(self, tmp_path, capsys):
+        path = tmp_path / "deep.mjif"
+        path.write_text(bench_gen().generate("deep_nesting", 1)[0])
+        code, out, err = run_cli("check", "--json", str(path), capsys=capsys)
+        assert code == 1 and len(out) > 1 << 16  # more than a pipe holds
+        proc = cli_process("check", "--json", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)], ids=["help", "bogus"])
+    def test_argparse_exits_are_the_in_process_exits(self, argv, code, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == code
+        assert (out if code == 0 else err).startswith("usage: minijif")
+        proc = cli_process(*argv, env={**cli_env(), "COLUMNS": "80"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+def declared_console_script() -> str:
+    """The ``module:function`` that pyproject.toml's ``[project.scripts]`` runs as ``minijif``."""
+    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^\[project\.scripts\]\nminijif = "([\w.:]+)"$', text, re.MULTILINE)
+    assert match, "pyproject.toml declares no minijif script"
+    return match[1]
+
+
+def test_console_script_is_the_hard_exit():
+    value = declared_console_script()
+    assert importlib.metadata.EntryPoint("minijif", value, "console_scripts").load() is cli.run
+    # the wrapper an installer writes for the entry, run on the working tree
+    module, _, function = value.partition(":")
+    wrapper = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+    proc = subprocess.run([sys.executable, "-c", wrapper, "check", LEAK], capture_output=True,
+                          env=cli_env(), timeout=120)
+    plain = cli_process("check", LEAK)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, plain.stdout, plain.stderr)
+    assert b"E-FLOW" in proc.stdout
+
+
 def test_console_script_installed():
     exe = shutil.which("minijif")
     if exe is None:
@@ -685,6 +799,10 @@ def test_console_script_installed():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+    script = subprocess.run([exe, "check", LEAK], capture_output=True)
+    plain = cli_process("check", LEAK)
+    assert script.returncode == plain.returncode == 1
+    assert script.stdout == plain.stdout
 
 
 def cli_import_closure() -> list[str]:
