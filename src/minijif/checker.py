@@ -27,8 +27,6 @@ charges its effects (a call that writes a field) to that operand.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import labels
 from .diagnostics import Diagnostic
 from .labels import (
@@ -49,16 +47,20 @@ from .labels import (
     leaves,
 )
 from .principals import PrincipalHierarchy, PrincipalId, UnknownPrincipal
-from .span import Span
+from .span import Record, Span
 from . import syntax as ast
 
 
-class TrustConfig(NamedTuple):
+class TrustConfig(Record):
     """External trust decisions: who grants ``main`` its authority claims and
     which extra delegations hold at the deployment site."""
 
-    grant_main_authority: bool = True
-    extra_delegations: tuple[tuple[PrincipalId, PrincipalId], ...] = ()
+    grant_main_authority: bool
+    extra_delegations: tuple[tuple[PrincipalId, PrincipalId], ...]
+
+    def __new__(cls, grant_main_authority: bool = True,
+                extra_delegations: tuple[tuple[PrincipalId, PrincipalId], ...] = ()):
+        return tuple.__new__(cls, (grant_main_authority, extra_delegations))
 
 
 # poison type: silences follow-on mismatches after a reported error
@@ -78,7 +80,7 @@ def _types_match(a, b) -> bool:
     return a == b or a is ERROR or b is ERROR
 
 
-class ParamInfo(NamedTuple):
+class ParamInfo(Record):
     """A declared parameter or field: its name, resolved type and label."""
 
     name: str
@@ -86,7 +88,7 @@ class ParamInfo(NamedTuple):
     label: Label
 
 
-class MethodInfo(NamedTuple):
+class MethodInfo(Record):
     decl: ast.MethodDecl
     return_type: ast.Type
     return_label: Label

@@ -34,6 +34,29 @@ class _UsageError(Exception):
     pass
 
 
+class _OutputError(Exception):
+    """A write to stdout or stderr failed: ``main`` raises its ``OSError``."""
+
+
+def _print(text: str, file=None) -> None:
+    try:
+        print(text, file=file)
+    except OSError as exc:
+        raise _OutputError from exc
+
+
+def _write_message(parser: argparse.ArgumentParser, message: str, file=None) -> None:
+    """argparse's ``_print_message``, except that a failed write raises: argparse
+    ignores it, so ``--help`` would exit 0 without its text."""
+    file = file or sys.stderr
+    if message and file is not None:  # None if closed at start-up
+        file.write(message)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    _print_message = _write_message  # subparsers are of this class too
+
+
 def _load_hierarchy(path: "str | None") -> PrincipalHierarchy:
     if path is None:
         return PrincipalHierarchy()
@@ -60,7 +83,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         try:
             program = parse_program(Path(path).read_text(encoding="utf-8"), file=path)
         except (OSError, UnicodeDecodeError, LexError, ParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
         try:
@@ -69,12 +92,12 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise _UsageError(f"--hierarchy: {exc} (not declared by {path})") from exc
     shown = diagnostics if args.max_errors is None else diagnostics[: args.max_errors]
     if args.json:
-        print(render_json(shown))
+        _print(render_json(shown))
     else:
         for d in shown:
-            print(render_human(d))
+            _print(render_human(d))
         if len(shown) < len(diagnostics):
-            print(f"... {len(diagnostics) - len(shown)} more error(s) suppressed")
+            _print(f"... {len(diagnostics) - len(shown)} more error(s) suppressed")
     if failed:
         return 2
     return 1 if diagnostics else 0
@@ -86,18 +109,18 @@ def cmd_query(args: argparse.Namespace) -> int:
         if args.subcommand == "actsfor":
             p = principal_from_token(args.args[0])
             q = principal_from_token(args.args[1])
-            print("true" if h.acts_for(p, q) else "false")
+            _print("true" if h.acts_for(p, q) else "false")
         elif args.subcommand == "leq":
             l1, l2 = (parse_label(a) for a in args.args)
-            print("true" if flows_to(l1, l2, h) else "false")
+            _print("true" if flows_to(l1, l2, h) else "false")
         elif args.subcommand in ("join", "meet"):
             l1, l2 = (parse_label(a) for a in args.args)
             op = join if args.subcommand == "join" else meet
-            print(label_to_text(op(l1, l2)))
+            _print(label_to_text(op(l1, l2)))
         else:  # readers / writers
             sem = interpret_label(parse_label(args.args[0]), h)
             members = sem.readers if args.subcommand == "readers" else sem.writers
-            print("{" + ", ".join(h.decode(members)) + "}")
+            _print("{" + ", ".join(h.decode(members)) + "}")
     except (LexError, ParseError, InvalidIdentifier, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
     return 0
@@ -125,7 +148,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         raise _UsageError(f"not a directory: {root}")
     files = sorted(root.rglob("*.mjif"))
     if not files:
-        print(f"warning: no .mjif files under {root}")
+        _print(f"warning: no .mjif files under {root}")
         return 0
     failures = 0
     for path in files:
@@ -133,24 +156,24 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             expected = _read_expectations(path.with_suffix(".expect"))
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"FAIL {path}: cannot read: {exc}")
+            _print(f"FAIL {path}: cannot read: {exc}")
             return 2
         try:
             program = parse_program(source, file=str(path))
             diagnostics = check_program(program)
         except (LexError, ParseError) as exc:
-            print(f"FAIL {path}: parse error: {exc}")
+            _print(f"FAIL {path}: parse error: {exc}")
             failures += 1
             continue
         actual = sorted((d.code, d.span.start[0]) for d in diagnostics)
         if actual == expected:
-            print(f"ok   {path}")
+            _print(f"ok   {path}")
         else:
             failures += 1
-            print(f"FAIL {path}")
-            print(f"    expected: {expected}")
-            print(f"    actual:   {actual}")
-    print(f"{len(files) - failures}/{len(files)} corpus files matched")
+            _print(f"FAIL {path}")
+            _print(f"    expected: {expected}")
+            _print(f"    actual:   {actual}")
+    _print(f"{len(files) - failures}/{len(files)} corpus files matched")
     return 1 if failures else 0
 
 
@@ -158,7 +181,7 @@ _ARITY = {"actsfor": 2, "leq": 2, "join": 2, "meet": 2, "readers": 1, "writers":
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="minijif",
         description="Static information-flow checker for MiniJif programs.",
     )
@@ -204,8 +227,8 @@ def main(argv: "list[str] | None" = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # the reader left: `run` reports it
-        raise
+    except _OutputError as exc:  # the output cannot be written: `run` reports it
+        raise exc.__cause__ from None
     except Exception as exc:  # last resort: exit 1 means diagnostics or corpus mismatches only
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
@@ -217,13 +240,19 @@ def main(argv: "list[str] | None" = None) -> int:
 def run() -> NoReturn:
     """`main`, then `os._exit`: no teardown to free every object a check left alive."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's exits after `--help` or a usage error
+            code = exc.code
         atexit._run_exitfuncs()  # as a normal exit does, handlers first: coverage saves in one
         for stream in filter(None, (sys.stdout, sys.stderr)):  # None if closed at start-up
             stream.flush()
     except OSError as exc:  # the reader closed the pipe, or the disk is full
-        print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
         code = 2
+        try:
+            print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr is the stream that failed
+            pass
         atexit._run_exitfuncs()  # a no-op if the handlers ran above
     os._exit(code)
 

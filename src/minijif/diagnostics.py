@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from _json import encode_basestring_ascii as _quote
 
-from .span import Span
+from .span import Record, Span
 
 # Stable catalog; codes are part of the external interface.
 CATALOG = frozenset({
@@ -24,16 +24,18 @@ CATALOG = frozenset({
 })
 
 
-class Diagnostic(NamedTuple("Diagnostic", [
-        ("code", str), ("span", Span), ("message", str),
-        ("from_label", Optional[str]), ("to_label", Optional[str])])):  # labels pretty-printed
-    __slots__ = ()  # the catalog check needs __new__, which a NamedTuple body may not define
+class Diagnostic(Record):
+    code: str
+    span: Span
+    message: str
+    from_label: str | None  # labels pretty-printed
+    to_label: str | None
 
     def __new__(cls, code: str, span: Span, message: str,
-                from_label: Optional[str] = None, to_label: Optional[str] = None):
+                from_label: str | None = None, to_label: str | None = None):
         if code not in CATALOG:
             raise ValueError(f"unknown diagnostic code {code!r}")
-        return super().__new__(cls, code, span, message, from_label, to_label)
+        return tuple.__new__(cls, (code, span, message, from_label, to_label))
 
     def sort_key(self) -> tuple:
         return (self.span.file, self.span.start, self.span.end, self.code, self.message)
@@ -46,20 +48,33 @@ def render_human(d: Diagnostic) -> str:
     return line
 
 
-def to_json_obj(d: Diagnostic) -> dict:
-    return {
-        "code": d.code,
-        "span": {
-            "file": d.span.file,
-            "start": list(d.span.start),
-            "end": list(d.span.end),
-        },
-        "from": d.from_label,
-        "to": d.to_label,
-        "message": d.message,
-    }
+# The layout of ``json.dumps([...], indent=2)``, written directly: ``json`` takes
+# milliseconds to import, and with an indent its encoder runs in Python.  Each
+# string goes through the C function that ``json.dumps`` applies to strings.
+_JSON_ITEM = """  {
+    "code": %s,
+    "span": {
+      "file": %s,
+      "start": [
+        %d,
+        %d
+      ],
+      "end": [
+        %d,
+        %d
+      ]
+    },
+    "from": %s,
+    "to": %s,
+    "message": %s
+  }"""
 
 
 def render_json(diagnostics: list[Diagnostic]) -> str:
-    import json  # only here: the import costs every other run milliseconds of start-up
-    return json.dumps([to_json_obj(d) for d in diagnostics], indent=2)
+    if not diagnostics:
+        return "[]"
+    return "[\n" + ",\n".join(_JSON_ITEM % (
+        _quote(d.code), _quote(d.span.file), *d.span.start, *d.span.end,
+        "null" if d.from_label is None else _quote(d.from_label),
+        "null" if d.to_label is None else _quote(d.to_label),
+        _quote(d.message)) for d in diagnostics) + "\n]"

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import or_
-from typing import NamedTuple, Union
+from typing import Union
 from weakref import WeakKeyDictionary
 
 from .interned import Interned
 from .principals import BOTTOM, PrincipalHierarchy, PrincipalId, TOP
+from .span import Record
 
 
 class ConfPolicy(Interned):
@@ -72,7 +73,7 @@ EMPTY: Label = EmptyLabel()
 Label = Union[ConfPolicy, IntegPolicy, JoinNode, MeetNode, LabelVar, EmptyLabel]
 
 
-class SemLabel(NamedTuple):
+class SemLabel(Record):
     """A label's meaning: effective reader and writer sets, as its hierarchy's masks.
 
     Top is always a member of both sets (it acts for every owner).

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
-from .span import Span
+from .span import Record, Span
 
 KEYWORDS = {
     "principal", "actsfor", "class", "authority", "where", "meet", "to",
@@ -50,7 +49,7 @@ class LexError(Exception):
         self.message = message
 
 
-class Token(NamedTuple):
+class Token(Record):
     """A view of one token, built on demand by ``Tokens[i]``."""
 
     kind: str  # IDENT, INT, STRING, EOF, a keyword, or a symbol

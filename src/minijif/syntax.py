@@ -1,6 +1,6 @@
 """Span-annotated AST for MiniJif programs.
 
-AST nodes are ``typing.NamedTuple``s, which are cheap to define and to build.
+AST nodes are ``Record``s (``span.py``): tuples, cheap to define and to build.
 Two nodes of different kinds with equal fields therefore compare equal, so
 compare ASTs with ``ast_equal`` (in ``tests/oracles.py``), never with ``==``.
 Types are interned, like labels: equal types are one object.  A primitive
@@ -10,12 +10,12 @@ type is a ``PrimType`` named as the source writes it, so
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .interned import Interned
 from .labels import Label
 from .principals import PrincipalId
-from .span import Span
+from .span import Record, Span
 
 
 # ---------------------------------------------------------------- types
@@ -51,60 +51,60 @@ VOID = PrimType("void")
 
 # ---------------------------------------------------------------- expressions
 
-class IntLit(NamedTuple):
+class IntLit(Record):
     value: int
     span: Span
 
 
-class StrLit(NamedTuple):
+class StrLit(Record):
     value: str
     span: Span
 
 
-class BoolLit(NamedTuple):
+class BoolLit(Record):
     value: bool
     span: Span
 
 
-class Var(NamedTuple):
+class Var(Record):
     name: str
     span: Span
 
 
-class FieldAccess(NamedTuple):
+class FieldAccess(Record):
     obj: "Expr"
     name: str
     span: Span
 
 
-class Call(NamedTuple):
+class Call(Record):
     receiver: "Expr"
     method: str
     args: tuple["Expr", ...]
     span: Span
 
 
-class New(NamedTuple):
+class New(Record):
     class_name: str
     principal_args: tuple[PrincipalId, ...]
     args: tuple["Expr", ...]
     span: Span
 
 
-class Declassify(NamedTuple):
+class Declassify(Record):
     expr: "Expr"
     from_label: Label
     to_label: Label
     span: Span
 
 
-class Builtin(NamedTuple):
+class Builtin(Record):
     name: str
     args: tuple["Expr", ...]
     span: Span
 
 
-class BinOp(NamedTuple):
+class BinOp(Record):
     op: str
     left: "Expr"
     right: "Expr"
@@ -124,12 +124,12 @@ Expr = Union[IntLit, StrLit, BoolLit, Var, FieldAccess, Call, New, Declassify, B
 
 # ---------------------------------------------------------------- statements
 
-class Block(NamedTuple):
+class Block(Record):
     stmts: tuple["Stmt", ...]
     span: Span
 
 
-class VarDecl(NamedTuple):
+class VarDecl(Record):
     type: Type
     label: Optional[Label]
     name: str
@@ -137,31 +137,31 @@ class VarDecl(NamedTuple):
     span: Span
 
 
-class Assign(NamedTuple):
+class Assign(Record):
     target: Expr  # Var or FieldAccess
     value: Expr
     span: Span
 
 
-class If(NamedTuple):
+class If(Record):
     cond: Expr
     then: Block
     orelse: Optional[Block]
     span: Span
 
 
-class While(NamedTuple):
+class While(Record):
     cond: Expr
     body: Block
     span: Span
 
 
-class Return(NamedTuple):
+class Return(Record):
     value: Optional[Expr]
     span: Span
 
 
-class ExprStmt(NamedTuple):
+class ExprStmt(Record):
     expr: Expr
     span: Span
 
@@ -171,32 +171,32 @@ Stmt = Union[VarDecl, Assign, If, While, Return, ExprStmt]
 
 # ---------------------------------------------------------------- declarations
 
-class PrincipalDecl(NamedTuple):
+class PrincipalDecl(Record):
     name: str
     span: Span
 
 
-class ActsForDecl(NamedTuple):
+class ActsForDecl(Record):
     superior: PrincipalId
     inferior: PrincipalId
     span: Span
 
 
-class Param(NamedTuple):
+class Param(Record):
     type: Type
     label: Optional[Label]
     name: str
     span: Span
 
 
-class FieldDecl(NamedTuple):
+class FieldDecl(Record):
     type: Type
     label: Optional[Label]
     name: str
     span: Span
 
 
-class MethodDecl(NamedTuple):
+class MethodDecl(Record):
     return_type: Type
     return_label: Optional[Label]
     name: str
@@ -208,7 +208,7 @@ class MethodDecl(NamedTuple):
     span: Span
 
 
-class ClassDecl(NamedTuple):
+class ClassDecl(Record):
     name: str
     principal_params: tuple[str, ...]
     authority: tuple[PrincipalId, ...]
@@ -220,6 +220,6 @@ class ClassDecl(NamedTuple):
 Decl = Union[PrincipalDecl, ActsForDecl, ClassDecl]
 
 
-class Program(NamedTuple):
+class Program(Record):
     decls: tuple[Decl, ...]
     span: Span

@@ -13,6 +13,8 @@ one ``Token`` tuple per token, one line at a time.
 ``RewalkingChecker`` is the checker as it was before a loop's pc was solved
 at the loop's end: it walks a ``while`` again until a pass leaves the pc
 unchanged and keeps only the last pass's diagnostics and records.
+``to_json_obj`` is a diagnostic as the JSON object that ``render_json``
+writes, for ``json.dumps`` to render as the reference.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import NamedTuple
 
 from minijif import syntax as ast
 from minijif.checker import Checker, MethodContext, _types_match
+from minijif.diagnostics import Diagnostic
 from minijif.labels import (
     ConfPolicy,
     EmptyLabel,
@@ -337,3 +340,19 @@ class RewalkingChecker(Checker):
         if not ctx.returned:
             ctx.pc = saved_pc
         ctx.returned |= returned
+
+
+# ------------------------------------------------------------------ diagnostics
+
+def to_json_obj(d: Diagnostic) -> dict:
+    return {
+        "code": d.code,
+        "span": {
+            "file": d.span.file,
+            "start": list(d.span.start),
+            "end": list(d.span.end),
+        },
+        "from": d.from_label,
+        "to": d.to_label,
+        "message": d.message,
+    }

@@ -973,3 +973,17 @@ def test_every_package_definition_is_referenced_in_the_package():
                           if name not in referenced
                           and not (name.startswith("__") and name.endswith("__")))
     assert unreferenced == []
+
+
+def test_no_package_module_names_namedtuple():
+    # records are span.Record tuples: each NamedTuple class would exec generated
+    # code when its module is imported, which every `minijif` run pays for
+    names = []
+    for path in sorted(Path(checker_module.__file__).parent.glob("*.py")):
+        for node in pyast.walk(pyast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, pyast.Name)
+                    else node.attr if isinstance(node, pyast.Attribute)
+                    else node.name if isinstance(node, pyast.alias) else None)
+            if name in ("NamedTuple", "namedtuple"):
+                names.append(f"{path.name}:{node.lineno} {name}")
+    assert names == []

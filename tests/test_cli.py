@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minijif.checker import check_program
+from minijif.diagnostics import render_json
 from minijif import cli
 from minijif.cli import main
 from minijif.lexer import KEYWORDS, MAX_INT_DIGITS, SYMBOLS
@@ -222,6 +223,15 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err == "internal error: RuntimeError('checker fault')\n"
+
+    def test_os_error_of_no_write_is_an_internal_error(self, monkeypatch, capsys):
+        def fault(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr("minijif.cli.check_program", fault)
+        code, out, err = run_cli("check", str(CORPUS_DIR / "booking_ok.mjif"), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "internal error: OSError(5, 'Input/output error')\n"
 
     def test_multiple_files_sorted_output(self, capsys):
         paths = [str(CORPUS_DIR / "undefined_names.mjif"), str(CORPUS_DIR / "arity.mjif")]
@@ -520,8 +530,6 @@ class TestCyclicCollector:
             gc.enable() if was else gc.disable()
 
     def test_checking_leaves_no_cyclic_garbage(self):
-        # render_json is left out: the stdlib's indented encoder leaves a
-        # constant few objects per call, and a run calls it once
         sources = [(str(path), path.read_text()) for path in corpus_files()]
         was = gc.isenabled()
         gc.disable()
@@ -530,7 +538,7 @@ class TestCyclicCollector:
                 check_program(parse_program(text, file=path))
             gc.collect()
             for path, text in sources:
-                check_program(parse_program(text, file=path))
+                render_json(check_program(parse_program(text, file=path)))
                 assert gc.collect() == 0, path
         finally:
             if was:
@@ -697,6 +705,9 @@ def cli_process(*argv: str, env: "dict[str, str] | None" = None) -> subprocess.C
 UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 LEAK = str(CORPUS_DIR / "booking_bob_leak.mjif")  # one E-FLOW: exit 1
 CLOSED_OUTPUT = b"error: cannot write output: [Errno 32] Broken pipe\n"
+FULL = "/dev/full"  # every write to it fails with ENOSPC
+NEEDS_FULL = pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+FULL_OUTPUT = b"error: cannot write output: [Errno 28] No space left on device\n"
 
 
 class TestProcessExit:
@@ -729,6 +740,33 @@ class TestProcessExit:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (2, CLOSED_OUTPUT)
+
+    @NEEDS_FULL
+    @UNBUFFERED
+    @pytest.mark.parametrize("argv", [
+        ["check", LEAK], ["check", "--json", LEAK], ["query", "join", "{A->*}", "{B->*}"],
+        ["corpus", str(CORPUS_DIR)], ["--help"], ["query", "--help"],
+    ], ids=["check", "check-json", "query", "corpus", "help", "query-help"])
+    def test_output_to_a_full_disk_is_one_error_line(self, argv, unbuffered):
+        with open(FULL, "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "minijif.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=cli_env(unbuffered), timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, FULL_OUTPUT)
+
+    @NEEDS_FULL
+    @UNBUFFERED
+    def test_usage_error_to_a_full_disk_exits_two(self, unbuffered):
+        with open(FULL, "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "minijif.cli", "bogus"],
+                                  stdout=subprocess.PIPE, stderr=full,
+                                  env=cli_env(unbuffered), timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    @UNBUFFERED
+    def test_unreadable_file_keeps_its_message(self, tmp_path, unbuffered):
+        proc = cli_process("check", str(tmp_path), env=cli_env(unbuffered))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n".encode()
 
     def test_atexit_handlers_run_once_and_keep_the_exit_code(self):
         script = ("import atexit, runpy, sys\n"
@@ -805,14 +843,17 @@ def test_console_script_installed():
     assert script.stdout == plain.stdout
 
 
-def cli_import_closure() -> list[str]:
-    """Modules a fresh interpreter has loaded after ``import minijif.cli``."""
-    script = "import sys, minijif.cli\nprint(*sys.modules)"
+def cli_import_closure(*argv: str) -> list[str]:
+    """Modules a fresh interpreter has loaded after ``import minijif.cli``,
+    and after ``main(ARGV)`` when ARGV is given."""
+    script = ("import sys, minijif.cli\n"
+              + (f"minijif.cli.main({list(argv)!r})\n" if argv else "")
+              + "print(*sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()  # after the output of main
 
 
 def test_package_is_the_cli_import_closure():
@@ -825,6 +866,12 @@ def test_package_is_the_cli_import_closure():
 def test_cli_import_closure_leaves_out_dataclasses_and_inspect():
     # each is milliseconds of start-up that every `minijif` run would pay
     assert {"dataclasses", "inspect", "json"}.isdisjoint(cli_import_closure())
+
+
+def test_a_json_check_imports_no_json():
+    # render_json writes the layout itself: importing json would cost every run milliseconds
+    modules = cli_import_closure("check", "--json", LEAK)
+    assert "minijif.diagnostics" in modules and "json" not in modules
 
 
 def test_sources_parse_under_the_oldest_supported_grammar():
