@@ -38,7 +38,7 @@ class Diagnostic(Record):
         return tuple.__new__(cls, (code, span, message, from_label, to_label))
 
     def sort_key(self) -> tuple:
-        return (self.span.file, self.span.start, self.span.end, self.code, self.message)
+        return (*self.span, self.code, self.message)  # by file, start, end, code, message
 
 
 def render_human(d: Diagnostic) -> str:
@@ -74,7 +74,7 @@ def render_json(diagnostics: list[Diagnostic]) -> str:
     if not diagnostics:
         return "[]"
     return "[\n" + ",\n".join(_JSON_ITEM % (
-        _quote(d.code), _quote(d.span.file), *d.span.start, *d.span.end,
+        _quote(d.code), _quote(d.span[0]), *d.span[1:],
         "null" if d.from_label is None else _quote(d.from_label),
         "null" if d.to_label is None else _quote(d.to_label),
         _quote(d.message)) for d in diagnostics) + "\n]"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from .span import Record, Span
+from .span import Span
 
 KEYWORDS = {
     "principal", "actsfor", "class", "authority", "where", "meet", "to",
@@ -39,6 +39,7 @@ _OPEN_STRING = re.compile(_STRING_START)
 _ESCAPE = re.compile(r"\\(.)")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 MAX_INT_DIGITS = 4300  # int() refuses longer digit strings on CPython 3.10.7 and later
+_new = tuple.__new__  # builds a span from its five fields
 _KINDS = {word: word for word in (*KEYWORDS, *SYMBOLS)}  # any other word is an IDENT
 
 
@@ -47,15 +48,6 @@ class LexError(Exception):
         super().__init__(f"{span}: {message}")
         self.span = span
         self.message = message
-
-
-class Token(Record):
-    """A view of one token, built on demand by ``Tokens[i]``."""
-
-    kind: str  # IDENT, INT, STRING, EOF, a keyword, or a symbol
-    text: str
-    value: object  # decoded payload for INT/STRING, else None
-    span: Span
 
 
 class Tokens:
@@ -70,16 +62,9 @@ class Tokens:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, i: "int | slice") -> "Token | list[Token]":
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        kind, text = self.kinds[i], self.texts[i]
-        value = int(text) if kind == "INT" else unescape(text) if kind == "STRING" else None
-        return Token(kind, text, value, self.span(i))
-
     def span(self, i: int) -> Span:
         line, col = self.lines[i], self.cols[i]
-        return Span(self.file, (line, col), (line, col + len(self.texts[i])))
+        return _new(Span, (self.file, line, col, line, col + len(self.texts[i])))
 
 
 def unescape(text: str) -> str:

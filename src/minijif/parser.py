@@ -36,6 +36,8 @@ _TYPE_KEYWORDS = {"int": ast.INT, "boolean": ast.BOOLEAN, "String": ast.STRING, 
 # of them parses.
 MAX_NESTING = 150
 
+_new = tuple.__new__  # builds a span or a node from all its fields, unchecked
+
 
 class _Parser:
     def __init__(self, tokens: Tokens, file: str):
@@ -73,24 +75,28 @@ class _Parser:
     def name(self) -> str:
         return self.texts[self.expect("IDENT")]
 
-    def start_of(self, i: int) -> tuple[int, int]:
-        return (self.lines[i], self.cols[i])
+    def span_from(self, i: int) -> Span:
+        """From the start of token ``i`` to the end of the last token taken."""
+        j = self.pos - 1
+        return _new(Span, (self.file, self.lines[i], self.cols[i],
+                           self.lines[j], self.cols[j] + len(self.texts[j])))
 
-    def span_from(self, start: tuple[int, int]) -> Span:
-        """From ``start`` to the end of the last token taken."""
-        i = self.pos - 1
-        return Span(self.file, start, (self.lines[i], self.cols[i] + len(self.texts[i])))
+    def span_after(self, span: Span) -> Span:
+        """From the start of ``span`` to the end of the last token taken."""
+        j = self.pos - 1
+        return _new(Span, (self.file, span[1], span[2],
+                           self.lines[j], self.cols[j] + len(self.texts[j])))
 
     def fail(self, *expected: str) -> ParseError:
         return ParseError(self.tokens.span(self.pos), expected, self.kinds[self.pos])
 
-    def nest(self, i: int) -> tuple[int, int]:
-        """Count one more level of nesting, opened by token ``i``; returns where it starts."""
+    def nest(self, i: int) -> int:
+        """Count one more level of nesting, opened by token ``i``; returns ``i``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(self.tokens.span(i), (f"at most {MAX_NESTING} levels of nesting",),
                              self.kinds[i])
-        return self.start_of(i)
+        return i
 
     # ------------------------------------------------------------ principals
 
@@ -153,10 +159,10 @@ class _Parser:
 
     # ----------------------------------------------------------------- types
 
-    def type(self) -> tuple[ast.Type, tuple[int, int]]:
-        """A type and the position it starts at."""
-        start = self.start_of(self.pos)
-        kind = self.kinds[self.pos]
+    def type(self) -> tuple[ast.Type, int]:
+        """A type and the index of its first token."""
+        start = self.pos
+        kind = self.kinds[start]
         if kind in _TYPE_KEYWORDS:
             self.pos += 1
             return _TYPE_KEYWORDS[kind], start
@@ -177,7 +183,9 @@ class _Parser:
         while (prec := ast.BINARY_PRECEDENCE.get(op := self.kinds[self.pos], 0)) >= min_prec:
             self.pos += 1
             right = self.expr(prec + 1)
-            left = ast.BinOp(op, left, right, Span(self.file, left.span.start, right.span.end))
+            ls, rs = left.span, right.span
+            left = _new(ast.BinOp, (op, left, right,
+                                    _new(Span, (self.file, ls[1], ls[2], rs[3], rs[4]))))
         return left
 
     def postfix(self) -> ast.Expr:
@@ -187,9 +195,9 @@ class _Parser:
             self.nest(self.advance())
             name = self.name()
             if self.at("("):
-                e = ast.Call(e, name, self.call_args(), self.span_from(e.span.start))
+                e = _new(ast.Call, (e, name, self.call_args(), self.span_after(e.span)))
             else:
-                e = ast.FieldAccess(e, name, self.span_from(e.span.start))
+                e = _new(ast.FieldAccess, (e, name, self.span_after(e.span)))
         self.depth = depth
         return e
 
@@ -207,38 +215,32 @@ class _Parser:
     def primary(self) -> ast.Expr:
         pos = self.pos
         kind = self.kinds[pos]
+        self.pos = pos + 1  # each kind of expression starts with a token of its own
         if kind == "IDENT":
             if self.kinds[pos + 1] == "(":
-                start = self.start_of(self.advance())
-                return ast.Builtin(self.texts[pos], self.call_args(), self.span_from(start))
-            self.pos += 1
-            return ast.Var(self.texts[pos], self.tokens.span(pos))
+                return _new(ast.Builtin, (self.texts[pos], self.call_args(), self.span_from(pos)))
+            return _new(ast.Var, (self.texts[pos], self.tokens.span(pos)))
         if kind == "INT":
-            self.pos += 1
-            return ast.IntLit(int(self.texts[pos]), self.tokens.span(pos))
+            return _new(ast.IntLit, (int(self.texts[pos]), self.tokens.span(pos)))
         if kind == "STRING":
-            self.pos += 1
-            return ast.StrLit(unescape(self.texts[pos]), self.tokens.span(pos))
+            return _new(ast.StrLit, (unescape(self.texts[pos]), self.tokens.span(pos)))
         if kind in ("true", "false"):
-            self.pos += 1
-            return ast.BoolLit(kind == "true", self.tokens.span(pos))
+            return _new(ast.BoolLit, (kind == "true", self.tokens.span(pos)))
         if kind == "(":
-            self.nest(self.advance())
+            self.nest(pos)
             e = self.expr()
             self.depth -= 1
             self.expect(")")
             return e
         if kind == "new":
-            start = self.start_of(self.advance())
             name = self.name()
             pargs: tuple[PrincipalId, ...] = ()
             if self.accept("["):
                 pargs = self.principal_list()
                 self.expect("]")
             args = self.call_args()
-            return ast.New(name, pargs, args, self.span_from(start))
+            return _new(ast.New, (name, pargs, args, self.span_from(pos)))
         if kind == "declassify":
-            start = self.start_of(self.advance())
             self.nest(self.expect("("))
             e = self.expr()
             self.expect(",")
@@ -247,8 +249,8 @@ class _Parser:
             to_label = self.label()
             self.depth -= 1
             self.expect(")")
-            return ast.Declassify(e, from_label, to_label, self.span_from(start))
-        raise self.fail("an expression")
+            return _new(ast.Declassify, (e, from_label, to_label, self.span_from(pos)))
+        raise ParseError(self.tokens.span(pos), ("an expression",), kind)
 
     # ------------------------------------------------------------ statements
 
@@ -259,24 +261,24 @@ class _Parser:
             stmts.append(self.stmt())
         self.depth -= 1
         self.expect("}")
-        return ast.Block(tuple(stmts), self.span_from(start))
+        return _new(ast.Block, (tuple(stmts), self.span_from(start)))
 
     def stmt(self) -> ast.Stmt:
         kind = self.kinds[self.pos]
         if kind == "if":
             return self.if_stmt()
         if kind == "while":
-            start = self.start_of(self.advance())
+            start = self.advance()
             self.expect("(")
             cond = self.expr()
             self.expect(")")
             body = self.block()
-            return ast.While(cond, body, self.span_from(start))
+            return _new(ast.While, (cond, body, self.span_from(start)))
         if kind == "return":
-            start = self.start_of(self.advance())
+            start = self.advance()
             value = None if self.at(";") else self.expr()
             self.expect(";")
-            return ast.Return(value, self.span_from(start))
+            return _new(ast.Return, (value, self.span_from(start)))
         if kind in _TYPE_KEYWORDS or (
             kind == "IDENT" and self.kinds[self.pos + 1] in ("IDENT", "[", "{")
         ):
@@ -287,12 +289,12 @@ class _Parser:
             self.expect(";")
             if not isinstance(e, (ast.Var, ast.FieldAccess)):
                 raise ParseError(e.span, ("a variable or field",), "expression")
-            return ast.Assign(e, value, self.span_from(e.span.start))
+            return _new(ast.Assign, (e, value, self.span_after(e.span)))
         self.expect(";")
-        return ast.ExprStmt(e, self.span_from(e.span.start))
+        return _new(ast.ExprStmt, (e, self.span_after(e.span)))
 
     def if_stmt(self) -> ast.If:
-        start = self.start_of(self.expect("if"))
+        start = self.expect("if")
         self.expect("(")
         cond = self.expr()
         self.expect(")")
@@ -303,10 +305,10 @@ class _Parser:
                 self.nest(self.pos)
                 nested = self.if_stmt()
                 self.depth -= 1
-                orelse = ast.Block((nested,), nested.span)
+                orelse = _new(ast.Block, ((nested,), nested.span))
             else:
                 orelse = self.block()
-        return ast.If(cond, then, orelse, self.span_from(start))
+        return _new(ast.If, (cond, then, orelse, self.span_from(start)))
 
     def var_decl(self) -> ast.VarDecl:
         typ, start = self.type()
@@ -314,7 +316,7 @@ class _Parser:
         name = self.name()
         init = self.expr() if self.accept("=") else None
         self.expect(";")
-        return ast.VarDecl(typ, label, name, init, self.span_from(start))
+        return _new(ast.VarDecl, (typ, label, name, init, self.span_from(start)))
 
     # ---------------------------------------------------------- declarations
 
@@ -322,29 +324,29 @@ class _Parser:
         decls: list[ast.Decl] = []
         while not self.at("EOF"):
             decls.append(self.decl())
-        end = self.start_of(self.pos) if decls else (1, 1)
-        return ast.Program(tuple(decls), Span(self.file, (1, 1), end))
+        end = (self.lines[self.pos], self.cols[self.pos]) if decls else (1, 1)
+        return _new(ast.Program, (tuple(decls), Span(self.file, (1, 1), end)))
 
     def decl(self) -> ast.Decl:
         kind = self.kinds[self.pos]
         if kind == "principal":
-            start = self.start_of(self.advance())
+            start = self.advance()
             name = self.name()
             self.expect(";")
-            return ast.PrincipalDecl(name, self.span_from(start))
+            return _new(ast.PrincipalDecl, (name, self.span_from(start)))
         if kind == "actsfor":
-            start = self.start_of(self.advance())
+            start = self.advance()
             sup = self.principal()
             self.expect(">=")
             inf = self.principal()
             self.expect(";")
-            return ast.ActsForDecl(sup, inf, self.span_from(start))
+            return _new(ast.ActsForDecl, (sup, inf, self.span_from(start)))
         if kind == "class":
             return self.class_decl()
         raise self.fail("principal", "actsfor", "class")
 
     def class_decl(self) -> ast.ClassDecl:
-        start = self.start_of(self.expect("class"))
+        start = self.expect("class")
         name = self.name()
         params: list[str] = []
         if self.accept("["):
@@ -369,17 +371,17 @@ class _Parser:
             else:
                 methods.append(member)
         self.expect("}")
-        return ast.ClassDecl(
+        return _new(ast.ClassDecl, (
             name, tuple(params), authority, tuple(fields), tuple(methods),
             self.span_from(start),
-        )
+        ))
 
     def member(self) -> "ast.FieldDecl | ast.MethodDecl":
         typ, start = self.type()
         label = self.optional_label()
         name = self.name()
         if self.accept(";"):
-            return ast.FieldDecl(typ, label, name, self.span_from(start))
+            return _new(ast.FieldDecl, (typ, label, name, self.span_from(start)))
         begin_label = self.optional_label()
         self.expect("(")
         params: list[ast.Param] = []
@@ -388,17 +390,17 @@ class _Parser:
                 ptyp, pstart = self.type()
                 plabel = self.optional_label()
                 pname = self.name()
-                params.append(ast.Param(ptyp, plabel, pname, self.span_from(pstart)))
+                params.append(_new(ast.Param, (ptyp, plabel, pname, self.span_from(pstart))))
                 if not self.accept(","):
                     break
         self.expect(")")
         end_label = self.label() if self.accept(":") else None
         authority = self.authority() if self.accept("where") else ()
         body = self.block()
-        return ast.MethodDecl(
+        return _new(ast.MethodDecl, (
             typ, label, name, begin_label, tuple(params), end_label,
             authority, body, self.span_from(start),
-        )
+        ))
 
 
 def parse_program(source: str, file: str = "<string>") -> ast.Program:

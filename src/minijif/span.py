@@ -44,12 +44,25 @@ class Record(tuple, metaclass=_RecordType):
         return f"{type(self).__name__}({fields})"
 
 
-class Span(Record):
-    """Half-open source region; line/column are 1-based, end is exclusive."""
+class Span(tuple):
+    """Half-open source region; line/column are 1-based, end is exclusive.  One flat
+    tuple ``(file, line, col, end_line, end_col)``: ``Span(file, start, end)`` takes,
+    and ``start``/``end`` give, ``(line, col)`` pairs."""
 
-    file: str
-    start: tuple[int, int]
-    end: tuple[int, int]
+    __slots__ = ()
+
+    def __new__(cls, file: str, start: tuple[int, int], end: tuple[int, int]):
+        return _tuple_new(cls, (file, *start, *end))
+
+    file = _tuplegetter(0, None)
+    start = property(lambda self: self[1:3])
+    end = property(lambda self: self[3:])
+
+    def __getnewargs__(self) -> tuple:
+        return self.file, self.start, self.end
+
+    def __repr__(self) -> str:
+        return f"Span(file={self.file!r}, start={self.start!r}, end={self.end!r})"
 
     def __str__(self) -> str:
-        return f"{self.file}:{self.start[0]}:{self.start[1]}"
+        return f"{self.file}:{self[1]}:{self[2]}"

@@ -9,7 +9,8 @@ and ``format_hierarchy`` are helpers that only the tests need: label
 equivalence under the production order, and the inverse of
 ``parse_hierarchy``; ``actors`` and ``decoded`` name the members of masks.
 ``oracle_tokenize`` is the lexer as it was before it built parallel lists:
-one ``Token`` tuple per token, one line at a time.
+one ``Token`` tuple per token, one line at a time; ``token_views`` reads the
+lexer's parallel lists back as such ``Token``s.
 ``RewalkingChecker`` is the checker as it was before a loop's pc was solved
 at the loop's end: it walks a ``while`` again until a pass leaves the pc
 unchanged and keeps only the last pass's diagnostics and records.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from typing import NamedTuple
 
 from minijif import syntax as ast
 from minijif.checker import Checker, MethodContext, _types_match
@@ -45,8 +45,8 @@ from minijif.principals import (
     TOP,
     principal_sort_key,
 )
-from minijif.lexer import ESCAPES, KEYWORDS, SYMBOLS, LexError
-from minijif.span import Span
+from minijif.lexer import ESCAPES, KEYWORDS, SYMBOLS, LexError, Tokens, unescape
+from minijif.span import Record, Span
 
 
 def oracle_closure(h: PrincipalHierarchy) -> set[tuple[PrincipalId, PrincipalId]]:
@@ -252,24 +252,22 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\(.)")
 
 
-class Token(NamedTuple):
-    """One token; its span is computed on demand from ``line`` and ``col``."""
+class Token(Record):
+    """One token, as ``oracle_tokenize`` and ``token_views`` give it."""
 
     kind: str  # IDENT, INT, STRING, EOF, a keyword, or a symbol
     text: str
     value: object  # decoded payload for INT/STRING, else None
-    file: str
-    line: int
-    col: int
+    span: Span
 
-    @property
-    def start(self) -> tuple[int, int]:
-        return (self.line, self.col)
 
-    @property
-    def span(self) -> Span:
-        # exact, since no token crosses a line
-        return Span(self.file, (self.line, self.col), (self.line, self.col + len(self.text)))
+def token_views(tokens: Tokens) -> list[Token]:
+    """Each token of the lexer's parallel lists as a ``Token``."""
+    views = []
+    for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts)):
+        value = int(text) if kind == "INT" else unescape(text) if kind == "STRING" else None
+        views.append(Token(kind, text, value, tokens.span(i)))
+    return views
 
 
 def oracle_tokenize(source: str, file: str = "<string>") -> list[Token]:
@@ -303,8 +301,10 @@ def oracle_tokenize(source: str, file: str = "<string>") -> list[Token]:
                     raise LexError(Span(file, (line_no, start + 1), (line_no, end + 1)),
                                    "unterminated string literal")
                 value = _ESCAPE.sub(lambda e: ESCAPES[e[1]], text[1:-1])
-            append(new(Token, (kind, text, value, file, line_no, start + 1)))
-    append(new(Token, ("EOF", "", None, file, len(lines), len(lines[-1]) + 1)))
+            span = Span(file, (line_no, start + 1), (line_no, end + 1))
+            append(new(Token, (kind, text, value, span)))
+    eof = (len(lines), len(lines[-1]) + 1)
+    append(new(Token, ("EOF", "", None, Span(file, eof, eof))))
     return tokens
 
 

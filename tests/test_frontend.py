@@ -4,25 +4,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minijif.labels import ConfPolicy, EMPTY, IntegPolicy, JoinNode, LabelVar, MeetNode
-from minijif import lexer, parser
+from minijif import parser
 from minijif.lexer import KEYWORDS, LexError, tokenize
 from minijif.parser import ParseError, parse_label, parse_program
 from minijif.principals import BOTTOM, TOP
-from minijif.span import Span
+from minijif.span import Record, Span
 from minijif import syntax as ast
 from conftest import CORPUS_DIR, bench_gen, corpus_files, corpus_mutants
-from oracles import ast_equal, oracle_tokenize, span_contains, strip_spans
+from oracles import ast_equal, oracle_tokenize, span_contains, strip_spans, token_views
 from pretty import expr_to_text, pretty_print
+
+
+def lex(source: str, file: str = "<string>") -> list:
+    """The ``Token``s of ``tokenize``."""
+    return token_views(tokenize(source, file))
 
 
 class TestLexer:
     def test_label_tokens(self):
-        kinds = [t.kind for t in tokenize("{Alice->_;}")]
+        kinds = tokenize("{Alice->_;}").kinds
         assert kinds == ["{", "IDENT", "->", "_", ";", "}", "EOF"]
 
     def test_empty_input(self):
-        toks = tokenize("")
-        assert [t.kind for t in toks] == ["EOF"]
+        assert tokenize("").kinds == ["EOF"]
 
     def test_unexpected_character(self):
         with pytest.raises(LexError) as err:
@@ -30,13 +34,13 @@ class TestLexer:
         assert err.value.span.start == (1, 1)
 
     def test_spans_track_lines(self):
-        toks = tokenize("foo\n  bar")
+        toks = lex("foo\n  bar")
         assert toks[0].span.start == (1, 1)
         assert toks[1].span.start == (2, 3)
         assert toks[1].span.end == (2, 6)
 
     def test_string_escapes(self):
-        tok = tokenize(r'"a\"b\n"')[0]
+        tok = lex(r'"a\"b\n"')[0]
         assert tok.value == 'a"b\n'
 
     def test_unterminated_string(self):
@@ -44,10 +48,10 @@ class TestLexer:
             tokenize('"oops')
 
     def test_comment_skipped(self):
-        assert [t.kind for t in tokenize("// nothing\nx")] == ["IDENT", "EOF"]
+        assert tokenize("// nothing\nx").kinds == ["IDENT", "EOF"]
 
     def test_maximal_munch(self):
-        kinds = [t.kind for t in tokenize("a->b<-c>=d==e")]
+        kinds = tokenize("a->b<-c>=d==e").kinds
         assert kinds == ["IDENT", "->", "IDENT", "<-", "IDENT", ">=", "IDENT", "==", "IDENT", "EOF"]
 
     @pytest.mark.parametrize("source, start, end, message", [
@@ -74,7 +78,7 @@ class TestLexer:
     @given(st.text(alphabet='aZz_09 \t\r\n"\\/{}-<>=!&|;,.:*+()[]@#n\u00e9\u0663', max_size=40))
     def test_spans_slice_back_to_token_text(self, source):
         try:
-            toks = tokenize(source)
+            toks = lex(source)
         except LexError:
             return
         lines = source.split("\n")
@@ -137,20 +141,20 @@ class TestLexerOracle:
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from(ORACLE_PIECES), max_size=30).map("".join))
     def test_matches_the_oracle(self, source):
-        assert lexed(tokenize, source) == lexed(oracle_tokenize, source)
+        assert lexed(lex, source) == lexed(oracle_tokenize, source)
 
     @pytest.mark.parametrize("source", ORACLE_EDGES)
     def test_matches_the_oracle_on_edges(self, source):
-        assert lexed(tokenize, source) == lexed(oracle_tokenize, source)
+        assert lexed(lex, source) == lexed(oracle_tokenize, source)
 
     @pytest.mark.parametrize("workload", ["wide_principals", "deep_nesting", "large_source"])
     def test_matches_the_oracle_on_the_workloads(self, workload):
         source = bench_gen().generate(workload, 1)[0]
-        assert lexed(tokenize, source) == lexed(oracle_tokenize, source)
+        assert lexed(lex, source) == lexed(oracle_tokenize, source)
 
     def test_arrays_match_the_token_views(self):
         toks = tokenize('class C {\n  int x = 12; // c\n  String s = "a\\tb";\n}')
-        views = list(toks)
+        views = token_views(toks)
         assert [t.kind for t in views] == toks.kinds and [t.text for t in views] == toks.texts
         assert [t.span.start for t in views] == list(zip(toks.lines, toks.cols))
         assert [t.value for t in views if t.value is not None] == [12, "a\tb"]
@@ -159,7 +163,7 @@ class TestLexerOracle:
         digest = hashlib.sha256()
         errors = {"LexError": 0, "ParseError": 0}
         for source in corpus_mutants(3000, "lexer-oracle"):
-            assert lexed(tokenize, source) == lexed(oracle_tokenize, source), source
+            assert lexed(lex, source) == lexed(oracle_tokenize, source), source
             outcome = parse_outcome(source)
             if isinstance(outcome, tuple):
                 errors[outcome[0]] += 1
@@ -179,15 +183,28 @@ def _source(name: str) -> str:
     return bench_gen().generate(name, 1)[0]
 
 
-def test_parsing_builds_no_token_objects(monkeypatch):
-    def no_token(*args):
-        raise AssertionError("the parse built a Token")
+def test_parsing_calls_no_record_constructor(monkeypatch):
+    # the parser builds each node and span from all its fields with
+    # tuple.__new__; only the Program node's span goes through Span(...)
+    calls = {"Record": 0, "Span": 0}
+    record_new, span_new = Record.__new__, Span.__new__
 
-    monkeypatch.setattr(lexer, "Token", no_token)
-    with pytest.raises(AssertionError):
-        tokenize("x")[0]
+    def counting_record(cls, *values):
+        calls["Record"] += 1
+        return record_new(cls, *values)
+
+    def counting_span(cls, *values):
+        calls["Span"] += 1
+        return span_new(cls, *values)
+
+    monkeypatch.setattr(Record, "__new__", counting_record)
+    monkeypatch.setattr(Span, "__new__", counting_span)
+    ast.Var("x", Span("f.mjif", (1, 1), (1, 2)))
+    assert calls == {"Record": 1, "Span": 1}
     for name in PARSE_INPUTS:
+        calls.update(Record=0, Span=0)
         parse_program(_source(name), file=name)
+        assert calls == {"Record": 0, "Span": 1}, name
 
 
 def test_parse_program_tokenizes_once(monkeypatch):

@@ -1,5 +1,5 @@
-"""The ``Record`` base against ``collections.namedtuple``, and ``render_json``
-against ``json.dumps``."""
+"""The ``Record`` base and ``Span`` against ``collections.namedtuple``, and
+``render_json`` against ``json.dumps``."""
 
 import collections
 import copy
@@ -23,8 +23,9 @@ SAMPLE = {"code": "E-FLOW"}  # a field value that a constructor checks
 
 
 def test_every_record_class_is_found():
-    # the 24 AST nodes, Span, Token, SemLabel, ParamInfo, MethodInfo, TrustConfig, Diagnostic
-    assert len(RECORDS) == 31
+    # the 24 AST nodes, SemLabel, ParamInfo, MethodInfo, TrustConfig, Diagnostic, and
+    # the tests' Token; Span is a flat tuple of its own
+    assert len(RECORDS) == 30
     assert sum(cls.__module__ == "minijif.syntax" for cls in RECORDS) == 24
 
 
@@ -64,6 +65,25 @@ def test_record_behaves_as_a_namedtuple(cls):
     for other in copies:
         assert type(other) is cls and other == obj
     assert match_positionally(obj) == values
+
+
+def test_span_behaves_as_a_namedtuple_of_three_fields():
+    span = Span("f.mjif", (1, 2), (1, 3))
+    assert type(span) is Span and (span.file, span.start, span.end) == ("f.mjif", (1, 2), (1, 3))
+    assert type(span.start) is type(span.end) is tuple
+    reference = collections.namedtuple("Span", "file start end")("f.mjif", (1, 2), (1, 3))
+    assert repr(span) == repr(reference) == "Span(file='f.mjif', start=(1, 2), end=(1, 3))"
+    assert str(span) == "f.mjif:1:2"
+    twin = Span("f.mjif", (1, 2), (1, 3))
+    assert twin is not span and twin == span and hash(twin) == hash(span)
+    assert span != Span("f.mjif", (1, 2), (1, 4))
+    assert not hasattr(span, "__dict__")
+    with pytest.raises(AttributeError):
+        span.file = "g.mjif"
+    copies = [copy.copy(span), copy.deepcopy(span)]
+    copies += [pickle.loads(pickle.dumps(span, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is Span and other == span and repr(other) == repr(span)
 
 
 # a diagnostic's strings may hold any code point: a file name that ``os.fsdecode``
