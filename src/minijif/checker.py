@@ -3,11 +3,11 @@
 Flows are checked in JFlow's two steps: generate constraints, then solve them.
 The body pass walks each method under one ``MethodContext`` (class, method, pc,
 locals) and records each flow obligation on ``ctx.records``; then ``decide``
-turns the records into diagnostics under the class's hierarchy and the method's
-authority.  The walk itself reads no hierarchy: it never decides a flow.
+turns the records into diagnostics under the program's one hierarchy, in which
+class parameters are rigid principals, and the method's authority.  The walk
+itself reads no hierarchy: it never decides a flow.
 
-Each class is checked once, generically: its principal parameters are treated
-as rigid, otherwise-unrelated principals.  Call sites substitute the concrete
+Each class is checked once, generically: call sites substitute the concrete
 principal arguments of the receiver's static type into the callee's labels.
 An instance's methods spend its class's authority for whoever created it, so
 ``new`` records that its creator must hold that authority, after substitution.
@@ -101,9 +101,8 @@ class MethodInfo(Record):
 class ClassInfo:
     """A class declaration; the declaration pass fills in the rest."""
 
-    def __init__(self, decl: ast.ClassDecl, hierarchy: PrincipalHierarchy):
+    def __init__(self, decl: ast.ClassDecl):
         self.decl = decl
-        self.hierarchy = hierarchy  # program hierarchy plus rigid parameters
         self.authority: frozenset[PrincipalId] = frozenset()
         self.fields: dict[str, ParamInfo] = {}  # in declaration order
         self.methods: dict[str, MethodInfo] = {}
@@ -154,6 +153,7 @@ class Checker:
         self.trust = trust or TrustConfig()
         self.diagnostics: list[Diagnostic] = []
         self.hierarchy = self._build_hierarchy()
+        self.universe = self.hierarchy.universe  # a parameter is known in its class alone
         self.classes: dict[str, ClassInfo] = {}
         # The body pass dispatches on the node's class, to the functions of the
         # checker's own class, so that a subclass's override is the one called.
@@ -204,14 +204,17 @@ class Checker:
                 if p in self.hierarchy.declared:
                     self.add("E-TYPE", c.span,
                              f"principal parameter '{p}' shadows a declared principal")
-            self.classes[c.name] = ClassInfo(c, self.hierarchy.declare(*c.principal_params))
+            self.classes[c.name] = ClassInfo(c)
         for info in self.classes.values():
             self._declare_members(info)
+        # one hierarchy decides every class (the declaration pass read the program's own)
+        self.hierarchy = self.hierarchy.declare(
+            *{p for info in self.classes.values() for p in info.decl.principal_params})
         for info in self.classes.values():
             for mi in info.methods.values():
                 ctx = MethodContext(info, mi)
                 self._check_block(ctx, mi.decl.body)
-                self.diagnostics += decide(ctx.records, info.hierarchy, mi.authority)
+                self.diagnostics += decide(ctx.records, self.hierarchy, mi.authority)
         self.diagnostics.sort(key=Diagnostic.sort_key)
         # the memo of joins holds each loop's pc variable and the labels built on
         # it, which no later check can reuse: it lasts one check (reached through
@@ -274,7 +277,7 @@ class Checker:
         return frozenset(effective)
 
     def _principal_known(self, info: ClassInfo, p: PrincipalId, span: Span) -> bool:
-        if p not in info.hierarchy.universe:
+        if p not in self.universe and p not in info.decl.principal_params:
             self.add("E-UNDEF", span, f"unknown principal '{p}'")
             return False
         return True
@@ -571,8 +574,9 @@ class Checker:
 
 def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
            authority: frozenset[PrincipalId]) -> list[Diagnostic]:
-    """Turn one method's flow records into diagnostics, under ``hierarchy``
-    and the ``authority`` the method holds: the only code that reads a hierarchy.
+    """Turn one method's flow records into diagnostics, under ``hierarchy`` (the
+    program's one hierarchy, in which class parameters are rigid principals) and
+    the ``authority`` the method holds: the only code that reads a hierarchy.
 
     A record fails unless its source flows to its target; it then yields its
     code and message.  A record with a pc is assignment-shaped, and its

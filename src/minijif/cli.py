@@ -12,7 +12,6 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 from .checker import TrustConfig, check_program
 from .diagnostics import Diagnostic, render_human, render_json
@@ -237,7 +236,7 @@ def main(argv: "list[str] | None" = None) -> int:
             gc.enable()
 
 
-def run() -> NoReturn:
+def run():
     """`main`, then `os._exit`: no teardown to free every object a check left alive."""
     try:
         try:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Union
 from weakref import WeakKeyDictionary
 
 from .interned import Interned
@@ -70,7 +69,7 @@ class EmptyLabel(Interned):
 
 EMPTY: Label = EmptyLabel()
 
-Label = Union[ConfPolicy, IntegPolicy, JoinNode, MeetNode, LabelVar, EmptyLabel]
+Label = ConfPolicy | IntegPolicy | JoinNode | MeetNode | LabelVar | EmptyLabel
 
 
 class SemLabel(Record):

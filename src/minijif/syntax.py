@@ -10,8 +10,6 @@ type is a ``PrimType`` named as the source writes it, so
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from .interned import Interned
 from .labels import Label
 from .principals import PrincipalId
@@ -41,7 +39,7 @@ class ClassType(Interned):
         return f"{self.name}[" + ", ".join(self.principal_args) + "]"
 
 
-Type = Union[PrimType, ClassType]
+Type = PrimType | ClassType
 
 INT = PrimType("int")
 BOOLEAN = PrimType("boolean")
@@ -119,7 +117,7 @@ BINARY_PRECEDENCE = {
 }
 
 
-Expr = Union[IntLit, StrLit, BoolLit, Var, FieldAccess, Call, New, Declassify, Builtin, BinOp]
+Expr = IntLit | StrLit | BoolLit | Var | FieldAccess | Call | New | Declassify | Builtin | BinOp
 
 
 # ---------------------------------------------------------------- statements
@@ -131,9 +129,9 @@ class Block(Record):
 
 class VarDecl(Record):
     type: Type
-    label: Optional[Label]
+    label: Label | None
     name: str
-    init: Optional[Expr]
+    init: Expr | None
     span: Span
 
 
@@ -146,7 +144,7 @@ class Assign(Record):
 class If(Record):
     cond: Expr
     then: Block
-    orelse: Optional[Block]
+    orelse: Block | None
     span: Span
 
 
@@ -157,7 +155,7 @@ class While(Record):
 
 
 class Return(Record):
-    value: Optional[Expr]
+    value: Expr | None
     span: Span
 
 
@@ -166,7 +164,7 @@ class ExprStmt(Record):
     span: Span
 
 
-Stmt = Union[VarDecl, Assign, If, While, Return, ExprStmt]
+Stmt = VarDecl | Assign | If | While | Return | ExprStmt
 
 
 # ---------------------------------------------------------------- declarations
@@ -184,25 +182,25 @@ class ActsForDecl(Record):
 
 class Param(Record):
     type: Type
-    label: Optional[Label]
+    label: Label | None
     name: str
     span: Span
 
 
 class FieldDecl(Record):
     type: Type
-    label: Optional[Label]
+    label: Label | None
     name: str
     span: Span
 
 
 class MethodDecl(Record):
     return_type: Type
-    return_label: Optional[Label]
+    return_label: Label | None
     name: str
-    begin_label: Optional[Label]
+    begin_label: Label | None
     params: tuple[Param, ...]
-    end_label: Optional[Label]
+    end_label: Label | None
     authority: tuple[PrincipalId, ...]
     body: Block
     span: Span
@@ -217,7 +215,7 @@ class ClassDecl(Record):
     span: Span
 
 
-Decl = Union[PrincipalDecl, ActsForDecl, ClassDecl]
+Decl = PrincipalDecl | ActsForDecl | ClassDecl
 
 
 class Program(Record):

@@ -111,15 +111,15 @@ class TestCheckExpr:
         ctx.locals["b"] = (ast.ClassType("Box", ("B",)), EMPTY)
         _, label = checker.check_expr(ctx, parse_expr("b.f"))
         assert label_to_text(label) == "{" + "; ".join(f"{a}->*" for a in ["B", *owners]) + "}"
-        assert decoded(interpret_label(label, info.hierarchy), info.hierarchy)[0] == {TOP}
+        assert decoded(interpret_label(label, checker.hierarchy), checker.hierarchy)[0] == {TOP}
 
     def test_binop_label_is_join_of_operands(self):
         checker, info, ctx = checker_with_ctx(BOOKING, "Application", "main")
         ctx.locals["x"] = (ast.STRING, parse_label("{Alice->*}"))
         ctx.locals["y"] = (ast.STRING, parse_label("{Bob->*}"))
         _, label = checker.check_expr(ctx, parse_expr("concat(x, y)"))
-        readers, _ = decoded(interpret_label(label, info.hierarchy), info.hierarchy)
-        oracle = SemOracle(info.hierarchy)
+        readers, _ = decoded(interpret_label(label, checker.hierarchy), checker.hierarchy)
+        oracle = SemOracle(checker.hierarchy)
         ra, _ = oracle.sem(parse_label("{Alice->*}"))
         rb, _ = oracle.sem(parse_label("{Bob->*}"))
         assert readers == ra & rb
@@ -131,8 +131,8 @@ class TestCheckExpr:
             parse_label("{Bob->*}"),
         )
         _, label = checker.check_expr(ctx, parse_expr("b.cardNumber"))
-        readers, _ = decoded(interpret_label(label, info.hierarchy), info.hierarchy)
-        oracle = SemOracle(info.hierarchy)
+        readers, _ = decoded(interpret_label(label, checker.hierarchy), checker.hierarchy)
+        oracle = SemOracle(checker.hierarchy)
         expect_r, _ = oracle.sem(parse_label("{Bob->*; Alice->*}"))
         assert readers == expect_r
 
@@ -726,6 +726,28 @@ class TestDeclarations:
         trust = TrustConfig(extra_delegations=(("P1", "P2"),))
         check_program(parse_program(source), trust)
         assert len(calls) == source.count("actsfor ") + 1
+
+    def test_one_actor_closure_decides_every_class(self, monkeypatch):
+        # a hierarchy per class, each with its own closure over the whole
+        # universe, made check time and memory grow as classes x principals
+        closures = 0
+        actor_masks = PrincipalHierarchy.__dict__["_actor_masks"]
+        close = actor_masks.func
+
+        def counting(self):
+            nonlocal closures
+            closures += 1
+            return close(self)
+
+        monkeypatch.setattr(actor_masks, "func", counting)
+        classes = "".join(
+            f"class C{i}[principal O{i}] {{\n"
+            f"    int{{O{i}->*; Counted->*}} m{{}}(int{{O{i}->*; Counted->*}} x) {{\n"
+            f"        int{{O{i}->*; Counted->*}} y = x;\n        return y;\n    }}\n}}\n"
+            for i in range(40))
+        src = wrap("        int{Counted->*} s = 1;", "principal Counted;\n" + classes)
+        assert check_program(parse_program(src)) == []
+        assert closures == 1
 
     def test_label_variables_unsupported(self):
         src = "class V {\n    void set{L}(int{L} i) {\n        return;\n    }\n}\n"

@@ -868,6 +868,16 @@ def test_cli_import_closure_leaves_out_dataclasses_and_inspect():
     assert {"dataclasses", "inspect", "json"}.isdisjoint(cli_import_closure())
 
 
+def test_cli_import_leaves_out_typing():
+    # without `site`, which may import typing itself first (through a .pth file):
+    # type aliases are runtime `A | B` unions, and typing costs every run milliseconds
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", 'import minijif.cli, sys; assert "typing" not in sys.modules'],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_json_check_imports_no_json():
     # render_json writes the layout itself: importing json would cost every run milliseconds
     modules = cli_import_closure("check", "--json", LEAK)

@@ -167,6 +167,34 @@ class TestFlowOrder:
             pool = sorted(h.universe)
             assert flows_to(EMPTY, random_label(rng, pool), h)
 
+    # criterion 3's random hierarchies: (declared at least, at most; acyclic; hierarchies; pairs)
+    @pytest.mark.parametrize("least, most, acyclic, hierarchies, pairs",
+                             [(0, 5, True, 2_000, 1), (64, 128, False, 30, 50)],
+                             ids=["narrow", "wide"])
+    def test_a_fresh_principal_changes_no_meaning(self, least, most, acyclic, hierarchies, pairs):
+        # One hierarchy decides every class, with every class's parameters declared
+        # in it: a parameter Y that no label mentions acts for nothing but itself
+        # and bottom, so its bit in a label's meaning is bottom's, and no verdict moves.
+        rng = random.Random(424242)
+        verdicts = set()
+        for _ in range(hierarchies):
+            h = random_hierarchy(rng, max_principals=most, acyclic=acyclic,
+                                 min_principals=least)
+            wide = h.declare("Y")
+            y, bottom = wide.mask(("Y",)), wide.mask((BOTTOM,))
+            pool = sorted(h.universe)
+            for _ in range(pairs):
+                l1, l2 = random_label(rng, pool), random_label(rng, pool)
+                verdict = flows_to(l1, l2, h)
+                assert flows_to(l1, l2, wide) == verdict
+                verdicts.add(verdict)
+                sem = interpret_label(l1, wide)
+                for mask in (sem.readers, sem.writers):
+                    assert bool(mask & y) == bool(mask & bottom)
+                readers, writers = decoded(sem, wide)
+                assert (readers - {"Y"}, writers - {"Y"}) == decoded(interpret_label(l1, h), h)
+        assert verdicts == {True, False}
+
 
 class TestJoinMeet:
     def test_join_pretty_prints_like_the_source(self):

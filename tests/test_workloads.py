@@ -56,6 +56,8 @@ CORPUS_SHA256 = {
                           "877eaf40e17c97fa2d96457824c4bd82fd0d6135fe9c0c2fcc10830b854a7302"),
     "end_label": ("a8c0b1d001f07ae1aa850db9a1438c133674c75284dcbb0148302920e8f49f0f",
                   "a8c0b1d001f07ae1aa850db9a1438c133674c75284dcbb0148302920e8f49f0f"),
+    "generic_scope": ("53f88538e710c28eb8dce535a597f4c9e34d49fd2e41741a9315a22be3b3f3d9",
+                      "53f88538e710c28eb8dce535a597f4c9e34d49fd2e41741a9315a22be3b3f3d9"),
     "implicit_flow": ("d1982cb7ac29e50869dab5e17904ada50c406c0fa8c5e583e59d43641cf99a99",
                       "d1982cb7ac29e50869dab5e17904ada50c406c0fa8c5e583e59d43641cf99a99"),
     "label_variables": ("241b503473c840bdb9a7212d6f3175005cefc232920ead0e4d9e12465c478c3a",
