@@ -75,6 +75,11 @@ BUILTINS: dict[str, tuple[tuple[ast.Type, ...], ast.Type]] = {
 
 LITERAL_TYPES = {ast.IntLit: ast.INT, ast.StrLit: ast.STRING, ast.BoolLit: ast.BOOLEAN}
 
+# operator -> (operand type, result type); == and != are not listed (see _binop_type)
+BINOP_TYPES = ({op: (ast.INT, ast.INT) for op in ("+", "-", "*", "/")}
+               | {op: (ast.INT, ast.BOOLEAN) for op in ("<", "<=", ">", ">=")}
+               | {op: (ast.BOOLEAN, ast.BOOLEAN) for op in ("&&", "||")})
+
 
 def _types_match(a, b) -> bool:
     return a == b or a is ERROR or b is ERROR
@@ -106,6 +111,7 @@ class ClassInfo:
         self.authority: frozenset[PrincipalId] = frozenset()
         self.fields: dict[str, ParamInfo] = {}  # in declaration order
         self.methods: dict[str, MethodInfo] = {}
+        self.valid: dict = {}  # labels and class types written here that validated clean
 
 
 # (code, source, pc, target, span, message): see decide
@@ -147,6 +153,24 @@ def substitute_type(t: ast.Type, sub: dict[str, PrincipalId]) -> ast.Type:
     return t
 
 
+class Instance:
+    """A reached instantiation of a class: its principal substitution, the
+    authority its creator must hold, and its member labels, each substituted
+    once, on first use."""
+
+    def __init__(self, cls: ClassInfo, args: tuple[PrincipalId, ...]):
+        self.cls = cls
+        self.sub = dict(zip(cls.decl.principal_params, args))
+        self.authority = {self.sub.get(p, p) for p in cls.authority}
+        self.labels: dict[Label, Label] = {}
+
+    def label(self, label: Label) -> Label:
+        out = self.labels.get(label)
+        if out is None:
+            out = self.labels[label] = substitute_label(label, self.sub)
+        return out
+
+
 class Checker:
     def __init__(self, program: ast.Program, trust: TrustConfig | None = None):
         self.program = program
@@ -155,6 +179,7 @@ class Checker:
         self.hierarchy = self._build_hierarchy()
         self.universe = self.hierarchy.universe  # a parameter is known in its class alone
         self.classes: dict[str, ClassInfo] = {}
+        self.instances: dict[ast.ClassType, Instance] = {}  # every receiver type reached
         # The body pass dispatches on the node's class, to the functions of the
         # checker's own class, so that a subclass's override is the one called.
         # (Bound methods would make each checker a reference cycle, which a run
@@ -286,6 +311,8 @@ class Checker:
         """Validate a written label; on any problem, fall back to the empty label."""
         if label is None:
             return EMPTY
+        if label in info.valid:
+            return label
         ok = True
         for node in leaves(label):
             if isinstance(node, LabelVar):
@@ -296,13 +323,16 @@ class Checker:
                 members = node.readers if isinstance(node, ConfPolicy) else node.writers
                 for p in (node.owner, *members):
                     ok = self._principal_known(info, p, span) and ok
-        return label if ok else EMPTY
+        if not ok:
+            return EMPTY
+        info.valid[label] = None
+        return label
 
     def _resolve_type(self, info: ClassInfo, t: ast.Type, span: Span, allow_void: bool) -> ast.Type:
         if t is ast.VOID and not allow_void:
             self.add("E-TYPE", span, "void is only valid as a return type")
             return ERROR
-        if not isinstance(t, ast.ClassType):
+        if not isinstance(t, ast.ClassType) or t in info.valid:
             return t
         target = self.classes.get(t.name)
         if target is None:
@@ -314,8 +344,10 @@ class Checker:
                      f"class '{t.name}' takes {want} principal argument(s), "
                      f"got {len(t.principal_args)}")
             return ERROR
-        ok = all(self._principal_known(info, p, span) for p in t.principal_args)
-        return t if ok else ERROR
+        if not all(self._principal_known(info, p, span) for p in t.principal_args):
+            return ERROR
+        info.valid[t] = None
+        return t
 
     # ------------------------------------------------------------- body pass
 
@@ -368,31 +400,33 @@ class Checker:
         if isinstance(e, ast.Var):
             if e.name in ctx.locals:
                 return (*ctx.locals[e.name], EMPTY, f"'{e.name}'")
-            cls, sub, rlabel = ctx.cls, {}, EMPTY
-            missing = f"unknown variable '{e.name}'"
-        else:
-            rtype, rlabel = self.check_expr(ctx, e.obj)
-            resolved = self._member_class(rtype, e.span)
-            if resolved is None:
-                return None, EMPTY, rlabel, ""
-            cls, sub = resolved
-            missing = f"class '{cls.decl.name}' has no field '{e.name}'"
-        fi = cls.fields.get(e.name)
-        if fi is None:
-            self.add("E-UNDEF", e.span, missing)
+            fi = ctx.cls.fields.get(e.name)
+            if fi is None:
+                self.add("E-UNDEF", e.span, f"unknown variable '{e.name}'")
+                return None, EMPTY, EMPTY, ""
+            return fi.type, fi.label, EMPTY, f"field '{e.name}'"
+        rtype, rlabel = self.check_expr(ctx, e.obj)
+        inst = self._member_class(rtype, e.span)
+        if inst is None:
             return None, EMPTY, rlabel, ""
-        return (substitute_type(fi.type, sub), substitute_label(fi.label, sub),
-                rlabel, f"field '{e.name}'")
+        fi = inst.cls.fields.get(e.name)
+        if fi is None:
+            self.add("E-UNDEF", e.span, f"class '{inst.cls.decl.name}' has no field '{e.name}'")
+            return None, EMPTY, rlabel, ""
+        return substitute_type(fi.type, inst.sub), inst.label(fi.label), rlabel, f"field '{e.name}'"
 
-    def _member_class(self, rtype, span: Span):
-        """Class info and principal substitution for a receiver type."""
+    def _member_class(self, rtype, span: Span) -> "Instance | None":
+        """The instantiation a receiver type names, resolved once per check."""
+        inst = self.instances.get(rtype)
+        if inst is not None:
+            return inst
         if rtype is ERROR:
             return None
         if not isinstance(rtype, ast.ClassType):
             self.add("E-TYPE", span, f"{rtype} is not an object type")
             return None
-        cls = self.classes[rtype.name]
-        return cls, dict(zip(cls.decl.principal_params, rtype.principal_args))
+        inst = self.instances[rtype] = Instance(self.classes[rtype.name], rtype.principal_args)
+        return inst
 
     def check_branch(self, ctx: MethodContext, s: "ast.If | ast.While") -> None:
         saved_pc, returned, records = ctx.pc, ctx.returned, len(ctx.records)
@@ -453,19 +487,18 @@ class Checker:
 
     def check_call(self, ctx: MethodContext, e: ast.Call) -> tuple[ast.Type, Label]:
         rtype, rlabel = self.check_expr(ctx, e.receiver)
-        resolved = self._member_class(rtype, e.span)
+        inst = self._member_class(rtype, e.span)
         arg_results = [self.check_expr(ctx, a) for a in e.args]
-        if resolved is None:
+        if inst is None:
             return ERROR, EMPTY
-        cls, sub = resolved
-        callee = cls.methods.get(e.method)
+        callee = inst.cls.methods.get(e.method)
         if callee is None:
             self.add("E-UNKNOWN-METHOD", e.span,
-                      f"class '{cls.decl.name}' has no method '{e.method}'")
+                      f"class '{inst.cls.decl.name}' has no method '{e.method}'")
             return ERROR, EMPTY
         # the receiver picks the object the callee runs on: it bounds its pc and taints its result
         ctx.records.append(("E-PC-CALL", join(ctx.pc, rlabel), None,
-                            substitute_label(callee.begin_label, sub), e.span,
+                            inst.label(callee.begin_label), e.span,
                             f"program counter does not flow to the begin-label of '{e.method}'"))
         if len(e.args) != len(callee.params):
             self.add("E-ARITY", e.span,
@@ -473,15 +506,15 @@ class Checker:
                      f"got {len(e.args)}")
         else:
             for arg, (atype, alabel), p in zip(e.args, arg_results, callee.params):
-                want = substitute_type(p.type, sub)
+                want = substitute_type(p.type, inst.sub)
                 if not _types_match(atype, want):
                     self.add("E-TYPE", arg.span,
                              f"argument '{p.name}' of '{e.method}' expects {want}, got {atype}")
                 ctx.records.append((
-                    "E-FLOW", join(alabel, ctx.pc), None, substitute_label(p.label, sub), arg.span,
+                    "E-FLOW", join(alabel, ctx.pc), None, inst.label(p.label), arg.span,
                     f"argument does not flow to parameter '{p.name}' of '{e.method}'"))
-        return (substitute_type(callee.return_type, sub),
-                join(rlabel, substitute_label(callee.return_label, sub)))
+        return (substitute_type(callee.return_type, inst.sub),
+                join(rlabel, inst.label(callee.return_label)))
 
     def _check_new(self, ctx: MethodContext, e: ast.New) -> tuple[ast.Type, Label]:
         arg_results = [self.check_expr(ctx, a) for a in e.args]
@@ -491,12 +524,13 @@ class Checker:
         )
         if ctype is ERROR:
             return ERROR, result_label
-        cls, sub = self._member_class(ctype, e.span)
+        inst = self._member_class(ctype, e.span)
+        cls = inst.cls
         # the instance's methods may spend the class's authority, so its creator must hold it
         ctx.records += [("authority", p, None, None, e.span,
                          f"creating a '{ctype}' needs the authority of '{p}', "
                          f"which method '{ctx.method.decl.name}' does not hold")
-                        for p in {sub.get(p, p) for p in cls.authority}]
+                        for p in inst.authority]
         # implicit constructor: one argument per field, in declaration order
         if len(e.args) != len(cls.fields):
             self.add("E-ARITY", e.span,
@@ -504,10 +538,10 @@ class Checker:
                      f"argument(s), got {len(e.args)}")
             return ctype, result_label
         for arg, (atype, alabel), fi in zip(e.args, arg_results, cls.fields.values()):
-            want = substitute_type(fi.type, sub)
+            want = substitute_type(fi.type, inst.sub)
             if not _types_match(atype, want):
                 self.add("E-TYPE", arg.span, f"field '{fi.name}' expects {want}, got {atype}")
-            ctx.records.append(("E-FLOW", alabel, ctx.pc, substitute_label(fi.label, sub),
+            ctx.records.append(("E-FLOW", alabel, ctx.pc, inst.label(fi.label),
                                 arg.span, f"field '{fi.name}'"))
         return ctype, result_label
 
@@ -555,16 +589,12 @@ class Checker:
         return ltype, label
 
     def _binop_type(self, e: ast.BinOp, ltype, rtype) -> ast.Type:
-        if e.op in ("+", "-", "*", "/"):
-            want, result = ast.INT, ast.INT
-        elif e.op in ("<", "<=", ">", ">="):
-            want, result = ast.INT, ast.BOOLEAN
-        elif e.op in ("&&", "||"):
-            want, result = ast.BOOLEAN, ast.BOOLEAN
-        else:  # == and != compare equal primitive types
+        sig = BINOP_TYPES.get(e.op)
+        if sig is None:  # == and != compare equal primitive types
             if not _types_match(ltype, rtype) or isinstance(ltype, ast.ClassType):
                 self.add("E-TYPE", e.span, f"cannot compare {ltype} and {rtype} with '{e.op}'")
             return ast.BOOLEAN
+        want, result = sig
         for side in ((ltype, e.left), (rtype, e.right)):
             if not _types_match(side[0], want):
                 self.add("E-TYPE", side[1].span,
@@ -584,6 +614,8 @@ def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
     (``E-FLOW-IMPLICIT``) when the value alone would flow.  A ``declassify``
     record relabels its source to its target: weakening a confidentiality
     policy needs the authority of its owner, and integrity must not grow.
+    A source (pc joined in) that is ``{}`` or the target itself passes every
+    test under every hierarchy, so such a record is passed unread.
     An ``authority`` record's source is a principal the method must act for.
     """
     out, held = [], hierarchy.mask(authority)
@@ -591,6 +623,11 @@ def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
         if code == "authority":
             if not held & hierarchy.actor_mask(source):
                 out.append(Diagnostic("E-AUTH-CLAIM", span, message))
+            continue
+        value = source
+        if pc is not None:
+            source = join(source, pc)
+        if source is EMPTY or source is target:
             continue
         if code == "declassify":
             failed = []
@@ -601,12 +638,11 @@ def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
             if (interpret_label(source, hierarchy).writers
                     & ~interpret_label(target, hierarchy).writers):
                 failed.append(("E-DECL-INTEG", "declassification must not strengthen integrity"))
+        elif flows_to(source, target, hierarchy):
+            continue
         elif pc is None:
-            failed = [] if flows_to(source, target, hierarchy) else [(code, message)]
+            failed = [(code, message)]
         else:
-            value, source = source, join(source, pc)
-            if flows_to(source, target, hierarchy):
-                continue
             failed = [("E-FLOW-IMPLICIT", f"implicit flow into {message}: the program counter "
                                           "label does not flow to the target label")
                       if flows_to(value, target, hierarchy)

@@ -16,6 +16,8 @@ at the loop's end: it walks a ``while`` again until a pass leaves the pc
 unchanged and keeps only the last pass's diagnostics and records.
 ``to_json_obj`` is a diagnostic as the JSON object that ``render_json``
 writes, for ``json.dumps`` to render as the reference.
+``oracle_decide`` is ``decide`` by enumeration, with every record's labels
+interpreted: no record is passed unread.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from minijif.labels import (
     Label,
     MeetNode,
     SemLabel,
+    conf_owners,
     flows_to,
     join,
+    label_to_text,
 )
 from minijif.principals import (
     BOTTOM,
@@ -127,6 +131,41 @@ def oracle_sem(label: Label, h: PrincipalHierarchy) -> tuple[frozenset, frozense
 
 def oracle_flows(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
     return SemOracle(h).flows(l1, l2)
+
+
+def oracle_decide(records: list, h: PrincipalHierarchy,
+                  authority: frozenset[PrincipalId]) -> list[Diagnostic]:
+    """``checker.decide`` over the enumerated reader and writer sets."""
+    sem = SemOracle(h)
+
+    def held(p: PrincipalId) -> bool:
+        return any(sem.geq(a, p) for a in authority)
+
+    out = []
+    for code, source, pc, target, span, message in records:
+        if code == "authority":
+            if not held(source):
+                out.append(Diagnostic("E-AUTH-CLAIM", span, message))
+            continue
+        joined = source if pc is None else join(source, pc)
+        if code == "declassify":
+            failed = [] if sem.flows(source, target) else [
+                ("E-DECL-AUTH", f"declassification requires the authority of '{owner}'")
+                for owner in conf_owners(source) if not held(owner)]
+            if sem.sem(source)[1] - sem.sem(target)[1]:
+                failed.append(("E-DECL-INTEG", "declassification must not strengthen integrity"))
+        elif sem.flows(joined, target):
+            continue
+        elif pc is None:
+            failed = [(code, message)]
+        elif sem.flows(source, target):
+            failed = [("E-FLOW-IMPLICIT", f"implicit flow into {message}: the program counter "
+                                          "label does not flow to the target label")]
+        else:
+            failed = [(code, f"value does not flow to {message}")]
+        out += [Diagnostic(c, span, m, label_to_text(joined), label_to_text(target))
+                for c, m in failed]
+    return out
 
 
 def equivalent(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:

@@ -30,6 +30,7 @@ from oracles import (
     decoded,
     equivalent,
     hierarchy_from_edges,
+    oracle_flows,
     oracle_sem,
     random_hierarchy,
     random_label,
@@ -368,6 +369,15 @@ class TestOracleEquivalence:
         pool = sorted(h.universe)
         lab = random_label(pyrng, pool)
         assert decoded(interpret_label(lab, h), h) == oracle_sem(lab, h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_empty_label_and_the_label_itself_flow_to_it(self, pyrng):
+        # the two flows checker.decide passes without interpreting a label
+        h = random_hierarchy(pyrng, max_principals=4)
+        lab = random_label(pyrng, sorted(h.universe))
+        assert flows_to(EMPTY, lab, h) is oracle_flows(EMPTY, lab, h) is True
+        assert flows_to(lab, lab, h) is oracle_flows(lab, lab, h) is True
 
     def test_hierarchy_growth_never_shrinks_policies(self):
         rng = random.Random(17)
