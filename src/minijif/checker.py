@@ -444,11 +444,17 @@ class Checker:
             self._check_block(ctx, s.body)
             # solve the loop pc (see the module docstring)
             ctx.pc = substitute_label(ctx.pc, {var: join(saved_pc, clabel)})
-            sub = {var: ctx.pc}
-            ctx.records[records:] = [
-                (code, *[substitute_label(x, sub) if var in _flatten(x, JoinNode) else x
-                         for x in parts], span, message)
-                for code, *parts, span, message in ctx.records[records:]]
+            sub, solved = {var: ctx.pc}, {var: ctx.pc}  # each distinct record part, solved once
+
+            def solve(x):
+                out = solved.get(x)
+                if out is None:
+                    mentions_var = var in _flatten(x, JoinNode)
+                    out = solved[x] = substitute_label(x, sub) if mentions_var else x
+                return out
+
+            ctx.records[records:] = [(code, *map(solve, parts), span, message)
+                                     for code, *parts, span, message in ctx.records[records:]]
         # a body that may return keeps the raised pc (see the module docstring)
         if not ctx.returned:
             ctx.pc = saved_pc

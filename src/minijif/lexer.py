@@ -40,7 +40,8 @@ _ESCAPE = re.compile(r"\\(.)")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 MAX_INT_DIGITS = 4300  # int() refuses longer digit strings on CPython 3.10.7 and later
 _new = tuple.__new__  # builds a span from its five fields
-_KINDS = {word: word for word in (*KEYWORDS, *SYMBOLS)}  # any other word is an IDENT
+# a keyword or symbol's (kind, text): its kind is its text, one string for both
+_WORDS = {word: (word, word) for word in (*KEYWORDS, *SYMBOLS)}
 
 
 class LexError(Exception):
@@ -52,7 +53,9 @@ class LexError(Exception):
 
 class Tokens:
     """Tokens as parallel lists, EOF last: token ``i`` is a ``kinds[i]`` with source
-    text ``texts[i]`` from ``(lines[i], cols[i])`` to ``(lines[i], cols[i] + len(texts[i]))``."""
+    text ``texts[i]`` from ``(lines[i], cols[i])`` to ``(lines[i], cols[i] + len(texts[i]))``.
+    A keyword or symbol's text is its kind string, and equal identifiers share one
+    string, so the names that labels and the AST keep are one object per distinct name."""
 
     __slots__ = ("kinds", "texts", "lines", "cols", "file")
 
@@ -75,17 +78,21 @@ def unescape(text: str) -> str:
 def tokenize(source: str, file: str = "<string>") -> Tokens:
     tokens = Tokens([], [], [], [], file)
     kinds, texts, lines, cols = tokens.kinds, tokens.texts, tokens.lines, tokens.cols
+    words = _WORDS.copy()  # and each identifier of this source, as ("IDENT", its first text)
     line, base = 1, -1  # a column is an index minus base, the index before the line
     for m in _TOKEN.finditer(source):  # back to back: only trailing blanks match nothing
         text = m[1]
-        kind = _KINDS.get(text)
-        if kind is None:
+        word = words.get(text)
+        if word is not None:
+            kind, text = word
+        else:
             first = text[0]
             if first == "\n":
                 line, base = line + 1, m.end() - 1
                 continue
             if first in _LETTERS:
                 kind = "IDENT"
+                words[text] = (kind, text)
             elif "0" <= first <= "9":
                 if len(text) > MAX_INT_DIGITS:
                     start = m.start(1) - base

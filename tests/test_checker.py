@@ -919,17 +919,20 @@ def test_flows_are_decided_only_in_decide():
     assert set(owners(tree, None)) == {"decide"}
 
 
-def instantiation_substitutions(monkeypatch) -> list:
-    """Each call of ``checker.substitute_label`` with an instantiation's
-    substitution, and not from within another call, from here on, as
-    (identity of the substitution, label)."""
+def substitutions(monkeypatch, *, loops: bool) -> list:
+    """Each call of ``checker.substitute_label`` from here on, and not from
+    within another call: with ``loops``, those that solve a loop's pc, as (the
+    loop's pc variable, label); otherwise those with an instantiation's
+    substitution, as (identity of the substitution, label)."""
     made, depth = [], 0
     substitute = checker_module.substitute_label
 
     def counting(label, sub):
         nonlocal depth
-        if depth == 0 and not any(isinstance(k, LabelVar) for k in sub):  # not a loop's pc
-            made.append((id(sub), label))
+        if depth == 0:
+            pc = [k for k in sub if isinstance(k, LabelVar)]
+            if bool(pc) == loops:
+                made.append((pc[0] if loops else id(sub), label))
         depth += 1
         try:
             return substitute(label, sub)
@@ -941,7 +944,7 @@ def instantiation_substitutions(monkeypatch) -> list:
 
 
 def test_each_instantiation_substitutes_each_member_label_once(monkeypatch):
-    made = instantiation_substitutions(monkeypatch)
+    made = substitutions(monkeypatch, loops=False)
     checker = Checker(parse_program(bench_gen().generate("large_source", 1)[0]))
     assert checker.run() == []
     # C0-C9 at their own parameter O and at P0-P3, but for C8[P1]: no
@@ -953,7 +956,7 @@ def test_each_instantiation_substitutes_each_member_label_once(monkeypatch):
 
 
 def test_more_call_sites_on_the_same_instantiations_substitute_no_more(monkeypatch):
-    made = instantiation_substitutions(monkeypatch)
+    made = substitutions(monkeypatch, loops=False)
     box = ("class Box[principal P] {\n    int{P->*} f;\n"
            "    int{P->*} get{}(int{} x) {\n        return f;\n    }\n}\n")
     counts = []
@@ -963,6 +966,27 @@ def test_more_call_sites_on_the_same_instantiations_substitute_no_more(monkeypat
                        for i in range(sites) for p in ("Alice", "Bob"))
         del made[:]
         assert check_program(parse_program(wrap(body, "principal Alice;\nprincipal Bob;\n" + box))) == []
+        counts.append(len(made))
+    assert counts[0] == counts[1] > 0
+
+
+def test_each_loop_substitutes_each_label_once(monkeypatch):
+    made = substitutions(monkeypatch, loops=True)
+    checker = Checker(parse_program(bench_gen().generate("large_source", 1)[0]))
+    assert checker.run() == []
+    # 250 loops, each solved once: every record part that mentions a loop's pc
+    # is that pc variable, whose solution the solve gives
+    assert len(made) == len(set(made)) == 250
+
+
+def test_more_statements_in_a_loop_substitute_no_more(monkeypatch):
+    made = substitutions(monkeypatch, loops=True)
+    counts = []
+    for statements in (3, 6):
+        body = ("int{Alice->*} s = 1;\nint{Alice->*} y = 0;\nwhile (s > 0) {\n"
+                + "y = y + 1;\n" * statements + "}\n")
+        del made[:]
+        assert check_program(parse_program(wrap(body))) == []
         counts.append(len(made))
     assert counts[0] == counts[1] > 0
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from minijif.labels import ConfPolicy, EMPTY, IntegPolicy, JoinNode, LabelVar, MeetNode
 from minijif import parser
-from minijif.lexer import KEYWORDS, LexError, tokenize
+from minijif.lexer import KEYWORDS, SYMBOLS, LexError, tokenize
 from minijif.parser import ParseError, parse_label, parse_program
 from minijif.principals import BOTTOM, TOP
 from minijif.span import Record, Span
@@ -217,6 +217,37 @@ def test_parse_program_tokenizes_once(monkeypatch):
     monkeypatch.setattr(parser, "tokenize", counting)
     parse_program(_source("large_source"))
     assert [len(tokens) for tokens in results] == [51_803]
+
+
+def label_principals(node) -> list:
+    """The owner and listed principals of each distinct policy in the labels
+    under an AST node."""
+    policies, stack = {}, [node]
+    while stack:
+        match stack.pop():
+            case ConfPolicy(owner, listed) | IntegPolicy(owner, listed) as policy:
+                policies[policy] = (owner, *listed)
+            case JoinNode(left, right) | MeetNode(left, right):
+                stack += left, right
+            case tuple() | list() as children:
+                stack.extend(children)
+    return [p for names in policies.values() for p in names]
+
+
+@pytest.mark.parametrize("name", PARSE_INPUTS)
+def test_equal_names_are_one_string(name):
+    # a keyword or symbol's text is its kind, and equal identifiers are one
+    # object, so labels and the AST keep one string per distinct name
+    tokens = tokenize(_source(name))
+    words = KEYWORDS.union(SYMBOLS)
+    assert all(text is kind for kind, text in zip(tokens.kinds, tokens.texts) if kind in words)
+    idents = [text for kind, text in zip(tokens.kinds, tokens.texts) if kind == "IDENT"]
+    assert len({id(text) for text in idents}) == len(set(idents))
+    if name == "wide_principals":  # counts: occurrences, distinct names, string objects
+        assert (len(idents), len(set(idents))) == (13_403, 2_149)
+        principals = label_principals(parse_program(_source(name)))
+        objects = len({id(p) for p in principals})
+        assert (len(principals), len(set(principals)), objects) == (10_000, 128, 128)
 
 
 class TestParseLabel:
