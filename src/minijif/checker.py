@@ -111,7 +111,8 @@ class ClassInfo:
         self.authority: frozenset[PrincipalId] = frozenset()
         self.fields: dict[str, ParamInfo] = {}  # in declaration order
         self.methods: dict[str, MethodInfo] = {}
-        self.valid: dict = {}  # labels and class types written here that validated clean
+        # the value types, and the labels and class types written here that validated clean
+        self.valid: dict = dict.fromkeys((ast.INT, ast.BOOLEAN, ast.STRING))
 
 
 # (code, source, pc, target, span, message): see decide
@@ -322,7 +323,7 @@ class Checker:
             else:
                 members = node.readers if isinstance(node, ConfPolicy) else node.writers
                 for p in (node.owner, *members):
-                    ok = self._principal_known(info, p, span) and ok
+                    ok = (p in self.universe or self._principal_known(info, p, span)) and ok
         if not ok:
             return EMPTY
         info.valid[label] = None
@@ -361,7 +362,9 @@ class Checker:
         self.check_expr(ctx, s.expr)
 
     def _check_var_decl(self, ctx: MethodContext, s: ast.VarDecl) -> None:
-        typ = self._resolve_type(ctx.cls, s.type, s.span, allow_void=False)
+        typ, valid = s.type, ctx.cls.valid
+        if typ not in valid:
+            typ = self._resolve_type(ctx.cls, typ, s.span, allow_void=False)
         if s.name in ctx.locals:
             self.add("E-TYPE", s.span, f"duplicate local '{s.name}'")
             return
@@ -372,7 +375,9 @@ class Checker:
                 self.add("E-TYPE", s.span,
                          f"cannot initialize {typ} '{s.name}' with a {itype} value")
         if s.label is not None:
-            label = self._resolve_label(ctx.cls, s.label, s.span)
+            label = s.label
+            if label not in valid:
+                label = self._resolve_label(ctx.cls, label, s.span)
             if s.init is not None:
                 ctx.records.append(("E-FLOW", init_label, ctx.pc, label, s.span,
                                     f"initializer of '{s.name}'"))
@@ -442,9 +447,11 @@ class Checker:
                 self._check_block(ctx, s.orelse)
         else:
             self._check_block(ctx, s.body)
-            # solve the loop pc (see the module docstring)
-            ctx.pc = substitute_label(ctx.pc, {var: join(saved_pc, clabel)})
-            sub, solved = {var: ctx.pc}, {var: ctx.pc}  # each distinct record part, solved once
+            # solve the loop pc (see the module docstring); the end pc, joined
+            # onto the variable, solves to the same label, so it is not solved again
+            end_pc, ctx.pc = ctx.pc, substitute_label(ctx.pc, {var: join(saved_pc, clabel)})
+            sub = {var: ctx.pc}
+            solved = {var: ctx.pc, end_pc: ctx.pc}  # each distinct record part, solved once
 
             def solve(x):
                 out = solved.get(x)
@@ -488,6 +495,10 @@ class Checker:
         return LITERAL_TYPES[type(e)], EMPTY
 
     def _check_access(self, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
+        if type(e) is ast.Var:
+            local = ctx.locals.get(e.name)
+            if local is not None:
+                return local  # (type, label)
         t, label, receiver, _ = self._lookup(ctx, e)
         return (ERROR if t is None else t), join(receiver, label)
 
@@ -601,6 +612,8 @@ class Checker:
                 self.add("E-TYPE", e.span, f"cannot compare {ltype} and {rtype} with '{e.op}'")
             return ast.BOOLEAN
         want, result = sig
+        if ltype is want and rtype is want:
+            return result
         for side in ((ltype, e.left), (rtype, e.right)):
             if not _types_match(side[0], want):
                 self.add("E-TYPE", side[1].span,

@@ -1,6 +1,12 @@
 """Recursive-descent parser for MiniJif programs and label syntax.
 
 The first error aborts the parse; its span always points into the source.
+
+The common constructs are each read in one frame, straight from the token
+lists: a label's policies, a name or literal operand, a block, a statement
+header and a declaration.  A label shape that its one loop does not take (a
+``meet``, a parenthesized group, a label variable, an error) is read again
+from its first token by the general methods, which alone raise its errors.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ class ParseError(Exception):
 
 
 _TYPE_KEYWORDS = {"int": ast.INT, "boolean": ast.BOOLEAN, "String": ast.STRING, "void": ast.VOID}
+_PRINCIPALS = ("IDENT", "*", "_")  # the kinds of token that name a principal
+_POLICIES = {"->": ConfPolicy, "<-": IntegPolicy}
+# the tokens of an operand that expr builds itself: the node class of each
+_OPERANDS = {"IDENT": ast.Var, "INT": ast.IntLit, "STRING": ast.StrLit,
+             "true": ast.BoolLit, "false": ast.BoolLit}
 
 # Blocks, parentheses, argument lists, `else if` arms, `.` member chains and
 # a label's `meet` operands each nest the tree one level deeper; the parser
@@ -68,7 +79,7 @@ class _Parser:
         """Take the next token, which must be one of ``kinds``; returns its index."""
         pos = self.pos
         if self.kinds[pos] not in kinds:
-            raise ParseError(self.tokens.span(pos), kinds, self.kinds[pos])
+            raise self.fail(pos, *kinds)
         self.pos = pos + 1
         return pos
 
@@ -87,8 +98,9 @@ class _Parser:
         return _new(Span, (self.file, span[1], span[2],
                            self.lines[j], self.cols[j] + len(self.texts[j])))
 
-    def fail(self, *expected: str) -> ParseError:
-        return ParseError(self.tokens.span(self.pos), expected, self.kinds[self.pos])
+    def fail(self, pos: int, *expected: str) -> ParseError:
+        """The error of finding token ``pos`` where one of ``expected`` must be."""
+        return ParseError(self.tokens.span(pos), expected, self.kinds[pos])
 
     def nest(self, i: int) -> int:
         """Count one more level of nesting, opened by token ``i``; returns ``i``."""
@@ -101,37 +113,75 @@ class _Parser:
     # ------------------------------------------------------------ principals
 
     def principal(self) -> PrincipalId:
-        return self.texts[self.expect("IDENT", "*", "_")]
+        return self.texts[self.expect(*_PRINCIPALS)]
 
-    def principal_list(self) -> tuple[PrincipalId, ...]:
-        out = [self.principal()]
-        while self.accept(","):
-            out.append(self.principal())
+    def principal_list(self, closer: "str | None" = None) -> tuple[PrincipalId, ...]:
+        """principal ("," principal)*, and then ``closer`` if one is given, read in this frame."""
+        kinds, texts = self.kinds, self.texts
+        pos, out = self.pos, []
+        while True:
+            if kinds[pos] not in _PRINCIPALS:
+                raise self.fail(pos, *_PRINCIPALS)
+            out.append(texts[pos])
+            if kinds[pos + 1] != ",":
+                break
+            pos += 2
+        pos += 1
+        if closer is not None:
+            if kinds[pos] != closer:
+                raise self.fail(pos, closer)
+            pos += 1
+        self.pos = pos
         return tuple(out)
 
     def authority(self) -> tuple[PrincipalId, ...]:
         self.expect("authority")
         self.expect("(")
-        authority = self.principal_list()
-        self.expect(")")
-        return authority
+        return self.principal_list(")")
 
     # ---------------------------------------------------------------- labels
 
-    def label(self) -> Label:
-        self.expect("{")
-        lab = EMPTY if self.at("}") else self.label_components()
-        self.expect("}")
+    def label(self, opener: str = "{", closer: str = "}") -> Label:
+        """``{`` components ``}``, or a parenthesized group of them.  A
+        component that is one policy, ended by ``;`` or the closer, is read
+        in this frame; any other is read again from its first token by
+        ``label_component``."""
+        kinds, texts = self.kinds, self.texts
+        pos = self.pos
+        if kinds[pos] != opener:
+            raise self.fail(pos, opener)
+        pos += 1
+        if kinds[pos] == closer:
+            self.pos = pos + 1
+            return EMPTY
+        lab = None
+        while True:
+            start = pos
+            # a token that is not EOF has a next one: each lookahead is guarded
+            policy = _POLICIES.get(kinds[pos + 1]) if kinds[pos] in _PRINCIPALS else None
+            if policy is not None and kinds[pos + 2] in _PRINCIPALS:
+                members = [texts[pos + 2]]
+                pos += 3
+                while kinds[pos] == "," and kinds[pos + 1] in _PRINCIPALS:
+                    members.append(texts[pos + 1])
+                    pos += 2
+            if policy is None or kinds[pos] != ";" and kinds[pos] != closer:
+                self.pos = start
+                component = self.label_component()
+                pos = self.pos
+            else:
+                component = policy(texts[start], tuple(members))
+            lab = component if lab is None else join(lab, component)
+            if kinds[pos] != ";":
+                break
+            pos += 1
+        if kinds[pos] != closer:
+            raise self.fail(pos, closer)
+        self.pos = pos + 1
         return lab
 
     def optional_label(self) -> "Label | None":
-        return self.label() if self.at("{") else None
-
-    def label_components(self) -> Label:
-        lab = self.label_component()
-        while self.accept(";"):
-            lab = join(lab, self.label_component())
-        return lab
+        return self.label() if self.kinds[self.pos] == "{" else None
 
     def label_component(self) -> Label:
         depth = self.depth
@@ -145,51 +195,69 @@ class _Parser:
     def label_term(self) -> Label:
         # parenthesized group (pretty-printer output for joins under a meet)
         if self.at("("):
-            self.nest(self.advance())
-            lab = EMPTY if self.at(")") else self.label_components()
+            self.nest(self.pos)
+            lab = self.label("(", ")")
             self.depth -= 1
-            self.expect(")")
             return lab
-        if self.at("IDENT") and not self.kinds[self.pos + 1] in ("->", "<-"):
+        if self.at("IDENT") and not self.kinds[self.pos + 1] in _POLICIES:
             return LabelVar(self.texts[self.advance()])
         owner = self.principal()
-        if self.kinds[self.expect("->", "<-")] == "->":
-            return ConfPolicy(owner, self.principal_list())
-        return IntegPolicy(owner, self.principal_list())
+        policy = _POLICIES[self.kinds[self.expect(*_POLICIES)]]
+        return policy(owner, self.principal_list())
 
     # ----------------------------------------------------------------- types
 
-    def type(self) -> tuple[ast.Type, int]:
-        """A type and the index of its first token."""
-        start = self.pos
-        kind = self.kinds[start]
+    def type(self) -> ast.Type:
+        pos = self.pos
+        kind = self.kinds[pos]
         if kind in _TYPE_KEYWORDS:
-            self.pos += 1
-            return _TYPE_KEYWORDS[kind], start
-        if kind == "IDENT":
-            name = self.texts[self.advance()]
-            args: tuple[PrincipalId, ...] = ()
-            if self.accept("["):
-                args = self.principal_list()
-                self.expect("]")
-            return ast.ClassType(name, args), start
-        raise self.fail("a type")
+            self.pos = pos + 1
+            return _TYPE_KEYWORDS[kind]
+        if kind != "IDENT":
+            raise self.fail(pos, "a type")
+        args: tuple[PrincipalId, ...] = ()
+        if self.kinds[pos + 1] == "[":
+            self.pos = pos + 2
+            args = self.principal_list("]")
+        else:
+            self.pos = pos + 1
+        return ast.ClassType(self.texts[pos], args)
 
     # ----------------------------------------------------------- expressions
 
-    def expr(self, min_prec: int = 1) -> ast.Expr:
-        """Precedence climbing: operators binding at least ``min_prec``, to the left."""
-        left = self.postfix()
-        while (prec := ast.BINARY_PRECEDENCE.get(op := self.kinds[self.pos], 0)) >= min_prec:
+    def expr(self) -> ast.Expr:
+        """Operator precedence, every operator to the left, in this one frame: an
+        operand waits on ``pending`` until an operator binding no tighter follows it.
+        A name or literal operand is built, with its span, here too."""
+        kinds, file = self.kinds, self.file
+        pending: list[tuple[ast.Expr, str, int]] = []  # (left operand, operator, its precedence)
+        while True:
+            pos = self.pos
+            kind = kinds[pos]
+            node = _OPERANDS.get(kind)
+            if node is None or kind == "IDENT" and kinds[pos + 1] == "(":
+                e = self.primary()
+            else:
+                text, line, col = self.texts[pos], self.lines[pos], self.cols[pos]
+                value = (text if kind == "IDENT" else int(text) if kind == "INT"
+                         else unescape(text) if kind == "STRING" else kind == "true")
+                e = _new(node, (value, _new(Span, (file, line, col, line, col + len(text)))))
+                self.pos = pos + 1
+            if kinds[self.pos] == ".":
+                e = self.postfix(e)
+            prec = ast.BINARY_PRECEDENCE.get(op := kinds[self.pos], 0)
+            while pending and pending[-1][2] >= prec:
+                left, left_op, _ = pending.pop()
+                ls, rs = left.span, e.span
+                e = _new(ast.BinOp, (left_op, left, e,
+                                     _new(Span, (file, ls[1], ls[2], rs[3], rs[4]))))
+            if not prec:
+                return e
+            pending.append((e, op, prec))
             self.pos += 1
-            right = self.expr(prec + 1)
-            ls, rs = left.span, right.span
-            left = _new(ast.BinOp, (op, left, right,
-                                    _new(Span, (self.file, ls[1], ls[2], rs[3], rs[4]))))
-        return left
 
-    def postfix(self) -> ast.Expr:
-        e = self.primary()
+    def postfix(self, e: ast.Expr) -> ast.Expr:
+        """The ``.`` chain of field reads and calls on ``e``."""
         depth = self.depth
         while self.kinds[self.pos] == ".":
             self.nest(self.advance())
@@ -204,28 +272,22 @@ class _Parser:
     def call_args(self) -> tuple[ast.Expr, ...]:
         self.nest(self.expect("("))
         args: list[ast.Expr] = []
-        if not self.at(")"):
+        if self.kinds[self.pos] != ")":
             args.append(self.expr())
-            while self.accept(","):
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 args.append(self.expr())
         self.depth -= 1
         self.expect(")")
         return tuple(args)
 
     def primary(self) -> ast.Expr:
+        """An operand that is not a name or a literal (expr builds those)."""
         pos = self.pos
         kind = self.kinds[pos]
         self.pos = pos + 1  # each kind of expression starts with a token of its own
-        if kind == "IDENT":
-            if self.kinds[pos + 1] == "(":
-                return _new(ast.Builtin, (self.texts[pos], self.call_args(), self.span_from(pos)))
-            return _new(ast.Var, (self.texts[pos], self.tokens.span(pos)))
-        if kind == "INT":
-            return _new(ast.IntLit, (int(self.texts[pos]), self.tokens.span(pos)))
-        if kind == "STRING":
-            return _new(ast.StrLit, (unescape(self.texts[pos]), self.tokens.span(pos)))
-        if kind in ("true", "false"):
-            return _new(ast.BoolLit, (kind == "true", self.tokens.span(pos)))
+        if kind == "IDENT":  # followed by `(`
+            return _new(ast.Builtin, (self.texts[pos], self.call_args(), self.span_from(pos)))
         if kind == "(":
             self.nest(pos)
             e = self.expr()
@@ -236,8 +298,7 @@ class _Parser:
             name = self.name()
             pargs: tuple[PrincipalId, ...] = ()
             if self.accept("["):
-                pargs = self.principal_list()
-                self.expect("]")
+                pargs = self.principal_list("]")
             args = self.call_args()
             return _new(ast.New, (name, pargs, args, self.span_from(pos)))
         if kind == "declassify":
@@ -250,58 +311,80 @@ class _Parser:
             self.depth -= 1
             self.expect(")")
             return _new(ast.Declassify, (e, from_label, to_label, self.span_from(pos)))
-        raise ParseError(self.tokens.span(pos), ("an expression",), kind)
+        raise self.fail(pos, "an expression")
 
     # ------------------------------------------------------------ statements
 
     def block(self) -> ast.Block:
-        start = self.nest(self.expect("{"))
+        kinds = self.kinds
+        start = self.pos
+        if kinds[start] != "{":
+            raise self.fail(start, "{")
+        self.nest(start)
+        self.pos = start + 1
         stmts: list[ast.Stmt] = []
-        while not self.at("}", "EOF"):
+        while (kind := kinds[self.pos]) != "}" and kind != "EOF":
             stmts.append(self.stmt())
+        end = self.pos
+        if kind != "}":
+            raise self.fail(end, "}")
         self.depth -= 1
-        self.expect("}")
-        return _new(ast.Block, (tuple(stmts), self.span_from(start)))
+        self.pos = end + 1
+        return _new(ast.Block, (tuple(stmts), _new(Span, (
+            self.file, self.lines[start], self.cols[start], self.lines[end], self.cols[end] + 1))))
 
     def stmt(self) -> ast.Stmt:
-        kind = self.kinds[self.pos]
+        kinds = self.kinds
+        start = self.pos
+        kind = kinds[start]
         if kind == "if":
             return self.if_stmt()
         if kind == "while":
-            start = self.advance()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
+            cond = self.condition()
             body = self.block()
             return _new(ast.While, (cond, body, self.span_from(start)))
-        if kind == "return":
-            start = self.advance()
-            value = None if self.at(";") else self.expr()
-            self.expect(";")
-            return _new(ast.Return, (value, self.span_from(start)))
-        if kind in _TYPE_KEYWORDS or (
-            kind == "IDENT" and self.kinds[self.pos + 1] in ("IDENT", "[", "{")
-        ):
+        if kind in _TYPE_KEYWORDS or kind == "IDENT" and kinds[start + 1] in ("IDENT", "[", "{"):
             return self.var_decl()
-        e = self.expr()
-        if self.accept("="):
-            value = self.expr()
-            self.expect(";")
-            if not isinstance(e, (ast.Var, ast.FieldAccess)):
-                raise ParseError(e.span, ("a variable or field",), "expression")
-            return _new(ast.Assign, (e, value, self.span_after(e.span)))
-        self.expect(";")
-        return _new(ast.ExprStmt, (e, self.span_after(e.span)))
+        assign = False
+        if kind == "return":
+            self.pos = start + 1
+            value = None if kinds[start + 1] == ";" else self.expr()
+            line, col = self.lines[start], self.cols[start]
+        else:
+            e = value = self.expr()
+            line, col = e.span[1], e.span[2]
+            if kinds[self.pos] == "=":
+                self.pos += 1
+                assign, value = True, self.expr()
+        end = self.pos
+        if kinds[end] != ";":
+            raise self.fail(end, ";")
+        self.pos = end + 1
+        span = _new(Span, (self.file, line, col, self.lines[end], self.cols[end] + 1))
+        if kind == "return":
+            return _new(ast.Return, (value, span))
+        if not assign:
+            return _new(ast.ExprStmt, (e, span))
+        if not isinstance(e, (ast.Var, ast.FieldAccess)):
+            raise ParseError(e.span, ("a variable or field",), "expression")
+        return _new(ast.Assign, (e, value, span))
 
-    def if_stmt(self) -> ast.If:
-        start = self.expect("if")
+    def condition(self) -> ast.Expr:
+        """``(`` expr ``)`` after the ``if`` or ``while`` that the caller has seen."""
+        self.pos += 1
         self.expect("(")
         cond = self.expr()
         self.expect(")")
+        return cond
+
+    def if_stmt(self) -> ast.If:
+        start = self.pos
+        cond = self.condition()
         then = self.block()
         orelse = None
-        if self.accept("else"):
-            if self.at("if"):
+        if self.kinds[self.pos] == "else":
+            self.pos += 1
+            if self.kinds[self.pos] == "if":
                 self.nest(self.pos)
                 nested = self.if_stmt()
                 self.depth -= 1
@@ -311,12 +394,23 @@ class _Parser:
         return _new(ast.If, (cond, then, orelse, self.span_from(start)))
 
     def var_decl(self) -> ast.VarDecl:
-        typ, start = self.type()
-        label = self.optional_label()
-        name = self.name()
-        init = self.expr() if self.accept("=") else None
-        self.expect(";")
-        return _new(ast.VarDecl, (typ, label, name, init, self.span_from(start)))
+        kinds = self.kinds
+        start = self.pos
+        typ = self.type()
+        label = self.label() if kinds[self.pos] == "{" else None
+        pos = self.pos
+        if kinds[pos] != "IDENT":
+            raise self.fail(pos, "IDENT")
+        name, init, end = self.texts[pos], None, pos + 1
+        if kinds[end] == "=":
+            self.pos = end + 1
+            init = self.expr()
+            end = self.pos
+        if kinds[end] != ";":
+            raise self.fail(end, ";")
+        self.pos = end + 1
+        return _new(ast.VarDecl, (typ, label, name, init, _new(Span, (
+            self.file, self.lines[start], self.cols[start], self.lines[end], self.cols[end] + 1))))
 
     # ---------------------------------------------------------- declarations
 
@@ -343,7 +437,7 @@ class _Parser:
             return _new(ast.ActsForDecl, (sup, inf, self.span_from(start)))
         if kind == "class":
             return self.class_decl()
-        raise self.fail("principal", "actsfor", "class")
+        raise self.fail(self.pos, "principal", "actsfor", "class")
 
     def class_decl(self) -> ast.ClassDecl:
         start = self.expect("class")
@@ -377,7 +471,8 @@ class _Parser:
         ))
 
     def member(self) -> "ast.FieldDecl | ast.MethodDecl":
-        typ, start = self.type()
+        start = self.pos
+        typ = self.type()
         label = self.optional_label()
         name = self.name()
         if self.accept(";"):
@@ -387,7 +482,8 @@ class _Parser:
         params: list[ast.Param] = []
         if not self.at(")"):
             while True:
-                ptyp, pstart = self.type()
+                pstart = self.pos
+                ptyp = self.type()
                 plabel = self.optional_label()
                 pname = self.name()
                 params.append(_new(ast.Param, (ptyp, plabel, pname, self.span_from(pstart))))

@@ -988,7 +988,9 @@ def test_more_statements_in_a_loop_substitute_no_more(monkeypatch):
         del made[:]
         assert check_program(parse_program(wrap(body))) == []
         counts.append(len(made))
-    assert counts[0] == counts[1] > 0
+    # the solve itself: every record in the body carries the end pc, which
+    # solves to the solved pc without another substitution
+    assert counts == [1, 1]
 
 
 def count_walks(monkeypatch, src: str) -> int:

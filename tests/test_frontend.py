@@ -173,6 +173,38 @@ class TestLexerOracle:
         assert digest.hexdigest() == MUTANTS_SHA256
 
 
+# sha256 of parse_outcome's repr over every corpus file cut after each of its
+# tokens, file by file and cut by cut, as the parser gave it before each common
+# construct took one frame.  Update it only together with a CHANGES.md line
+# that says why the outcome of a parse changed.
+TRUNCATIONS_SHA256 = "0c63520a28c9c7188653e1f6c2c6f2ad02f9895babbca178f01d554ca8f4edea"
+
+
+def truncations() -> list[str]:
+    """Each corpus file, cut after each of its tokens."""
+    out = []
+    for path in corpus_files():
+        source = path.read_text()
+        starts = [0]  # the index of each line's first character
+        for line in source.split("\n"):
+            starts.append(starts[-1] + len(line) + 1)
+        tokens = tokenize(source)
+        for line, col, text in zip(tokens.lines[:-1], tokens.cols[:-1], tokens.texts[:-1]):
+            out.append(source[:starts[line - 1] + col - 1 + len(text)])
+    return out
+
+
+def test_sources_that_end_mid_construct_parse_as_pinned():
+    # a lookahead past EOF would raise IndexError here, which parse_outcome
+    # does not catch; each cut that ends a declaration parses clean
+    digest = hashlib.sha256()
+    cuts = truncations()
+    for source in cuts:
+        digest.update(repr(parse_outcome(source)).encode())
+    assert len(cuts) == 2_201
+    assert digest.hexdigest() == TRUNCATIONS_SHA256
+
+
 PARSE_INPUTS = [*(path.name for path in corpus_files()),
                 "wide_principals", "deep_nesting", "large_source"]
 

@@ -10,14 +10,18 @@ Update a digest only together with a CHANGES.md line that says why the output
 changed.
 """
 
+import gc
 import hashlib
 import json
+import sys
 
 import pytest
 
+from minijif import checker as checker_module
+from minijif.checker import check_program
 from minijif.cli import main
 from minijif.labels import label_to_text
-from minijif.parser import parse_label
+from minijif.parser import parse_label, parse_program
 from conftest import bench_gen, corpus_files
 
 gen = bench_gen()
@@ -116,3 +120,60 @@ def test_corpus_output_is_pinned(path, capsys):
         assert err == ""
         digests.append(_digest(out, path))
     assert tuple(digests) == CORPUS_SHA256[path.stem]
+
+
+# Per workload at seed 1, as the parser and the body walk made them before each
+# common construct (a label, an operand, a local read, a statement) took one
+# Python frame: the Python-level calls of parsing it, of checking it, and the
+# calls of `checker.join` in checking it.
+CALLS_BEFORE = {
+    "deep_nesting": (34_991, 26_724, 5_864),
+    "large_source": (149_469, 83_365, 18_000),
+    "wide_principals": (92_705, 49_774, 3_000),
+}
+
+
+def python_calls(fn, *args) -> int:
+    """The Python-level calls that ``fn(*args)`` makes: ``sys.setprofile``'s
+    "call" events, with the cyclic collector off, so that no collection runs
+    finalizers in between."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return calls
+
+
+@pytest.mark.parametrize("workload", sorted(CALLS_BEFORE))
+def test_parse_and_check_make_fewer_python_calls(workload, monkeypatch):
+    # counters, not timings: upper bounds that hold on every Python version
+    # the package supports, however fast the host is
+    source = gen.generate(workload, 1)[0]
+    parse_before, check_before, joins_before = CALLS_BEFORE[workload]
+    # the same tokens either way: half the calls is half the calls per token
+    assert python_calls(parse_program, source) <= parse_before / 2
+    program = parse_program(source)
+    assert python_calls(check_program, program) < check_before
+    joins = 0
+    join = checker_module.join
+
+    def counting(*args):
+        nonlocal joins
+        joins += 1
+        return join(*args)
+
+    monkeypatch.setattr(checker_module, "join", counting)
+    check_program(program)
+    assert joins < joins_before
