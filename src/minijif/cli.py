@@ -6,12 +6,11 @@ corpus mismatches, 2 usage, IO, or parse-level failure, or an internal error.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import os
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .checker import TrustConfig, check_program
 from .diagnostics import Diagnostic, render_human, render_json
@@ -44,7 +43,7 @@ def _print(text: str, file=None) -> None:
         raise _OutputError from exc
 
 
-def _write_message(parser: argparse.ArgumentParser, message: str, file=None) -> None:
+def _write_message(parser, message: str, file=None) -> None:
     """argparse's ``_print_message``, except that a failed write raises: argparse
     ignores it, so ``--help`` would exit 0 without its text."""
     file = file or sys.stderr
@@ -52,22 +51,23 @@ def _write_message(parser: argparse.ArgumentParser, message: str, file=None) -> 
         file.write(message)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    _print_message = _write_message  # subparsers are of this class too
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _load_hierarchy(path: "str | None") -> PrincipalHierarchy:
     if path is None:
         return PrincipalHierarchy()
     try:
-        return parse_hierarchy(Path(path).read_text(encoding="utf-8"))
+        return parse_hierarchy(_read_text(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read hierarchy file: {exc}") from exc
     except HierarchyParseError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args) -> int:
     if args.max_errors is not None and args.max_errors < 0:
         raise _UsageError(f"--max-errors must be non-negative, got {args.max_errors}")
     trust = TrustConfig(
@@ -80,7 +80,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     failed = False
     for path in sorted(args.files):
         try:
-            program = parse_program(Path(path).read_text(encoding="utf-8"), file=path)
+            program = parse_program(_read_text(path), file=path)
         except (OSError, UnicodeDecodeError, LexError, ParseError) as exc:
             _print(f"error: {exc}", file=sys.stderr)
             failed = True
@@ -102,7 +102,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if diagnostics else 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
+def cmd_query(args) -> int:
     h = _load_hierarchy(args.hierarchy)
     try:
         if args.subcommand == "actsfor":
@@ -125,7 +125,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_expectations(path: Path) -> list[tuple[str, int]]:
+def _read_expectations(path) -> list[tuple[str, int]]:
     """Sidecar lines of ``<code> <line>``; a missing sidecar means clean."""
     if not path.exists():
         return []
@@ -141,7 +141,9 @@ def _read_expectations(path: Path) -> list[tuple[str, int]]:
     return sorted(expected)
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args) -> int:
+    from pathlib import Path  # here, so that a check does not import it
+
     root = Path(args.dir)
     if not root.is_dir():
         raise _UsageError(f"not a directory: {root}")
@@ -179,8 +181,15 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 _ARITY = {"actsfor": 2, "leq": 2, "join": 2, "meet": 2, "readers": 1, "writers": 1}
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+def build_arg_parser():
+    """The ``argparse.ArgumentParser`` of every command line; argparse is
+    imported only here, as ``main`` reads the common check itself."""
+    import argparse
+
+    class ArgumentParser(argparse.ArgumentParser):
+        _print_message = _write_message  # subparsers are of this class too
+
+    parser = ArgumentParser(
         prog="minijif",
         description="Static information-flow checker for MiniJif programs.",
     )
@@ -205,9 +214,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_check_argv(argv: list[str]) -> "SimpleNamespace | None":
+    """The namespace argparse gives for ``check [--json] FILE... [--json]``, where
+    no FILE starts with ``-`` and ``--json`` comes once at most; None for any
+    other ARGV, which is argparse's to read, answer or reject."""
+    files = argv[1:]
+    json = False
+    if files[:1] == ["--json"]:
+        files, json = files[1:], True
+    elif files[-1:] == ["--json"]:
+        files, json = files[:-1], True
+    if argv[:1] != ["check"] or not files or any(f.startswith("-") for f in files):
+        return None
+    return SimpleNamespace(command="check", files=files, json=json, hierarchy=None,
+                           no_trust_main=False, max_errors=None)
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_check_argv(argv) or build_arg_parser().parse_args(argv)
     # Checking builds only acyclic data (tokens, spans, AST nodes, labels),
     # which reference counting frees; the cyclic collector would only rescan
     # it again and again while it grows.  Callers in the same process get

@@ -266,6 +266,31 @@ class TestAssignments:
     def test_duplicate_local(self):
         assert codes(wrap("        int t = 1;\n        int t = 2;")) == ["E-TYPE"]
 
+    def test_write_through_a_secret_receiver_is_a_flow(self):
+        # which object `o.f = 1` writes depends on s: b1.f then reveals s, so the
+        # receiver's label taints the written value as it taints a read
+        src = (
+            "principal A;\n"
+            "class Box {\n"
+            "    int{} f;\n"
+            "}\n"
+            "class Main {\n"
+            "    void main{}() where authority(A) {\n"
+            "        int{A->*} s = 17;\n"
+            "        Box{} b1 = new Box(0);\n"
+            "        Box{} b2 = new Box(0);\n"
+            "        Box{A->*} o = b1;\n"
+            "        if (s > 8) {\n"
+            "            o = b2;\n"
+            "        }\n"
+            "        o.f = 1;\n"
+            "        int{} p = b1.f;\n"
+            "    }\n"
+            "}\n"
+        )
+        found = [(d.code, d.span.start[0]) for d in check_program(parse_program(src))]
+        assert found == [("E-FLOW", 14)]
+
 
 class TestCalls:
     HELPER = (

@@ -58,6 +58,12 @@ class TestCheck:
         assert code == 2
         assert "no_such_file" in err
 
+    def test_unreadable_file_is_named_as_given(self, capsys):
+        # as its diagnostics would name it, not normalised to 'no_such/file.mjif'
+        code, _, err = run_cli("check", "./no_such//file.mjif", capsys=capsys)
+        assert (code, err) == (2, "error: [Errno 2] No such file or directory: "
+                                  "'./no_such//file.mjif'\n")
+
     def test_parse_failure_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.mjif"
         bad.write_text("class X [")
@@ -869,13 +875,80 @@ def test_cli_import_closure_leaves_out_dataclasses_and_inspect():
 
 
 def test_cli_import_leaves_out_typing():
-    # without `site`, which may import typing itself first (through a .pth file):
-    # type aliases are runtime `A | B` unions, and typing costs every run milliseconds
+    # without `site`, which may import typing or pathlib itself first (through a .pth
+    # file): type aliases are runtime `A | B` unions, argparse is imported only for a
+    # command line other than the common check, and pathlib only by `corpus`; each
+    # would cost every run milliseconds
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", 'import minijif.cli, sys; assert "typing" not in sys.modules'],
+        [sys.executable, "-S", "-c", "import minijif.cli, sys; print(*sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert {"typing", "argparse", "pathlib"}.isdisjoint(proc.stdout.split())
+
+
+def test_a_check_imports_no_argparse():
+    # `main` reads the common check itself: argparse and its gettext are milliseconds
+    modules = cli_import_closure("check", "--json", LEAK)
+    assert "minijif.diagnostics" in modules
+    assert {"argparse", "gettext"}.isdisjoint(modules)
+
+
+def argparse_reading(argv: list[str]) -> "dict | None":
+    """``vars`` of argparse's namespace for ARGV; None where argparse exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_arg_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+ARGV_WORDS = ["check", "query", "--json", "--js", "--", "-", "", "--max-errors", "3", "-h",
+              "a.mjif", "b"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_WORDS), max_size=6), st.booleans())
+def test_the_check_reader_agrees_with_argparse(words, after_check):
+    argv = ["check", *words] if after_check else words
+    args = cli._read_check_argv(argv)
+    if args is not None:
+        assert vars(args) == argparse_reading(argv)
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["check", "a"], True),
+    (["check", "a", "b"], True),
+    (["check", "--json", "a", "b"], True),
+    (["check", "a", "b", "--json"], True),
+    (["check", ""], True),
+    (["check", "check"], True),
+    (["check"], False),
+    (["check", "--json"], False),
+    (["check", "a", "--json", "b"], False),  # argparse rejects it
+    (["check", "--json", "a", "--json"], False),
+    (["check", "--js", "a"], False),
+    (["check", "--", "a"], False),
+    (["check", "-"], False),
+    (["check", "--no-trust-main", "a"], False),
+    (["check", "-h"], False),
+    (["query", "join", "{A->*}", "{B->*}"], False),
+    (["corpus", "a"], False),
+    ([], False),
+], ids=repr)
+def test_the_check_reader_takes_only_the_common_check(argv, read):
+    args = cli._read_check_argv(argv)
+    assert (args is not None) == read
+    if read:
+        assert vars(args) == argparse_reading(argv)
+
+
+def test_an_interleaved_json_is_argparse_usage_error(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
+    code, out, err = _run_main(["check", "a", "--json", "b"])
+    assert (code, out) == (2, "")
+    assert err == ("usage: minijif [-h] {check,query,corpus} ...\n"
+                   "minijif: error: unrecognized arguments: b\n")
 
 
 def test_a_json_check_imports_no_json():
