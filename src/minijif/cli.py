@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import atexit
 import gc
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -30,25 +31,6 @@ from .principals import (
 
 class _UsageError(Exception):
     pass
-
-
-class _OutputError(Exception):
-    """A write to stdout or stderr failed: ``main`` raises its ``OSError``."""
-
-
-def _print(text: str, file=None) -> None:
-    try:
-        print(text, file=file)
-    except OSError as exc:
-        raise _OutputError from exc
-
-
-def _write_message(parser, message: str, file=None) -> None:
-    """argparse's ``_print_message``, except that a failed write raises: argparse
-    ignores it, so ``--help`` would exit 0 without its text."""
-    file = file or sys.stderr
-    if message and file is not None:  # None if closed at start-up
-        file.write(message)
 
 
 def _read_text(path: str) -> str:
@@ -82,7 +64,7 @@ def cmd_check(args) -> int:
         try:
             program = parse_program(_read_text(path), file=path)
         except (OSError, UnicodeDecodeError, LexError, ParseError) as exc:
-            _print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             failed = True
             continue
         try:
@@ -91,12 +73,12 @@ def cmd_check(args) -> int:
             raise _UsageError(f"--hierarchy: {exc} (not declared by {path})") from exc
     shown = diagnostics if args.max_errors is None else diagnostics[: args.max_errors]
     if args.json:
-        _print(render_json(shown))
+        print(render_json(shown))
     else:
         for d in shown:
-            _print(render_human(d))
+            print(render_human(d))
         if len(shown) < len(diagnostics):
-            _print(f"... {len(diagnostics) - len(shown)} more error(s) suppressed")
+            print(f"... {len(diagnostics) - len(shown)} more error(s) suppressed")
     if failed:
         return 2
     return 1 if diagnostics else 0
@@ -108,18 +90,18 @@ def cmd_query(args) -> int:
         if args.subcommand == "actsfor":
             p = principal_from_token(args.args[0])
             q = principal_from_token(args.args[1])
-            _print("true" if h.acts_for(p, q) else "false")
+            print("true" if h.acts_for(p, q) else "false")
         elif args.subcommand == "leq":
             l1, l2 = (parse_label(a) for a in args.args)
-            _print("true" if flows_to(l1, l2, h) else "false")
+            print("true" if flows_to(l1, l2, h) else "false")
         elif args.subcommand in ("join", "meet"):
             l1, l2 = (parse_label(a) for a in args.args)
             op = join if args.subcommand == "join" else meet
-            _print(label_to_text(op(l1, l2)))
+            print(label_to_text(op(l1, l2)))
         else:  # readers / writers
             sem = interpret_label(parse_label(args.args[0]), h)
             members = sem.readers if args.subcommand == "readers" else sem.writers
-            _print("{" + ", ".join(h.decode(members)) + "}")
+            print("{" + ", ".join(h.decode(members)) + "}")
     except (LexError, ParseError, InvalidIdentifier, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
     return 0
@@ -149,7 +131,7 @@ def cmd_corpus(args) -> int:
         raise _UsageError(f"not a directory: {root}")
     files = sorted(root.rglob("*.mjif"))
     if not files:
-        _print(f"warning: no .mjif files under {root}")
+        print(f"warning: no .mjif files under {root}")
         return 0
     failures = 0
     for path in files:
@@ -157,24 +139,24 @@ def cmd_corpus(args) -> int:
             expected = _read_expectations(path.with_suffix(".expect"))
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            _print(f"FAIL {path}: cannot read: {exc}")
+            print(f"FAIL {path}: cannot read: {exc}")
             return 2
         try:
             program = parse_program(source, file=str(path))
             diagnostics = check_program(program)
         except (LexError, ParseError) as exc:
-            _print(f"FAIL {path}: parse error: {exc}")
+            print(f"FAIL {path}: parse error: {exc}")
             failures += 1
             continue
         actual = sorted((d.code, d.span.start[0]) for d in diagnostics)
         if actual == expected:
-            _print(f"ok   {path}")
+            print(f"ok   {path}")
         else:
             failures += 1
-            _print(f"FAIL {path}")
-            _print(f"    expected: {expected}")
-            _print(f"    actual:   {actual}")
-    _print(f"{len(files) - failures}/{len(files)} corpus files matched")
+            print(f"FAIL {path}")
+            print(f"    expected: {expected}")
+            print(f"    actual:   {actual}")
+    print(f"{len(files) - failures}/{len(files)} corpus files matched")
     return 1 if failures else 0
 
 
@@ -186,10 +168,7 @@ def build_arg_parser():
     imported only here, as ``main`` reads the common check itself."""
     import argparse
 
-    class ArgumentParser(argparse.ArgumentParser):
-        _print_message = _write_message  # subparsers are of this class too
-
-    parser = ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="minijif",
         description="Static information-flow checker for MiniJif programs.",
     )
@@ -252,8 +231,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _OutputError as exc:  # the output cannot be written: `run` reports it
-        raise exc.__cause__ from None
     except Exception as exc:  # last resort: exit 1 means diagnostics or corpus mismatches only
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
@@ -263,22 +240,30 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def run():
-    """`main`, then `os._exit`: no teardown to free every object a check left alive."""
+    """`main` with its output held, then one write per stream and `os._exit`: the
+    one place where a write can fail, and no teardown to free what a check left."""
+    real = sys.stdout, sys.stderr  # either is None if closed at start-up, and stays None
+    sys.stdout, sys.stderr = held = [s and io.StringIO() for s in real]
     try:
         try:
             code = main()
         except SystemExit as exc:  # argparse's exits after `--help` or a usage error
             code = exc.code
-        atexit._run_exitfuncs()  # as a normal exit does, handlers first: coverage saves in one
-        for stream in filter(None, (sys.stdout, sys.stderr)):  # None if closed at start-up
-            stream.flush()
-    except OSError as exc:  # the reader closed the pipe, or the disk is full
-        code = 2
-        try:
-            print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
-        except OSError:  # stderr is the stream that failed
-            pass
-        atexit._run_exitfuncs()  # a no-op if the handlers ran above
+        atexit._run_exitfuncs()  # as a normal exit does: coverage saves in one
+    finally:  # an exception that escapes `main` reaches the real stderr
+        sys.stdout, sys.stderr = real
+    for stream, buffer in zip(real[::-1], held[::-1]):  # stderr first, as buffered pipes order them
+        try:  # all of it: under PYTHONUNBUFFERED the stream's own write may stop short
+            if stream is not None:
+                data = memoryview(buffer.getvalue().encode(stream.encoding, stream.errors))
+                while data:
+                    data = data[os.write(stream.fileno(), data):]
+        except (OSError, UnicodeEncodeError) as exc:  # a closed pipe, a full disk, or the codec
+            code = 2
+            try:
+                print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
+            except OSError:  # stderr is the stream that failed
+                pass
     os._exit(code)
 
 

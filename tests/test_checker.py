@@ -442,6 +442,35 @@ class TestCalls:
         )
         assert codes(src) == ["E-FLOW"]
 
+    SECRET_BRANCH = (
+        "principal A;\nprincipal B;\n"
+        "class Box {\n"
+        "    int{} f;\n"
+        "    void put{A->*}(int{} x) { }\n"
+        "}\n"
+        "class Main {\n"
+        "    void main{}() where authority(A) {\n"
+        "        int{A->*} s = 17;\n"
+        "{body}\n"
+        "    }\n"
+        "}\n"
+    )
+
+    def test_argument_carries_the_pc(self):
+        # a public literal passed under a secret branch: the call itself reveals `s`
+        src = self.SECRET_BRANCH.replace(
+            "{body}", "        Box{} b = new Box(0);\n        if (s > 8) { b.put(1); }")
+        found = [(d.code, d.span.start, d.message) for d in check_program(parse_program(src))]
+        assert found == [("E-FLOW", (11, 28), "argument does not flow to parameter 'x' of 'put'")]
+
+    def test_constructor_argument_carries_the_pc(self):
+        # the field write happens only when the secret branch is taken
+        src = self.SECRET_BRANCH.replace(
+            "{body}", "        if (s > 8) { Box{A->*} c = new Box(1); }")
+        found = [(d.code, d.span.start, d.message) for d in check_program(parse_program(src))]
+        assert found == [("E-FLOW-IMPLICIT", (10, 44), "implicit flow into field 'f': the "
+                          "program counter label does not flow to the target label")]
+
     def test_call_on_primitive_is_a_type_error(self):
         assert codes(wrap("        int x = 1;\n        x.next();")) == ["E-TYPE"]
 

@@ -708,6 +708,12 @@ def cli_process(*argv: str, env: "dict[str, str] | None" = None) -> subprocess.C
                           env=env or cli_env(), timeout=120)
 
 
+def stdout_closed_process(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m minijif.cli ARGV`` started with descriptor 1 closed, its stderr as bytes."""
+    return subprocess.run([sys.executable, "-m", "minijif.cli", *argv], stderr=subprocess.PIPE,
+                          preexec_fn=lambda: os.close(1), env=cli_env(), timeout=120)
+
+
 UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 LEAK = str(CORPUS_DIR / "booking_bob_leak.mjif")  # one E-FLOW: exit 1
 CLOSED_OUTPUT = b"error: cannot write output: [Errno 32] Broken pipe\n"
@@ -773,6 +779,34 @@ class TestProcessExit:
         proc = cli_process("check", str(tmp_path), env=cli_env(unbuffered))
         assert proc.returncode == 2
         assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n".encode()
+
+    def test_output_closed_at_start_is_dropped_without_an_error(self):
+        # Python starts with `sys.stdout` None: print writes nothing, and that is no failure
+        proc = stdout_closed_process("check", LEAK)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_help_with_output_closed_at_start_goes_to_stderr(self):
+        # argparse falls back to stderr where `sys.stdout` is None
+        proc = stdout_closed_process("--help")
+        assert proc.returncode == 0
+        assert proc.stderr.startswith(b"usage: minijif")
+
+    def test_error_lines_come_before_the_output(self):
+        proc = subprocess.run([sys.executable, "-m", "minijif.cli", "check", "missing.mjif", LEAK],
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=cli_env(),
+                              timeout=120)
+        first, rest = proc.stdout.split(b"\n", 1)
+        assert proc.returncode == 2
+        assert first.startswith(b"error: ") and b"missing.mjif" in first
+        assert b"E-FLOW" in rest
+
+    def test_output_the_codec_cannot_encode_is_one_error_line(self, tmp_path):
+        path = tmp_path / "café.mjif"  # named in the diagnostics, which go to stdout
+        shutil.copyfile(LEAK, path)
+        proc = cli_process("check", str(path), env={**cli_env(), "PYTHONIOENCODING": "ascii"})
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: cannot write output: 'ascii' codec can't encode ")
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
     def test_atexit_handlers_run_once_and_keep_the_exit_code(self):
         script = ("import atexit, runpy, sys\n"
