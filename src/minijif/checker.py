@@ -314,6 +314,12 @@ class Checker:
             return EMPTY
         if label in info.valid:
             return label
+        kind = type(label)
+        if kind is ConfPolicy or kind is IntegPolicy:  # one policy of declared principals
+            members = label.readers if kind is ConfPolicy else label.writers
+            if self.universe.issuperset((label.owner, *members)):
+                info.valid[label] = None
+                return label
         ok = True
         for node in leaves(label):
             if isinstance(node, LabelVar):

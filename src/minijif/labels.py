@@ -9,18 +9,20 @@ are distinct, in first-occurrence order.  ``join``, ``label_to_text`` and
 bounded caches.  All flow decisions go through a label's semantic
 interpretation under a principal hierarchy, which is a pair of effective
 reader/writer sets over the closed universe, as the hierarchy's bit masks.
+A policy's members, whoever acts for its owner or for a listed principal, are
+one C-level OR over the hierarchy's actor masks.  An undeclared principal is
+acted for by top alone, even when some principal acts for top.
 The empty label is the distinguished public-trusted bottom element: readable
 by everyone, writable only by the top principal.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 from weakref import WeakKeyDictionary
 
 from .interned import Interned
-from .principals import BOTTOM, PrincipalHierarchy, PrincipalId, TOP
+from .principals import PrincipalHierarchy, PrincipalId
 from .span import Record
 
 
@@ -82,35 +84,31 @@ class SemLabel(Record):
     writers: int
 
 
-def _members(owner: PrincipalId, listed: tuple[PrincipalId, ...],
-             h: PrincipalHierarchy) -> int:
-    """Anyone acting for the owner or for a listed principal."""
-    return reduce(or_, map(h.actor_mask, listed), h.actor_mask(owner))
+_new = tuple.__new__  # builds a SemLabel without a Python frame for Record.__new__
 
 
 # labels and hierarchies are immutable values, so interpretation is cacheable
 @lru_cache(maxsize=1 << 16)
 def interpret_label(label: Label, h: PrincipalHierarchy) -> SemLabel:
-    everyone = h.actor_mask(BOTTOM)  # everyone acts for bottom
-    match label:
-        case EmptyLabel() | JoinNode():
-            # fold the `;` components onto the meaning of {}: a loop, since
-            # the labels the checker builds may have any number of them
-            readers, writers = everyone, h.mask((TOP,))
-            for c in _flatten(label, JoinNode):
-                sem = interpret_label(c, h)
-                readers &= sem.readers
-                writers |= sem.writers
-            return SemLabel(readers, writers)
-        case ConfPolicy(owner, readers):
-            return SemLabel(_members(owner, readers, h), everyone)
-        case IntegPolicy(owner, writers):
-            return SemLabel(everyone, _members(owner, writers, h))
-        case MeetNode(left, right):
-            a, b = interpret_label(left, h), interpret_label(right, h)
-            return SemLabel(a.readers | b.readers, a.writers & b.writers)
-        case LabelVar(name):
-            raise ValueError(f"label variable {name!r} has no interpretation")
+    kind, everyone = type(label), h.everyone
+    if kind is ConfPolicy:
+        return _new(SemLabel, (h.policy_members(label.owner, label.readers), everyone))
+    if kind is IntegPolicy:
+        return _new(SemLabel, (everyone, h.policy_members(label.owner, label.writers)))
+    if kind is JoinNode or kind is EmptyLabel:
+        # fold the `;` components onto the meaning of {}: a loop, since
+        # the labels the checker builds may have any number of them
+        readers, writers = everyone, h.top_bit
+        for c in _flatten(label, JoinNode):
+            sem = interpret_label(c, h)
+            readers &= sem.readers
+            writers |= sem.writers
+        return _new(SemLabel, (readers, writers))
+    if kind is MeetNode:
+        a, b = interpret_label(label.left, h), interpret_label(label.right, h)
+        return _new(SemLabel, (a.readers | b.readers, a.writers & b.writers))
+    if kind is LabelVar:
+        raise ValueError(f"label variable {label.name!r} has no interpretation")
     raise TypeError(f"not a label: {label!r}")
 
 

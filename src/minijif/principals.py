@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from functools import cached_property, reduce
+from itertools import repeat
 from operator import or_
 
 from .interned import Interned
@@ -102,6 +103,17 @@ class PrincipalHierarchy(Interned):
                     masks.update(dict.fromkeys(component, mask))
         return masks
 
+    @cached_property
+    def everyone(self) -> int:
+        """The whole universe, as a mask: everyone acts for bottom."""
+        return self._actor_masks[BOTTOM]
+
+    @cached_property
+    def top_bit(self) -> int:
+        """Top alone, as a mask: who acts for an undeclared principal.  Not
+        ``actor_mask(TOP)``, which also holds whoever has a ``p >= *`` edge."""
+        return 1 << self._index[TOP]
+
     def declare(self, *names: str) -> "PrincipalHierarchy":
         """Add named principals in one step; idempotent on re-declaration."""
         for name in names:
@@ -130,7 +142,13 @@ class PrincipalHierarchy(Interned):
 
     def actor_mask(self, q: PrincipalId) -> int:
         """Who acts for ``q``, as a mask; only top for an outsider."""
-        return self._actor_masks.get(q) or self.mask((TOP,))
+        return self._actor_masks.get(q, self.top_bit)
+
+    def policy_members(self, owner: PrincipalId, listed: Iterable[PrincipalId]) -> int:
+        """Who acts for ``owner`` or for any ``listed`` principal, as a mask: one
+        C-level OR over the actor masks, with top alone for an undeclared one."""
+        masks, outsider = self._actor_masks, self.top_bit
+        return reduce(or_, map(masks.get, listed, repeat(outsider)), masks.get(owner, outsider))
 
     def acts_for(self, p: PrincipalId, q: PrincipalId) -> bool:
         """Total query: reflexive-transitive delegation with top/bottom axioms."""

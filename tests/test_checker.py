@@ -471,6 +471,24 @@ class TestCalls:
         assert found == [("E-FLOW-IMPLICIT", (10, 44), "implicit flow into field 'f': the "
                           "program counter label does not flow to the target label")]
 
+    def test_constructor_result_carries_the_argument_labels(self):
+        # the new object's reference is labelled with its arguments' labels
+        src = (
+            "principal A;\n"
+            "class Box {\n"
+            "    int{A->*} f;\n"
+            "    int{} g;\n"
+            "}\n"
+            "class Main {\n"
+            "    void main{}() where authority(A) {\n"
+            "        int{A->*} s = 17;\n"
+            "        Box{} b = new Box(s, 0);\n"
+            "    }\n"
+            "}\n"
+        )
+        found = [(d.code, d.span.start[0]) for d in check_program(parse_program(src))]
+        assert found == [("E-FLOW", 9)]
+
     def test_call_on_primitive_is_a_type_error(self):
         assert codes(wrap("        int x = 1;\n        x.next();")) == ["E-TYPE"]
 

@@ -591,6 +591,19 @@ class TestQuery:
         )
         assert (code, out.strip()) == (0, "{Alice, *}")
 
+    def test_outsider_is_acted_for_by_top_alone(self, tmp_path, capsys):
+        # A >= * puts A above top; an undeclared Z is still acted for by top alone
+        hier = tmp_path / "h.hier"
+        hier.write_text("principal A\nprincipal B\nactsfor A >= *\n")
+        code, out, _ = run_cli(
+            "query", "--hierarchy", str(hier), "readers", "{Z->Z}", capsys=capsys
+        )
+        assert (code, out.strip()) == (0, "{*}")
+        code, out, _ = run_cli(
+            "query", "--hierarchy", str(hier), "leq", "{Z->Z}", "{A->A}", capsys=capsys
+        )
+        assert (code, out.strip()) == (0, "false")
+
     def test_join_pretty(self, capsys):
         code, out, _ = run_cli("query", "join", "{Chuck->*}", "{Alice->Chuck}", capsys=capsys)
         assert (code, out.strip()) == (0, "{Chuck->*; Alice->Chuck}")

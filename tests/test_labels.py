@@ -113,6 +113,14 @@ class TestLabelInterpretation:
         assert actors(h, TOP) == h.universe
         assert decoded(interpret_label(EMPTY, h), h)[1] == {TOP}
 
+    def test_outsider_is_acted_for_by_top_alone(self):
+        # A >= * puts A above top, yet an undeclared owner or reader admits top alone
+        h = hierarchy_from_edges(["A", "B"], [("A", TOP)])
+        assert actors(h, TOP) == {"A", TOP}
+        assert decoded(interpret_label(conf("Z", "Z"), h), h)[0] == {TOP}
+        assert decoded(interpret_label(integ("Z", "Z"), h), h)[1] == {TOP}
+        assert not flows_to(conf("Z", "Z"), conf("A", "A"), h)
+
     def test_conf_leaf_is_writer_unrestricted(self):
         sem = decoded(interpret_label(conf(ALICE, TOP), self.h), self.h)
         assert sem[1] == self.h.universe
