@@ -5,7 +5,13 @@ The body pass walks each method under one ``MethodContext`` (class, method, pc,
 locals) and records each flow obligation on ``ctx.records``; then ``decide``
 turns the records into diagnostics under the program's one hierarchy, in which
 class parameters are rigid principals, and the method's authority.  The walk
-itself reads no hierarchy: it never decides a flow.
+itself reads no hierarchy: it never decides a flow.  But a flow whose source,
+with the pc joined in, is ``{}`` or the target itself holds under every
+hierarchy, which identity and ``join`` alone show; so an initializer,
+assignment, return, call or ``new`` field flow is recorded only when its
+source is neither, and a loop's records are tested again once its pc is
+solved.  ``decide`` keeps the same test, so a direct caller gets the same
+verdict.
 
 Each class is checked once, generically: call sites substitute the concrete
 principal arguments of the receiver's static type into the callee's labels.
@@ -191,10 +197,8 @@ class Checker:
             ast.If: c.check_branch, ast.While: c.check_branch,
             ast.Return: c.check_return, ast.ExprStmt: c._check_expr_stmt,
         }
-        self._expr_rules = {
-            ast.IntLit: c._check_literal, ast.StrLit: c._check_literal,
-            ast.BoolLit: c._check_literal, ast.Var: c._check_access,
-            ast.FieldAccess: c._check_access, ast.Call: c.check_call,
+        self._expr_rules = {  # a literal or a local read is answered in check_expr
+            ast.Var: c._check_access, ast.FieldAccess: c._check_access, ast.Call: c.check_call,
             ast.New: c._check_new, ast.Declassify: c.check_declassify,
             ast.Builtin: c._check_builtin, ast.BinOp: c._check_binop,
         }
@@ -377,7 +381,7 @@ class Checker:
         init_label: Label = EMPTY
         if s.init is not None:
             itype, init_label = self.check_expr(ctx, s.init)
-            if not _types_match(itype, typ):
+            if itype is not typ and not _types_match(itype, typ):
                 self.add("E-TYPE", s.span,
                          f"cannot initialize {typ} '{s.name}' with a {itype} value")
         if s.label is not None:
@@ -385,46 +389,59 @@ class Checker:
             if label not in valid:
                 label = self._resolve_label(ctx.cls, label, s.span)
             if s.init is not None:
-                ctx.records.append(("E-FLOW", init_label, ctx.pc, label, s.span,
-                                    f"initializer of '{s.name}'"))
+                pc = ctx.pc
+                source = init_label if pc is EMPTY else join(init_label, pc)
+                if source is not EMPTY and source is not label:
+                    ctx.records.append(("E-FLOW", init_label, pc, label, s.span,
+                                        f"initializer of '{s.name}'"))
         else:
             # unannotated local: label inferred once, at the declaration
             label = join(init_label, ctx.pc)
         ctx.locals[s.name] = (typ, label)
 
     def check_assign(self, ctx: MethodContext, s: ast.Assign) -> None:
-        target_type, target_label, receiver, desc = self._lookup(ctx, s.target)
+        target = s.target
+        local = ctx.locals.get(target.name) if type(target) is ast.Var else None
+        if local is None:
+            target_type, target_label, receiver = self._lookup(ctx, target)
+        else:
+            (target_type, target_label), receiver = local, EMPTY
         vtype, vlabel = self.check_expr(ctx, s.value)
-        if target_type is not None:
-            if not _types_match(vtype, target_type):
-                self.add("E-TYPE", s.span,
-                         f"cannot assign a {vtype} value to {desc} of type {target_type}")
-            ctx.records.append(("E-FLOW", join(vlabel, receiver), ctx.pc, target_label,
-                                s.span, desc))
+        if target_type is None:
+            return
+        what = "'{}'" if local is not None else "field '{}'"  # formatted only when read
+        if vtype is not target_type and not _types_match(vtype, target_type):
+            self.add("E-TYPE", s.span, f"cannot assign a {vtype} value to "
+                                       f"{what.format(target.name)} of type {target_type}")
+        value = vlabel if receiver is EMPTY else join(vlabel, receiver)
+        pc = ctx.pc
+        source = value if pc is EMPTY else join(value, pc)
+        if source is not EMPTY and source is not target_label:
+            ctx.records.append(("E-FLOW", value, pc, target_label, s.span,
+                                what.format(target.name)))
 
     def _lookup(self, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
-        """Resolve a local or field: (type, label, receiver label, description).
+        """Resolve a field, or a variable that is not a local: (type, label,
+        receiver label).
 
         Type is None when the name failed to resolve.  The receiver's label
         taints both a read and a write of the field.
         """
-        if isinstance(e, ast.Var):
-            if e.name in ctx.locals:
-                return (*ctx.locals[e.name], EMPTY, f"'{e.name}'")
+        if type(e) is ast.Var:
             fi = ctx.cls.fields.get(e.name)
             if fi is None:
                 self.add("E-UNDEF", e.span, f"unknown variable '{e.name}'")
-                return None, EMPTY, EMPTY, ""
-            return fi.type, fi.label, EMPTY, f"field '{e.name}'"
+                return None, EMPTY, EMPTY
+            return fi.type, fi.label, EMPTY
         rtype, rlabel = self.check_expr(ctx, e.obj)
         inst = self._member_class(rtype, e.span)
         if inst is None:
-            return None, EMPTY, rlabel, ""
+            return None, EMPTY, rlabel
         fi = inst.cls.fields.get(e.name)
         if fi is None:
             self.add("E-UNDEF", e.span, f"class '{inst.cls.decl.name}' has no field '{e.name}'")
-            return None, EMPTY, rlabel, ""
-        return substitute_type(fi.type, inst.sub), inst.label(fi.label), rlabel, f"field '{e.name}'"
+            return None, EMPTY, rlabel
+        return substitute_type(fi.type, inst.sub), inst.label(fi.label), rlabel
 
     def _member_class(self, rtype, span: Span) -> "Instance | None":
         """The instantiation a receiver type names, resolved once per check."""
@@ -444,7 +461,7 @@ class Checker:
         if isinstance(s, ast.While):
             ctx.pc = var = LabelVar(f"pc@{s.span.start}")  # a name no source can produce
         ctype, clabel = self.check_expr(ctx, s.cond)
-        if not _types_match(ctype, ast.BOOLEAN):
+        if ctype is not ast.BOOLEAN and not _types_match(ctype, ast.BOOLEAN):
             self.add("E-TYPE", s.cond.span, f"condition must be boolean, got {ctype}")
         ctx.pc, ctx.returned = join(ctx.pc, clabel), False
         if isinstance(s, ast.If):
@@ -466,8 +483,14 @@ class Checker:
                     out = solved[x] = substitute_label(x, sub) if mentions_var else x
                 return out
 
-            ctx.records[records:] = [(code, *map(solve, parts), span, message)
-                                     for code, *parts, span, message in ctx.records[records:]]
+            # a solved record that every hierarchy passes is dropped, as at its site
+            kept = []
+            for code, *parts, span, message in ctx.records[records:]:
+                source, pc, target = map(solve, parts)
+                test = source if pc is None or pc is EMPTY else join(source, pc)
+                if code == "authority" or test is not EMPTY and test is not target:
+                    kept.append((code, source, pc, target, span, message))
+            ctx.records[records:] = kept
         # a body that may return keeps the raised pc (see the module docstring)
         if not ctx.returned:
             ctx.pc = saved_pc
@@ -483,11 +506,13 @@ class Checker:
             vtype, vlabel = self.check_expr(ctx, s.value)
             if mi.return_type is ast.VOID:
                 self.add("E-TYPE", s.span, f"void method '{mi.decl.name}' cannot return a value")
-            elif not _types_match(vtype, mi.return_type):
+            elif vtype is not mi.return_type and not _types_match(vtype, mi.return_type):
                 self.add("E-TYPE", s.span,
                          f"returning a {vtype} value from a {mi.return_type} method")
-            ctx.records.append(("E-FLOW", join(vlabel, ctx.pc), None, mi.return_label, s.span,
-                                "returned value does not flow to the declared return label"))
+            source = vlabel if ctx.pc is EMPTY else join(vlabel, ctx.pc)
+            if source is not EMPTY and source is not mi.return_label:
+                ctx.records.append(("E-FLOW", source, None, mi.return_label, s.span,
+                                    "returned value does not flow to the declared return label"))
         if mi.end_label is not None:
             ctx.records.append(("E-PC-END", ctx.pc, None, mi.end_label, s.span,
                                 "program counter does not flow to the method end-label"))
@@ -495,17 +520,20 @@ class Checker:
     # ------------------------------------------------------------ expressions
 
     def check_expr(self, ctx: MethodContext, e: ast.Expr) -> tuple[ast.Type, Label]:
-        return self._expr_rules[type(e)](self, ctx, e)
-
-    def _check_literal(self, ctx: MethodContext, e: "ast.IntLit | ast.StrLit | ast.BoolLit"):
-        return LITERAL_TYPES[type(e)], EMPTY
-
-    def _check_access(self, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
-        if type(e) is ast.Var:
+        kind = type(e)
+        if kind is ast.Var:
             local = ctx.locals.get(e.name)
             if local is not None:
                 return local  # (type, label)
-        t, label, receiver, _ = self._lookup(ctx, e)
+        else:
+            t = LITERAL_TYPES.get(kind)
+            if t is not None:
+                return t, EMPTY
+        return self._expr_rules[kind](self, ctx, e)
+
+    def _check_access(self, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
+        """A field read, or a read of a name that is not a local."""
+        t, label, receiver = self._lookup(ctx, e)
         return (ERROR if t is None else t), join(receiver, label)
 
     def check_call(self, ctx: MethodContext, e: ast.Call) -> tuple[ast.Type, Label]:
@@ -520,9 +548,12 @@ class Checker:
                       f"class '{inst.cls.decl.name}' has no method '{e.method}'")
             return ERROR, EMPTY
         # the receiver picks the object the callee runs on: it bounds its pc and taints its result
-        ctx.records.append(("E-PC-CALL", join(ctx.pc, rlabel), None,
-                            inst.label(callee.begin_label), e.span,
-                            f"program counter does not flow to the begin-label of '{e.method}'"))
+        begin = inst.label(callee.begin_label)
+        source = rlabel if ctx.pc is EMPTY else join(ctx.pc, rlabel)
+        if source is not EMPTY and source is not begin:
+            ctx.records.append((
+                "E-PC-CALL", source, None, begin, e.span,
+                f"program counter does not flow to the begin-label of '{e.method}'"))
         if len(e.args) != len(callee.params):
             self.add("E-ARITY", e.span,
                      f"method '{e.method}' takes {len(callee.params)} argument(s), "
@@ -530,12 +561,15 @@ class Checker:
         else:
             for arg, (atype, alabel), p in zip(e.args, arg_results, callee.params):
                 want = substitute_type(p.type, inst.sub)
-                if not _types_match(atype, want):
+                if atype is not want and not _types_match(atype, want):
                     self.add("E-TYPE", arg.span,
                              f"argument '{p.name}' of '{e.method}' expects {want}, got {atype}")
-                ctx.records.append((
-                    "E-FLOW", join(alabel, ctx.pc), None, inst.label(p.label), arg.span,
-                    f"argument does not flow to parameter '{p.name}' of '{e.method}'"))
+                param = inst.label(p.label)
+                source = alabel if ctx.pc is EMPTY else join(alabel, ctx.pc)
+                if source is not EMPTY and source is not param:
+                    ctx.records.append((
+                        "E-FLOW", source, None, param, arg.span,
+                        f"argument does not flow to parameter '{p.name}' of '{e.method}'"))
         return (substitute_type(callee.return_type, inst.sub),
                 join(rlabel, inst.label(callee.return_label)))
 
@@ -562,10 +596,12 @@ class Checker:
             return ctype, result_label
         for arg, (atype, alabel), fi in zip(e.args, arg_results, cls.fields.values()):
             want = substitute_type(fi.type, inst.sub)
-            if not _types_match(atype, want):
+            if atype is not want and not _types_match(atype, want):
                 self.add("E-TYPE", arg.span, f"field '{fi.name}' expects {want}, got {atype}")
-            ctx.records.append(("E-FLOW", alabel, ctx.pc, inst.label(fi.label),
-                                arg.span, f"field '{fi.name}'"))
+            field, pc = inst.label(fi.label), ctx.pc
+            source = alabel if pc is EMPTY else join(alabel, pc)
+            if source is not EMPTY and source is not field:
+                ctx.records.append(("E-FLOW", alabel, pc, field, arg.span, f"field '{fi.name}'"))
         return ctype, result_label
 
     def check_declassify(self, ctx: MethodContext, e: ast.Declassify) -> tuple[ast.Type, Label]:
@@ -590,7 +626,7 @@ class Checker:
                      f"'{e.name}' takes {len(param_types)} argument(s), got {len(e.args)}")
             return ret, label
         for arg, (atype, _), want in zip(e.args, arg_results, param_types):
-            if not _types_match(atype, want):
+            if atype is not want and not _types_match(atype, want):
                 self.add("E-TYPE", arg.span, f"'{e.name}' expects {want}, got {atype}")
         return ret, label
 
@@ -608,7 +644,12 @@ class Checker:
                 ctx.pc = join(ctx.pc, label)
             rtype, rlabel = self.check_expr(ctx, b.right)
             ctx.pc = saved_pc
-            ltype, label = self._binop_type(b, ltype, rtype), join(label, rlabel)
+            sig = BINOP_TYPES.get(b.op)
+            if sig is not None and ltype is sig[0] and rtype is sig[0]:
+                ltype = sig[1]  # the common case, with no error to build
+            else:
+                ltype = self._binop_type(b, ltype, rtype)
+            label = join(label, rlabel)
         return ltype, label
 
     def _binop_type(self, e: ast.BinOp, ltype, rtype) -> ast.Type:
@@ -618,8 +659,6 @@ class Checker:
                 self.add("E-TYPE", e.span, f"cannot compare {ltype} and {rtype} with '{e.op}'")
             return ast.BOOLEAN
         want, result = sig
-        if ltype is want and rtype is want:
-            return result
         for side in ((ltype, e.left), (rtype, e.right)):
             if not _types_match(side[0], want):
                 self.add("E-TYPE", side[1].span,
@@ -640,7 +679,10 @@ def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
     record relabels its source to its target: weakening a confidentiality
     policy needs the authority of its owner, and integrity must not grow.
     A source (pc joined in) that is ``{}`` or the target itself passes every
-    test under every hierarchy, so such a record is passed unread.
+    test under every hierarchy, so such a record is passed unread.  The body
+    pass already drops such a record where it would make it, and once a
+    loop's pc is solved; the test stays here, so that a direct caller gets
+    the same verdict.
     An ``authority`` record's source is a principal the method must act for.
     """
     out, held = [], hierarchy.mask(authority)

@@ -124,13 +124,19 @@ def flows_to(l1: Label, l2: Label, h: PrincipalHierarchy) -> bool:
 _positions: "WeakKeyDictionary[Label, tuple[dict[Label, int], int]]" = WeakKeyDictionary()
 
 
-@lru_cache(maxsize=1 << 16)
 def join(l1: Label, l2: Label) -> Label:
-    """Least upper bound: appends ``l2``'s components missing from ``l1``."""
-    if l1 is l2 or isinstance(l2, EmptyLabel):
+    """Least upper bound: appends ``l2``'s components missing from ``l1``.
+
+    A join with itself or with ``{}`` is answered here, and never enters the memo."""
+    if l1 is l2 or l2 is EMPTY:
         return l1
-    if isinstance(l1, EmptyLabel):
+    if l1 is EMPTY:
         return l2
+    return _join(l1, l2)
+
+
+@lru_cache(maxsize=1 << 16)
+def _join(l1: Label, l2: Label) -> Label:
     positions, n = _positions.get(l1) or (None, 0)
     if positions is None:
         positions = {c: i for i, c in enumerate(dict.fromkeys(_flatten(l1, JoinNode)))}
@@ -145,6 +151,9 @@ def join(l1: Label, l2: Label) -> Label:
         l1 = JoinNode(l1, c)
         _positions[l1] = positions, n
     return l1
+
+
+join.cache_info, join.cache_clear = _join.cache_info, _join.cache_clear
 
 
 def meet(l1: Label, l2: Label) -> Label:

@@ -151,7 +151,9 @@ class PrincipalHierarchy(Interned):
         return reduce(or_, map(masks.get, listed, repeat(outsider)), masks.get(owner, outsider))
 
     def acts_for(self, p: PrincipalId, q: PrincipalId) -> bool:
-        """Total query: reflexive-transitive delegation with top/bottom axioms."""
+        """Total query: reflexive delegation with top/bottom axioms, transitive
+        among declared principals.  Only top and ``q`` itself act for an
+        undeclared ``q``, even when a declared principal acts for top."""
         return p == q or p == TOP or q == BOTTOM or bool(self.mask((p,)) & self.actor_mask(q))
 
 

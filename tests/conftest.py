@@ -13,6 +13,21 @@ def corpus_dir() -> Path:
     return CORPUS_DIR
 
 
+@pytest.fixture
+def decided(monkeypatch) -> list:
+    """Every record that ``checker.decide`` receives while the test runs."""
+    from minijif import checker
+
+    records, decide = [], checker.decide
+
+    def recording(batch, hierarchy, authority):
+        records.extend(batch)
+        return decide(batch, hierarchy, authority)
+
+    monkeypatch.setattr(checker, "decide", recording)
+    return records
+
+
 def corpus_files() -> list[Path]:
     return sorted(CORPUS_DIR.glob("*.mjif"))
 

@@ -692,6 +692,22 @@ class TestReturn:
         src = "class C {\n    int{} one{}() {\n        return \"1\";\n    }\n}\n"
         assert codes(src) == ["E-TYPE"]
 
+    def test_returned_value_carries_the_pc(self):
+        # which literal is returned reveals `s`: the first under the secret
+        # branch, the second after a branch that may return
+        src = (
+            "principal A;\n"
+            "class C {\n"
+            "    int{} pick{}(int{A->*} s) {\n"
+            "        if (s > 8) { return 1; }\n"
+            "        return 0;\n"
+            "    }\n"
+            "}\n"
+        )
+        found = [(d.code, d.span.start, d.from_label, d.to_label)
+                 for d in check_program(parse_program(src))]
+        assert found == [("E-FLOW", (4, 22), "{A->*}", "{}"), ("E-FLOW", (5, 9), "{A->*}", "{}")]
+
     def test_void_cannot_return_value(self):
         assert codes(wrap("        return 1;")) == ["E-TYPE"]
 
@@ -745,6 +761,22 @@ class TestReturn:
 
 
 class TestDeclarations:
+    def test_initializer_carries_the_pc(self):
+        # a public value declared under a secret branch: only the pc makes the
+        # flow fail, so a record site that tested the value alone would drop it
+        src = (
+            "principal A;\n"
+            "class Main {\n"
+            "    void main{}() where authority(A) {\n"
+            "        int{A->*} s = 17;\n"
+            "        if (s > 8) { int{} x = 1; }\n"
+            "    }\n"
+            "}\n"
+        )
+        found = [(d.code, d.span.start, d.message) for d in check_program(parse_program(src))]
+        assert found == [("E-FLOW-IMPLICIT", (5, 22), "implicit flow into initializer of 'x': "
+                          "the program counter label does not flow to the target label")]
+
     def test_unknown_principal_in_label(self):
         assert codes(wrap("        int{Ghost->*} x = 1;")) == ["E-UNDEF"]
 

@@ -604,6 +604,18 @@ class TestQuery:
         )
         assert (code, out.strip()) == (0, "false")
 
+    @pytest.mark.parametrize("p, q, answer", [
+        ("A", "*", "true"), ("*", "Z", "true"),
+        # transitivity holds among declared principals: A acts for top, yet
+        # not for the undeclared Z, whom only top and Z itself act for
+        ("A", "Z", "false"), ("Z", "Z", "true"),
+    ])
+    def test_actsfor_an_outsider(self, tmp_path, capsys, p, q, answer):
+        hier = tmp_path / "h.hier"
+        hier.write_text("principal A\nprincipal B\nactsfor A >= *\n")
+        code, out, _ = run_cli("query", "--hierarchy", str(hier), "actsfor", p, q, capsys=capsys)
+        assert (code, out.strip()) == (0, answer)
+
     def test_join_pretty(self, capsys):
         code, out, _ = run_cli("query", "join", "{Chuck->*}", "{Alice->Chuck}", capsys=capsys)
         assert (code, out.strip()) == (0, "{Chuck->*; Alice->Chuck}")

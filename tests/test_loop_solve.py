@@ -15,7 +15,7 @@ import random
 import time
 
 from minijif import syntax as ast
-from minijif.checker import Checker, TrustConfig
+from minijif.checker import Checker, TrustConfig, check_program
 from minijif.diagnostics import render_json
 from minijif.parser import parse_program
 
@@ -138,3 +138,23 @@ def test_walking_a_loop_once_matches_the_rewalking_fixpoint(monkeypatch):
     assert loops > 2000
     assert rewalked >= 2 * loops  # every loop, under both trust settings
     assert time.perf_counter() - began < 15
+
+
+def test_loop_records_are_tested_after_the_solve(decided):
+    # in a loop body the pc is the loop's variable, so both initializers are
+    # recorded; once solved, the pc of the first is {A->*}, which fails, and
+    # the pc of the second is {}, which every hierarchy passes
+    src = (
+        "principal A;\n"
+        "class Main {\n"
+        "    void main{}() where authority(A) {\n"
+        "        int{A->*} s = 17;\n"
+        "        int{} p = 0;\n"
+        "        while (s > 8) { int{} x = 1; }\n"
+        "        while (p > 8) { int{} y = 1; }\n"
+        "    }\n"
+        "}\n"
+    )
+    found = [(d.code, d.span.start) for d in check_program(parse_program(src))]
+    assert found == [("E-FLOW-IMPLICIT", (6, 25))]
+    assert [span.start for *_, span, _ in decided] == [(6, 25)]
