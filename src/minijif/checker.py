@@ -5,13 +5,11 @@ The body pass walks each method under one ``MethodContext`` (class, method, pc,
 locals) and records each flow obligation on ``ctx.records``; then ``decide``
 turns the records into diagnostics under the program's one hierarchy, in which
 class parameters are rigid principals, and the method's authority.  The walk
-itself reads no hierarchy: it never decides a flow.  But a flow whose source,
-with the pc joined in, is ``{}`` or the target itself holds under every
-hierarchy, which identity and ``join`` alone show; so an initializer,
-assignment, return, call or ``new`` field flow is recorded only when its
-source is neither, and a loop's records are tested again once its pc is
-solved.  ``decide`` keeps the same test, so a direct caller gets the same
-verdict.
+itself reads no hierarchy: it never decides a flow.  Every flow is recorded by
+``flow``, under a rule of ``RULES``, unless its source, with the pc joined in,
+is ``{}`` or the target itself: such a flow holds under every hierarchy, which
+identity and ``join`` alone show.  A loop's records are made again through
+``flow`` once its pc is solved.
 
 Each class is checked once, generically: call sites substitute the concrete
 principal arguments of the receiver's static type into the callee's labels.
@@ -121,8 +119,35 @@ class ClassInfo:
         self.valid: dict = dict.fromkeys((ast.INT, ast.BOOLEAN, ast.STRING))
 
 
-# (code, source, pc, target, span, message): see decide
-FlowRecord = tuple[str, "Label | PrincipalId", "Label | None", "Label | None", Span, "str | None"]
+# (rule, value, pc, target, span, names): see flow and decide
+FlowRecord = tuple[str, "Label | PrincipalId", Label, "Label | None", Span, tuple]
+
+# rule id -> (diagnostic code, message template, assignment-shaped): see decide
+RULES = {
+    "initializer": ("E-FLOW", "initializer of '{}'", True),
+    "assign": ("E-FLOW", "'{}'", True),
+    "assign-field": ("E-FLOW", "field '{}'", True),
+    "new-field": ("E-FLOW", "field '{}'", True),
+    "return": ("E-FLOW", "returned value does not flow to the declared return label", False),
+    "pc-end": ("E-PC-END", "program counter does not flow to the method end-label", False),
+    "call-pc": ("E-PC-CALL", "program counter does not flow to the begin-label of '{}'", False),
+    "call-arg": ("E-FLOW", "argument does not flow to parameter '{}' of '{}'", False),
+    "new-authority": ("E-AUTH-CLAIM", "creating a '{}' needs the authority of '{}', "
+                                      "which method '{}' does not hold", False),
+    "declassify-from": ("E-DECL-FROM",
+                        "declassified expression does not flow to the stated source label", False),
+    "declassify": ("E-DECL-AUTH", "declassification requires the authority of '{}'", False),
+}
+
+
+def flow(records: list[FlowRecord], rule: str, value, pc: Label, target, span: Span,
+         *names) -> None:
+    """Record that ``value``, at ``pc``, flows to ``target`` under ``rule``; the
+    rule's message takes ``names``.  A flow whose source, with the pc joined
+    in, is ``{}`` or the target itself holds under every hierarchy: it is dropped."""
+    source = value if pc is EMPTY else join(value, pc)
+    if source is not EMPTY and source is not target:
+        records.append((rule, value, pc, target, span, names))
 
 
 class MethodContext:
@@ -389,11 +414,7 @@ class Checker:
             if label not in valid:
                 label = self._resolve_label(ctx.cls, label, s.span)
             if s.init is not None:
-                pc = ctx.pc
-                source = init_label if pc is EMPTY else join(init_label, pc)
-                if source is not EMPTY and source is not label:
-                    ctx.records.append(("E-FLOW", init_label, pc, label, s.span,
-                                        f"initializer of '{s.name}'"))
+                flow(ctx.records, "initializer", init_label, ctx.pc, label, s.span, s.name)
         else:
             # unannotated local: label inferred once, at the declaration
             label = join(init_label, ctx.pc)
@@ -409,16 +430,13 @@ class Checker:
         vtype, vlabel = self.check_expr(ctx, s.value)
         if target_type is None:
             return
-        what = "'{}'" if local is not None else "field '{}'"  # formatted only when read
         if vtype is not target_type and not _types_match(vtype, target_type):
+            what = RULES["assign" if local is not None else "assign-field"][1]
             self.add("E-TYPE", s.span, f"cannot assign a {vtype} value to "
                                        f"{what.format(target.name)} of type {target_type}")
         value = vlabel if receiver is EMPTY else join(vlabel, receiver)
-        pc = ctx.pc
-        source = value if pc is EMPTY else join(value, pc)
-        if source is not EMPTY and source is not target_label:
-            ctx.records.append(("E-FLOW", value, pc, target_label, s.span,
-                                what.format(target.name)))
+        flow(ctx.records, "assign" if local is not None else "assign-field", value, ctx.pc,
+             target_label, s.span, target.name)
 
     def _lookup(self, ctx: MethodContext, e: "ast.Var | ast.FieldAccess"):
         """Resolve a field, or a variable that is not a local: (type, label,
@@ -457,7 +475,7 @@ class Checker:
         return inst
 
     def check_branch(self, ctx: MethodContext, s: "ast.If | ast.While") -> None:
-        saved_pc, returned, records = ctx.pc, ctx.returned, len(ctx.records)
+        saved_pc, returned, mark = ctx.pc, ctx.returned, len(ctx.records)
         if isinstance(s, ast.While):
             ctx.pc = var = LabelVar(f"pc@{s.span.start}")  # a name no source can produce
         ctype, clabel = self.check_expr(ctx, s.cond)
@@ -483,14 +501,11 @@ class Checker:
                     out = solved[x] = substitute_label(x, sub) if mentions_var else x
                 return out
 
-            # a solved record that every hierarchy passes is dropped, as at its site
-            kept = []
-            for code, *parts, span, message in ctx.records[records:]:
-                source, pc, target = map(solve, parts)
-                test = source if pc is None or pc is EMPTY else join(source, pc)
-                if code == "authority" or test is not EMPTY and test is not target:
-                    kept.append((code, source, pc, target, span, message))
-            ctx.records[records:] = kept
+            # each of the body's records is made again from its solved parts
+            body = ctx.records[mark:]
+            del ctx.records[mark:]
+            for rule, *parts, span, names in body:
+                flow(ctx.records, rule, *map(solve, parts), span, *names)
         # a body that may return keeps the raised pc (see the module docstring)
         if not ctx.returned:
             ctx.pc = saved_pc
@@ -509,13 +524,9 @@ class Checker:
             elif vtype is not mi.return_type and not _types_match(vtype, mi.return_type):
                 self.add("E-TYPE", s.span,
                          f"returning a {vtype} value from a {mi.return_type} method")
-            source = vlabel if ctx.pc is EMPTY else join(vlabel, ctx.pc)
-            if source is not EMPTY and source is not mi.return_label:
-                ctx.records.append(("E-FLOW", source, None, mi.return_label, s.span,
-                                    "returned value does not flow to the declared return label"))
+            flow(ctx.records, "return", vlabel, ctx.pc, mi.return_label, s.span)
         if mi.end_label is not None:
-            ctx.records.append(("E-PC-END", ctx.pc, None, mi.end_label, s.span,
-                                "program counter does not flow to the method end-label"))
+            flow(ctx.records, "pc-end", ctx.pc, EMPTY, mi.end_label, s.span)
 
     # ------------------------------------------------------------ expressions
 
@@ -548,12 +559,8 @@ class Checker:
                       f"class '{inst.cls.decl.name}' has no method '{e.method}'")
             return ERROR, EMPTY
         # the receiver picks the object the callee runs on: it bounds its pc and taints its result
-        begin = inst.label(callee.begin_label)
-        source = rlabel if ctx.pc is EMPTY else join(ctx.pc, rlabel)
-        if source is not EMPTY and source is not begin:
-            ctx.records.append((
-                "E-PC-CALL", source, None, begin, e.span,
-                f"program counter does not flow to the begin-label of '{e.method}'"))
+        flow(ctx.records, "call-pc", ctx.pc, rlabel, inst.label(callee.begin_label), e.span,
+             e.method)
         if len(e.args) != len(callee.params):
             self.add("E-ARITY", e.span,
                      f"method '{e.method}' takes {len(callee.params)} argument(s), "
@@ -564,12 +571,8 @@ class Checker:
                 if atype is not want and not _types_match(atype, want):
                     self.add("E-TYPE", arg.span,
                              f"argument '{p.name}' of '{e.method}' expects {want}, got {atype}")
-                param = inst.label(p.label)
-                source = alabel if ctx.pc is EMPTY else join(alabel, ctx.pc)
-                if source is not EMPTY and source is not param:
-                    ctx.records.append((
-                        "E-FLOW", source, None, param, arg.span,
-                        f"argument does not flow to parameter '{p.name}' of '{e.method}'"))
+                flow(ctx.records, "call-arg", alabel, ctx.pc, inst.label(p.label), arg.span,
+                     p.name, e.method)
         return (substitute_type(callee.return_type, inst.sub),
                 join(rlabel, inst.label(callee.return_label)))
 
@@ -584,10 +587,9 @@ class Checker:
         inst = self._member_class(ctype, e.span)
         cls = inst.cls
         # the instance's methods may spend the class's authority, so its creator must hold it
-        ctx.records += [("authority", p, None, None, e.span,
-                         f"creating a '{ctype}' needs the authority of '{p}', "
-                         f"which method '{ctx.method.decl.name}' does not hold")
-                        for p in inst.authority]
+        for p in inst.authority:
+            flow(ctx.records, "new-authority", p, EMPTY, None, e.span, ctype, p,
+                 ctx.method.decl.name)
         # implicit constructor: one argument per field, in declaration order
         if len(e.args) != len(cls.fields):
             self.add("E-ARITY", e.span,
@@ -598,19 +600,16 @@ class Checker:
             want = substitute_type(fi.type, inst.sub)
             if atype is not want and not _types_match(atype, want):
                 self.add("E-TYPE", arg.span, f"field '{fi.name}' expects {want}, got {atype}")
-            field, pc = inst.label(fi.label), ctx.pc
-            source = alabel if pc is EMPTY else join(alabel, pc)
-            if source is not EMPTY and source is not field:
-                ctx.records.append(("E-FLOW", alabel, pc, field, arg.span, f"field '{fi.name}'"))
+            flow(ctx.records, "new-field", alabel, ctx.pc, inst.label(fi.label), arg.span,
+                 fi.name)
         return ctype, result_label
 
     def check_declassify(self, ctx: MethodContext, e: ast.Declassify) -> tuple[ast.Type, Label]:
         etype, elabel = self.check_expr(ctx, e.expr)
         from_label = self._resolve_label(ctx.cls, e.from_label, e.span)
         to_label = self._resolve_label(ctx.cls, e.to_label, e.span)
-        ctx.records += [("E-DECL-FROM", elabel, None, from_label, e.span,
-                         "declassified expression does not flow to the stated source label"),
-                        ("declassify", from_label, None, to_label, e.span, None)]
+        flow(ctx.records, "declassify-from", elabel, EMPTY, from_label, e.span)
+        flow(ctx.records, "declassify", from_label, EMPTY, to_label, e.span)
         return etype, to_label
 
     def _check_builtin(self, ctx: MethodContext, e: ast.Builtin) -> tuple[ast.Type, Label]:
@@ -672,48 +671,41 @@ def decide(records: list[FlowRecord], hierarchy: PrincipalHierarchy,
     program's one hierarchy, in which class parameters are rigid principals) and
     the ``authority`` the method holds: the only code that reads a hierarchy.
 
-    A record fails unless its source flows to its target; it then yields its
-    code and message.  A record with a pc is assignment-shaped, and its
-    message names the target: the pc is joined into the source and is blamed
-    (``E-FLOW-IMPLICIT``) when the value alone would flow.  A ``declassify``
-    record relabels its source to its target: weakening a confidentiality
-    policy needs the authority of its owner, and integrity must not grow.
-    A source (pc joined in) that is ``{}`` or the target itself passes every
-    test under every hierarchy, so such a record is passed unread.  The body
-    pass already drops such a record where it would make it, and once a
-    loop's pc is solved; the test stays here, so that a direct caller gets
-    the same verdict.
-    An ``authority`` record's source is a principal the method must act for.
+    A record's source is its value with its pc joined in, and it fails unless
+    the source flows to its target; only then is its rule's message formatted
+    from the record's names.  An assignment-shaped rule's message names the
+    target, and its pc is blamed (``E-FLOW-IMPLICIT``) when the value alone
+    would flow.  A ``declassify`` record relabels its source to its target:
+    weakening a confidentiality policy needs the authority of its owner, and
+    integrity must not grow.  A ``new-authority`` record's value is a
+    principal the method must act for.
     """
     out, held = [], hierarchy.mask(authority)
-    for code, source, pc, target, span, message in records:
-        if code == "authority":
-            if not held & hierarchy.actor_mask(source):
-                out.append(Diagnostic("E-AUTH-CLAIM", span, message))
+    for rule, value, pc, target, span, names in records:
+        code, template, assigned = RULES[rule]
+        if rule == "new-authority":
+            if not held & hierarchy.actor_mask(value):
+                out.append(Diagnostic(code, span, template.format(*names)))
             continue
-        value = source
-        if pc is not None:
-            source = join(source, pc)
-        if source is EMPTY or source is target:
-            continue
-        if code == "declassify":
+        source = join(value, pc)
+        if rule == "declassify":
             failed = []
             if not flows_to(source, target, hierarchy):
-                failed += [("E-DECL-AUTH", f"declassification requires the authority of '{owner}'")
-                           for owner in conf_owners(source)
+                failed += [(code, template.format(owner)) for owner in conf_owners(source)
                            if not held & hierarchy.actor_mask(owner)]
             if (interpret_label(source, hierarchy).writers
                     & ~interpret_label(target, hierarchy).writers):
                 failed.append(("E-DECL-INTEG", "declassification must not strengthen integrity"))
         elif flows_to(source, target, hierarchy):
             continue
-        elif pc is None:
-            failed = [(code, message)]
+        elif not assigned:
+            failed = [(code, template.format(*names))]
         else:
-            failed = [("E-FLOW-IMPLICIT", f"implicit flow into {message}: the program counter "
+            what = template.format(*names)
+            failed = [("E-FLOW-IMPLICIT", f"implicit flow into {what}: the program counter "
                                           "label does not flow to the target label")
                       if flows_to(value, target, hierarchy)
-                      else (code, f"value does not flow to {message}")]
+                      else (code, f"value does not flow to {what}")]
         out += [Diagnostic(c, span, m, label_to_text(source), label_to_text(target))
                 for c, m in failed]
     return out

@@ -17,7 +17,7 @@ unchanged and keeps only the last pass's diagnostics and records.
 ``to_json_obj`` is a diagnostic as the JSON object that ``render_json``
 writes, for ``json.dumps`` to render as the reference.
 ``oracle_decide`` is ``decide`` by enumeration, with every record's labels
-interpreted: no record is passed unread.
+interpreted, and the messages of ``checker.RULES``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import random
 import re
 
 from minijif import syntax as ast
-from minijif.checker import Checker, MethodContext, _types_match
+from minijif.checker import RULES, Checker, MethodContext, _types_match
 from minijif.diagnostics import Diagnostic
 from minijif.labels import (
     ConfPolicy,
@@ -142,28 +142,29 @@ def oracle_decide(records: list, h: PrincipalHierarchy,
         return any(sem.geq(a, p) for a in authority)
 
     out = []
-    for code, source, pc, target, span, message in records:
-        if code == "authority":
-            if not held(source):
-                out.append(Diagnostic("E-AUTH-CLAIM", span, message))
+    for rule, value, pc, target, span, names in records:
+        code, template, assigned = RULES[rule]
+        if rule == "new-authority":
+            if not held(value):
+                out.append(Diagnostic(code, span, template.format(*names)))
             continue
-        joined = source if pc is None else join(source, pc)
-        if code == "declassify":
+        source = join(value, pc)
+        if rule == "declassify":
             failed = [] if sem.flows(source, target) else [
-                ("E-DECL-AUTH", f"declassification requires the authority of '{owner}'")
-                for owner in conf_owners(source) if not held(owner)]
+                (code, template.format(owner)) for owner in conf_owners(source) if not held(owner)]
             if sem.sem(source)[1] - sem.sem(target)[1]:
                 failed.append(("E-DECL-INTEG", "declassification must not strengthen integrity"))
-        elif sem.flows(joined, target):
-            continue
-        elif pc is None:
-            failed = [(code, message)]
         elif sem.flows(source, target):
-            failed = [("E-FLOW-IMPLICIT", f"implicit flow into {message}: the program counter "
-                                          "label does not flow to the target label")]
+            continue
+        elif not assigned:
+            failed = [(code, template.format(*names))]
+        elif sem.flows(value, target):
+            failed = [("E-FLOW-IMPLICIT", f"implicit flow into {template.format(*names)}: "
+                                          "the program counter label does not flow to the "
+                                          "target label")]
         else:
-            failed = [(code, f"value does not flow to {message}")]
-        out += [Diagnostic(c, span, m, label_to_text(joined), label_to_text(target))
+            failed = [(code, f"value does not flow to {template.format(*names)}")]
+        out += [Diagnostic(c, span, m, label_to_text(source), label_to_text(target))
                 for c, m in failed]
     return out
 

@@ -41,7 +41,7 @@ def main() -> int:
     original = (ROOT / "src" / "minijif" / "checker.py").read_text(encoding="utf-8")
     for m in MUTANTS:
         if original.count(m.source) != 1:
-            print(f"source text of {m.rule!r} does not occur exactly once in checker.py")
+            print(f"source text of {m.name!r} does not occur exactly once in checker.py")
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
@@ -51,15 +51,15 @@ def main() -> int:
             print("a killing test fails on the unmutated source")
             return 2
         survivors = 0
-        print(f"{'rule':<50} {'result':<10} test")
+        print(f"{'row':<50} {'result':<10} test")
         for m in MUTANTS:
             if m.test is None:
-                print(f"{m.rule:<50} {'equivalent':<10} -")
+                print(f"{m.name:<50} {'equivalent':<10} -")
                 continue
             checker.write_text(original.replace(m.source, m.replacement), encoding="utf-8")
             killed = not run_tests(src, [m.test])
             survivors += not killed
-            print(f"{m.rule:<50} {'killed' if killed else 'SURVIVED':<10} {m.test}", flush=True)
+            print(f"{m.name:<50} {'killed' if killed else 'SURVIVED':<10} {m.test}", flush=True)
     return 1 if survivors else 0
 
 

@@ -24,6 +24,7 @@ from minijif.principals import PrincipalHierarchy, TOP, UnknownPrincipal
 from minijif.span import Span
 from minijif import syntax as ast
 from conftest import bench_gen
+from mutants import MUTANTS
 from oracles import SemOracle, decoded, oracle_decide, random_hierarchy, random_label
 
 
@@ -968,17 +969,17 @@ def test_label_operations_are_called_through_the_checker_module(monkeypatch, cor
 
 
 def test_a_verdict_is_a_function_of_records_and_hierarchy():
-    # the record of `int{B->*} y = x;` with `x : {A->*}`, at the empty pc
+    # the record of `y = x;` with `y : {B->*}` and `x : {A->*}`, at the empty pc
     h = Checker(parse_program("principal A; principal B;")).hierarchy
     span = Span("f.mjif", (4, 9), (4, 25))
-    record = ("E-FLOW", parse_label("{A->*}"), EMPTY, parse_label("{B->*}"), span, "'y'")
+    record = ("assign", parse_label("{A->*}"), EMPTY, parse_label("{B->*}"), span, ("y",))
     [d] = decide([record], h, frozenset())
     assert (d.code, d.span, d.message, d.from_label, d.to_label) == (
         "E-FLOW", span, "value does not flow to 'y'", "{A->*}", "{B->*}")
     assert decide([record], h.delegate(("B", "A")), frozenset()) == []
     # the record of `new Vault()` for `class Vault authority(A)`, in a method holding B's authority
     message = "creating a 'Vault' needs the authority of 'A', which method 'run' does not hold"
-    record = ("authority", "A", None, None, span, message)
+    record = ("new-authority", "A", EMPTY, None, span, ("Vault", "A", "run"))
     assert decide([record], h, frozenset({"B"})) == [Diagnostic("E-AUTH-CLAIM", span, message)]
     assert decide([record], h.delegate(("B", "A")), frozenset({"B"})) == []
 
@@ -986,8 +987,8 @@ def test_a_verdict_is_a_function_of_records_and_hierarchy():
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_decide_agrees_with_an_oracle_that_reads_every_record(pyrng):
-    # decide passes unread a record whose source, with its pc joined in, is {}
-    # or the target itself; the oracle interprets every record
+    # `flow` drops a record whose source, with its pc joined in, is {} or the
+    # target itself, and decide has no such test: here such records reach it
     h = random_hierarchy(pyrng, max_principals=4)
     pool = sorted(h.universe)
     span = Span("f.mjif", (1, 1), (1, 2))
@@ -997,10 +998,10 @@ def test_decide_agrees_with_an_oracle_that_reads_every_record(pyrng):
         source, pc = (pyrng.choice((EMPTY, target, random_label(pyrng, pool))) for _ in "sp")
         kind = pyrng.randrange(4)
         records.append(
-            ("E-FLOW", source, pc, target, span, "'y'") if kind == 0
-            else ("E-FLOW", source, None, target, span, "returned value") if kind == 1
-            else ("declassify", source, None, target, span, None) if kind == 2
-            else ("authority", pyrng.choice(pool), None, None, span, "needs authority"))
+            ("assign", source, pc, target, span, ("y",)) if kind == 0
+            else ("return", source, pc, target, span, ()) if kind == 1
+            else ("declassify", source, EMPTY, target, span, ()) if kind == 2
+            else ("new-authority", (p := pyrng.choice(pool)), EMPTY, None, span, ("C", p, "m")))
     authority = frozenset(pyrng.sample(pool, pyrng.randint(0, 2)))
     assert decide(records, h, authority) == oracle_decide(records, h, authority)
 
@@ -1021,6 +1022,63 @@ def test_flows_are_decided_only_in_decide():
 
     tree = pyast.parse(Path(checker_module.__file__).read_text(encoding="utf-8"))
     assert set(owners(tree, None)) == {"decide"}
+
+
+def test_flows_are_recorded_only_by_flow():
+    # one way to record a flow: each `flow` call names a rule of RULES and
+    # builds no string, only `flow` adds to the records, and decide drops no
+    # record by a test of its own
+    def owned(node, owner):
+        for child in pyast.iter_child_nodes(node):
+            if isinstance(child, pyast.FunctionDef):
+                yield from owned(child, child.name)
+            else:
+                yield owner, child
+                yield from owned(child, owner)
+
+    def is_records(node):
+        return (isinstance(node, pyast.Attribute) and node.attr == "records"
+                or isinstance(node, pyast.Name) and node.id == "records")
+
+    tree = pyast.parse(Path(checker_module.__file__).read_text(encoding="utf-8"))
+    used, computed = set(), []
+    for owner, node in owned(tree, None):
+        if isinstance(node, pyast.Call) and getattr(node.func, "id", None) == "flow":
+            rule = node.args[1]
+            options = [rule.body, rule.orelse] if isinstance(rule, pyast.IfExp) else [rule]
+            if all(isinstance(o, pyast.Constant) for o in options):
+                used |= {o.value for o in options}
+            else:
+                computed.append(owner)
+            for part in pyast.walk(node):
+                assert not (isinstance(part, pyast.JoinedStr)
+                            or isinstance(part, pyast.Attribute) and part.attr == "format"
+                            or isinstance(part, pyast.BinOp) and isinstance(part.op, pyast.Mod)
+                            ), pyast.unparse(node)
+        if isinstance(node, pyast.Call) and is_records(getattr(node.func, "value", None)):
+            assert owner == "flow", pyast.unparse(node)  # records.append, .extend, .insert
+        if isinstance(node, pyast.Assign | pyast.AugAssign):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                assert not (is_records(target) or is_records(getattr(target, "value", None))
+                            ), pyast.unparse(node)
+        if owner == "decide" and isinstance(node, pyast.Compare):
+            assert not {pyast.Is, pyast.IsNot} & {type(op) for op in node.ops}
+    assert used == set(checker_module.RULES)
+    assert computed == ["check_branch"]  # a loop's records, made again once solved
+
+
+def test_the_rules_doc_has_a_row_per_rule(corpus_dir):
+    # docs/rules.md lists the rules of RULES in order, and each corpus file,
+    # test and mutant row it names exists
+    doc = Path(__file__).resolve().parent.parent / "docs" / "rules.md"
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in doc.read_text(encoding="utf-8").splitlines() if line.startswith("| `")]
+    assert [row[0].split("`")[1] for row in rows] == list(checker_module.RULES)
+    tests = Path(__file__).read_text(encoding="utf-8")
+    for *_, example, mutant in rows:
+        name = example.split("`")[1]
+        assert (corpus_dir / name).is_file() if example.startswith("`") else f"def {name}(" in tests
+        assert mutant in {m.name for m in MUTANTS}
 
 
 def substitutions(monkeypatch, *, loops: bool) -> list:
