@@ -3,10 +3,9 @@
 The first error aborts the parse; its span always points into the source.
 
 The common constructs are each read in one frame, straight from the token
-lists: a label's policies, a name or literal operand, a block, a statement
-header and a declaration.  A label shape that its one loop does not take (a
-``meet``, a parenthesized group, a label variable, an error) is read again
-from its first token by the general methods, which alone raise its errors.
+lists: a label, a name or literal operand, a block, a statement header and a
+declaration.  A label is read by one loop over its ``;`` components and their
+``meet`` terms; only a parenthesized group inside it is read by recursion.
 """
 
 from __future__ import annotations
@@ -142,10 +141,9 @@ class _Parser:
     # ---------------------------------------------------------------- labels
 
     def label(self, opener: str = "{", closer: str = "}") -> Label:
-        """``{`` components ``}``, or a parenthesized group of them.  A
-        component that is one policy, ended by ``;`` or the closer, is read
-        in this frame; any other is read again from its first token by
-        ``label_component``."""
+        """``{`` components ``}``, or a parenthesized group of them, read in
+        this frame.  Each ``;`` component is a chain of ``meet`` terms; a term
+        is a policy, a label variable or a group, which is read by recursion."""
         kinds, texts = self.kinds, self.texts
         pos = self.pos
         if kinds[pos] != opener:
@@ -154,23 +152,35 @@ class _Parser:
         if kinds[pos] == closer:
             self.pos = pos + 1
             return EMPTY
+        depth = self.depth
         lab = None
         while True:
-            start = pos
-            # a token that is not EOF has a next one: each lookahead is guarded
-            policy = _POLICIES.get(kinds[pos + 1]) if kinds[pos] in _PRINCIPALS else None
-            if policy is not None and kinds[pos + 2] in _PRINCIPALS:
-                members = [texts[pos + 2]]
-                pos += 3
-                while kinds[pos] == "," and kinds[pos + 1] in _PRINCIPALS:
-                    members.append(texts[pos + 1])
-                    pos += 2
-            if policy is None or kinds[pos] != ";" and kinds[pos] != closer:
-                self.pos = start
-                component = self.label_component()
-                pos = self.pos
-            else:
-                component = policy(texts[start], tuple(members))
+            component = None
+            while True:
+                kind = kinds[pos]
+                # a token that is not EOF has a next one: each lookahead is guarded
+                if kind == "(":
+                    self.pos = self.nest(pos)
+                    term = self.label("(", ")")
+                    self.depth -= 1
+                    pos = self.pos
+                elif kind == "IDENT" and kinds[pos + 1] not in _POLICIES:
+                    term = LabelVar(texts[pos])
+                    pos += 1
+                else:
+                    if kind not in _PRINCIPALS:
+                        raise self.fail(pos, *_PRINCIPALS)
+                    policy = _POLICIES.get(kinds[pos + 1])
+                    if policy is None:
+                        raise self.fail(pos + 1, *_POLICIES)
+                    self.pos = pos + 2
+                    term = policy(texts[pos], self.principal_list())
+                    pos = self.pos
+                component = term if component is None else MeetNode(component, term)
+                if kinds[pos] != "meet":
+                    break
+                pos = self.nest(pos) + 1
+            self.depth = depth
             lab = component if lab is None else join(lab, component)
             if kinds[pos] != ";":
                 break
@@ -182,28 +192,6 @@ class _Parser:
 
     def optional_label(self) -> "Label | None":
         return self.label() if self.kinds[self.pos] == "{" else None
-
-    def label_component(self) -> Label:
-        depth = self.depth
-        lab = self.label_term()
-        while self.at("meet"):
-            self.nest(self.advance())
-            lab = MeetNode(lab, self.label_term())
-        self.depth = depth
-        return lab
-
-    def label_term(self) -> Label:
-        # parenthesized group (pretty-printer output for joins under a meet)
-        if self.at("("):
-            self.nest(self.pos)
-            lab = self.label("(", ")")
-            self.depth -= 1
-            return lab
-        if self.at("IDENT") and not self.kinds[self.pos + 1] in _POLICIES:
-            return LabelVar(self.texts[self.advance()])
-        owner = self.principal()
-        policy = _POLICIES[self.kinds[self.expect(*_POLICIES)]]
-        return policy(owner, self.principal_list())
 
     # ----------------------------------------------------------------- types
 

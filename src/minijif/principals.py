@@ -154,7 +154,8 @@ class PrincipalHierarchy(Interned):
         """Total query: reflexive delegation with top/bottom axioms, transitive
         among declared principals.  Only top and ``q`` itself act for an
         undeclared ``q``, even when a declared principal acts for top."""
-        return p == q or p == TOP or q == BOTTOM or bool(self.mask((p,)) & self.actor_mask(q))
+        # top needs no test of its own: every actor mask, and top_bit, holds top's bit
+        return p == q or q == BOTTOM or bool(self.mask((p,)) & self.actor_mask(q))
 
 
 class HierarchyParseError(ValueError):

@@ -174,10 +174,10 @@ class TestLexerOracle:
 
 
 # sha256 of parse_outcome's repr over every corpus file cut after each of its
-# tokens, file by file and cut by cut, as the parser gave it before each common
-# construct took one frame.  Update it only together with a CHANGES.md line
-# that says why the outcome of a parse changed.
-TRUNCATIONS_SHA256 = "0c63520a28c9c7188653e1f6c2c6f2ad02f9895babbca178f01d554ca8f4edea"
+# tokens, file by file and cut by cut, so adding a corpus file changes it.
+# Update it only together with a CHANGES.md line that says why the outcome of
+# a parse or the set of corpus files changed.
+TRUNCATIONS_SHA256 = "fec5e711355b49bdc9ca72a7f86adb2a7e74027b08d99b490894035b4a342ddc"
 
 
 def truncations() -> list[str]:
@@ -201,7 +201,7 @@ def test_sources_that_end_mid_construct_parse_as_pinned():
     cuts = truncations()
     for source in cuts:
         digest.update(repr(parse_outcome(source)).encode())
-    assert len(cuts) == 2_201
+    assert len(cuts) == 2_288
     assert digest.hexdigest() == TRUNCATIONS_SHA256
 
 
@@ -321,6 +321,38 @@ class TestParseLabel:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_label("{Alice->*} x")
+
+    # each malformed shape of label, with the error and the span of its token
+    @pytest.mark.parametrize("source, message, start, end", [
+        ("{A->}", "1:5: expected IDENT or * or _, got }", 5, 6),
+        ("{A->B,}", "1:7: expected IDENT or * or _, got }", 7, 8),
+        ("{*}", "1:3: expected -> or <-, got }", 3, 4),
+        ("{A->B C}", "1:7: expected }, got IDENT", 7, 8),
+        ("{A->B meet}", "1:11: expected IDENT or * or _, got }", 11, 12),
+        ("{(A->B}", "1:7: expected ), got }", 7, 8),
+        ("{;}", "1:2: expected IDENT or * or _, got ;", 2, 3),
+        # one `meet` or `(` past MAX_NESTING (150), in a chain, in groups and in both
+        ("{" + " meet ".join(["A->B"] * 152) + "}",
+         "1:1507: expected at most 150 levels of nesting, got meet", 1507, 1511),
+        ("{" + "(" * 151 + "A->B" + ")" * 151 + "}",
+         "1:152: expected at most 150 levels of nesting, got (", 152, 153),
+        ("{" + "(" * 149 + "A->B meet A->B meet A->B" + ")" * 149 + "}",
+         "1:166: expected at most 150 levels of nesting, got meet", 166, 170),
+        ("{A->*; " + "(" * 151 + "A->B" + ")" * 151 + "}",
+         "1:158: expected at most 150 levels of nesting, got (", 158, 159),
+    ])
+    def test_malformed_label_error(self, source, message, start, end):
+        with pytest.raises(ParseError) as err:
+            parse_label(source)
+        assert str(err.value) == f"<label>:{message}"
+        assert err.value.span == Span("<label>", (1, start), (1, end))
+
+    def test_nesting_at_the_limit_parses(self):
+        assert parser.MAX_NESTING == 150
+        chain = " meet ".join(["A->B"] * 151)
+        assert isinstance(parse_label("{" + chain + "}"), MeetNode)
+        assert parse_label("{" + "(" * 150 + "A->B" + ")" * 150 + "}") == ConfPolicy("A", ("B",))
+        assert isinstance(parse_label("{" + "(" * 149 + "A->B meet A->B" + ")" * 149 + "}"), MeetNode)
 
 
 class TestParseProgram:

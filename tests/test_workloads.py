@@ -36,6 +36,8 @@ OUTPUT_SHA256 = {
 
 # per corpus file: (default trust, --no-trust-main)
 CORPUS_SHA256 = {
+    "argument_leak": ("9bdfae26eca27640992b5eebca9c5f560a55d3ed1c0b94aa81824bb526e9c92a",
+                      "9bdfae26eca27640992b5eebca9c5f560a55d3ed1c0b94aa81824bb526e9c92a"),
     "arity": ("cc841015a11ecbb675401cd0089b8da0d9f75e1a3cb53630d6e602b1cdc127e4",
               "cc841015a11ecbb675401cd0089b8da0d9f75e1a3cb53630d6e602b1cdc127e4"),
     "authority_claim": ("fdc49c1b3cc849c1f5a6a7274b4098b3035e83dcf1fcaeb04c4426ceeb3d5bdd",
@@ -62,6 +64,8 @@ CORPUS_SHA256 = {
                           "877eaf40e17c97fa2d96457824c4bd82fd0d6135fe9c0c2fcc10830b854a7302"),
     "end_label": ("a8c0b1d001f07ae1aa850db9a1438c133674c75284dcbb0148302920e8f49f0f",
                   "a8c0b1d001f07ae1aa850db9a1438c133674c75284dcbb0148302920e8f49f0f"),
+    "field_write_leak": ("097a04477425ef871cb0d0a1498643d868fcfc42831b899dc0508755e4c3afea",
+                         "097a04477425ef871cb0d0a1498643d868fcfc42831b899dc0508755e4c3afea"),
     "generic_scope": ("53f88538e710c28eb8dce535a597f4c9e34d49fd2e41741a9315a22be3b3f3d9",
                       "53f88538e710c28eb8dce535a597f4c9e34d49fd2e41741a9315a22be3b3f3d9"),
     "implicit_flow": ("d1982cb7ac29e50869dab5e17904ada50c406c0fa8c5e583e59d43641cf99a99",
@@ -201,7 +205,7 @@ DECIDED_RECORDS = {"deep_nesting": 480, "large_source": 0, "wide_principals": 1_
 def test_decide_sees_only_records_a_hierarchy_could_fail(workload, decided):
     check_program(parse_program(gen.generate(workload, 1)[0]))
     assert len(decided) == DECIDED_RECORDS[workload]
-    for code, source, pc, target, _, _ in decided:
-        if code != "authority":
-            source = source if pc is None else join(source, pc)
+    for rule, value, pc, target, span, names in decided:
+        if rule != "new-authority":  # its value is a principal, which no pc joins
+            source = join(value, pc)
             assert source is not EMPTY and source is not target
