@@ -34,13 +34,12 @@ from __future__ import annotations
 from . import labels
 from .diagnostics import Diagnostic
 from .labels import (
-    ConfPolicy,
     EMPTY,
-    IntegPolicy,
     JoinNode,
     Label,
     LabelVar,
     MeetNode,
+    Policy,
     _flatten,
     conf_owners,
     flows_to,
@@ -167,8 +166,8 @@ def substitute_label(label: Label, sub: "dict[str, PrincipalId] | dict[LabelVar,
     if not sub:
         return label
     match label:
-        case ConfPolicy(owner, members) | IntegPolicy(owner, members):
-            return type(label)(sub.get(owner, owner), tuple(sub.get(m, m) for m in members))
+        case Policy(owner, arrow, members):
+            return Policy(sub.get(owner, owner), arrow, tuple(sub.get(m, m) for m in members))
         case JoinNode():
             return join_all([substitute_label(c, sub) for c in _flatten(label, JoinNode)])
         case MeetNode(left, right):
@@ -284,7 +283,7 @@ class Checker:
             if f.name in info.fields:
                 self.add("E-TYPE", f.span, f"duplicate field '{f.name}'")
                 continue
-            ftype = self._resolve_type(info, f.type, f.span, allow_void=False)
+            ftype = self._resolve_type(info, f.type, f.span)
             flabel = self._resolve_label(info, f.label, f.span)
             info.fields[f.name] = ParamInfo(f.name, ftype, flabel)
         for m in c.methods:
@@ -303,13 +302,15 @@ class Checker:
             None if m.end_label is None
             else self._resolve_label(info, m.end_label, m.span)
         )
-        ret_type = self._resolve_type(info, m.return_type, m.span, allow_void=True)
+        ret_type = m.return_type
+        if ret_type is not ast.VOID:
+            ret_type = self._resolve_type(info, ret_type, m.span)
         params: dict[str, ParamInfo] = {}
         for p in m.params:
             if p.name in params:
                 self.add("E-TYPE", p.span, f"duplicate parameter '{p.name}'")
                 continue
-            ptype = self._resolve_type(info, p.type, p.span, allow_void=False)
+            ptype = self._resolve_type(info, p.type, p.span)
             plabel = begin if p.label is None else self._resolve_label(info, p.label, p.span)
             params[p.name] = ParamInfo(p.name, ptype, plabel)
         authority = self._method_authority(info, m)
@@ -343,12 +344,10 @@ class Checker:
             return EMPTY
         if label in info.valid:
             return label
-        kind = type(label)
-        if kind is ConfPolicy or kind is IntegPolicy:  # one policy of declared principals
-            members = label.readers if kind is ConfPolicy else label.writers
-            if self.universe.issuperset((label.owner, *members)):
-                info.valid[label] = None
-                return label
+        # one policy of declared principals
+        if type(label) is Policy and self.universe.issuperset((label.owner, *label.members)):
+            info.valid[label] = None
+            return label
         ok = True
         for node in leaves(label):
             if isinstance(node, LabelVar):
@@ -356,16 +355,15 @@ class Checker:
                          f"label variable '{node.name}' is not supported")
                 ok = False
             else:
-                members = node.readers if isinstance(node, ConfPolicy) else node.writers
-                for p in (node.owner, *members):
+                for p in (node.owner, *node.members):
                     ok = (p in self.universe or self._principal_known(info, p, span)) and ok
         if not ok:
             return EMPTY
         info.valid[label] = None
         return label
 
-    def _resolve_type(self, info: ClassInfo, t: ast.Type, span: Span, allow_void: bool) -> ast.Type:
-        if t is ast.VOID and not allow_void:
+    def _resolve_type(self, info: ClassInfo, t: ast.Type, span: Span) -> ast.Type:
+        if t is ast.VOID:
             self.add("E-TYPE", span, "void is only valid as a return type")
             return ERROR
         if not isinstance(t, ast.ClassType) or t in info.valid:
@@ -399,7 +397,7 @@ class Checker:
     def _check_var_decl(self, ctx: MethodContext, s: ast.VarDecl) -> None:
         typ, valid = s.type, ctx.cls.valid
         if typ not in valid:
-            typ = self._resolve_type(ctx.cls, typ, s.span, allow_void=False)
+            typ = self._resolve_type(ctx.cls, typ, s.span)
         if s.name in ctx.locals:
             self.add("E-TYPE", s.span, f"duplicate local '{s.name}'")
             return
@@ -579,9 +577,7 @@ class Checker:
     def _check_new(self, ctx: MethodContext, e: ast.New) -> tuple[ast.Type, Label]:
         arg_results = [self.check_expr(ctx, a) for a in e.args]
         result_label = join_all([l for _, l in arg_results])
-        ctype = self._resolve_type(
-            ctx.cls, ast.ClassType(e.class_name, e.principal_args), e.span, allow_void=False
-        )
+        ctype = self._resolve_type(ctx.cls, ast.ClassType(e.class_name, e.principal_args), e.span)
         if ctype is ERROR:
             return ERROR, result_label
         inst = self._member_class(ctype, e.span)

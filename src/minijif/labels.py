@@ -9,9 +9,10 @@ are distinct, in first-occurrence order.  ``join``, ``label_to_text`` and
 bounded caches.  All flow decisions go through a label's semantic
 interpretation under a principal hierarchy, which is a pair of effective
 reader/writer sets over the closed universe, as the hierarchy's bit masks.
-A policy's members, whoever acts for its owner or for a listed principal, are
-one C-level OR over the hierarchy's actor masks.  An undeclared principal is
-acted for by top alone, even when some principal acts for top.
+A policy is its owner, its arrow and its members; only this module reads the
+arrow (``->`` readers, ``<-`` writers).  Its members, whoever acts for its
+owner or for a listed principal, are one C-level OR over the actor masks.
+An undeclared principal is acted for by top alone, even if some acts for top.
 The empty label is the distinguished public-trusted bottom element: readable
 by everyone, writable only by the top principal.
 """
@@ -26,26 +27,15 @@ from .principals import PrincipalHierarchy, PrincipalId
 from .span import Record
 
 
-class ConfPolicy(Interned):
-    """``owner -> r1,...``: the owner permits the listed principals to read."""
+class Policy(Interned):
+    """``owner -> m1,...`` lets the members read; ``owner <- m1,...`` lets them write."""
 
-    __slots__ = __match_args__ = ("owner", "readers")
+    __slots__ = __match_args__ = ("owner", "arrow", "members")
 
-    def __new__(cls, owner: PrincipalId, readers: tuple[PrincipalId, ...]):
-        if not readers:
-            raise ValueError("confidentiality policy needs at least one reader")
-        return super().__new__(cls, owner, readers)
-
-
-class IntegPolicy(Interned):
-    """``owner <- w1,...``: the owner permits the listed principals to write."""
-
-    __slots__ = __match_args__ = ("owner", "writers")
-
-    def __new__(cls, owner: PrincipalId, writers: tuple[PrincipalId, ...]):
-        if not writers:
-            raise ValueError("integrity policy needs at least one writer")
-        return super().__new__(cls, owner, writers)
+    def __new__(cls, owner: PrincipalId, arrow: str, members: tuple[PrincipalId, ...]):
+        if not members:
+            raise ValueError(f"policy {owner}{arrow} needs at least one member")
+        return super().__new__(cls, owner, arrow, members)
 
 
 class JoinNode(Interned):
@@ -71,7 +61,7 @@ class EmptyLabel(Interned):
 
 EMPTY: Label = EmptyLabel()
 
-Label = ConfPolicy | IntegPolicy | JoinNode | MeetNode | LabelVar | EmptyLabel
+Label = Policy | JoinNode | MeetNode | LabelVar | EmptyLabel
 
 
 class SemLabel(Record):
@@ -91,10 +81,9 @@ _new = tuple.__new__  # builds a SemLabel without a Python frame for Record.__ne
 @lru_cache(maxsize=1 << 16)
 def interpret_label(label: Label, h: PrincipalHierarchy) -> SemLabel:
     kind, everyone = type(label), h.everyone
-    if kind is ConfPolicy:
-        return _new(SemLabel, (h.policy_members(label.owner, label.readers), everyone))
-    if kind is IntegPolicy:
-        return _new(SemLabel, (everyone, h.policy_members(label.owner, label.writers)))
+    if kind is Policy:
+        members = h.policy_members(label.owner, label.members)
+        return _new(SemLabel, (members, everyone) if label.arrow == "->" else (everyone, members))
     if kind is JoinNode or kind is EmptyLabel:
         # fold the `;` components onto the meaning of {}: a loop, since
         # the labels the checker builds may have any number of them
@@ -188,15 +177,14 @@ def leaves(label: Label) -> list[Label]:
 
 def conf_owners(label: Label) -> list[PrincipalId]:
     """Owners of all confidentiality policies in the tree, in syntactic order."""
-    return list(dict.fromkeys(p.owner for p in leaves(label) if isinstance(p, ConfPolicy)))
+    return list(dict.fromkeys(
+        p.owner for p in leaves(label) if isinstance(p, Policy) and p.arrow == "->"))
 
 
 def _policy_text(label: Label) -> str:
     match label:
-        case ConfPolicy(owner, readers):
-            return f"{owner}->" + ",".join(readers)
-        case IntegPolicy(owner, writers):
-            return f"{owner}<-" + ",".join(writers)
+        case Policy(owner, arrow, members):
+            return owner + arrow + ",".join(members)
         case LabelVar(name):
             return name
         case MeetNode(left, right):

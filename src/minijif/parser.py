@@ -11,12 +11,11 @@ declaration.  A label is read by one loop over its ``;`` components and their
 from __future__ import annotations
 
 from .labels import (
-    ConfPolicy,
     EMPTY,
-    IntegPolicy,
     Label,
     LabelVar,
     MeetNode,
+    Policy,
     join,
 )
 from .lexer import Tokens, tokenize, unescape
@@ -34,7 +33,7 @@ class ParseError(Exception):
 
 _TYPE_KEYWORDS = {"int": ast.INT, "boolean": ast.BOOLEAN, "String": ast.STRING, "void": ast.VOID}
 _PRINCIPALS = ("IDENT", "*", "_")  # the kinds of token that name a principal
-_POLICIES = {"->": ConfPolicy, "<-": IntegPolicy}
+_ARROWS = ("->", "<-")
 # the tokens of an operand that expr builds itself: the node class of each
 _OPERANDS = {"IDENT": ast.Var, "INT": ast.IntLit, "STRING": ast.StrLit,
              "true": ast.BoolLit, "false": ast.BoolLit}
@@ -164,17 +163,17 @@ class _Parser:
                     term = self.label("(", ")")
                     self.depth -= 1
                     pos = self.pos
-                elif kind == "IDENT" and kinds[pos + 1] not in _POLICIES:
+                elif kind == "IDENT" and kinds[pos + 1] not in _ARROWS:
                     term = LabelVar(texts[pos])
                     pos += 1
                 else:
                     if kind not in _PRINCIPALS:
                         raise self.fail(pos, *_PRINCIPALS)
-                    policy = _POLICIES.get(kinds[pos + 1])
-                    if policy is None:
-                        raise self.fail(pos + 1, *_POLICIES)
+                    arrow = kinds[pos + 1]
+                    if arrow not in _ARROWS:
+                        raise self.fail(pos + 1, *_ARROWS)
                     self.pos = pos + 2
-                    term = policy(texts[pos], self.principal_list())
+                    term = Policy(texts[pos], arrow, self.principal_list())
                     pos = self.pos
                 component = term if component is None else MeetNode(component, term)
                 if kinds[pos] != "meet":

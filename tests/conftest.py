@@ -76,3 +76,34 @@ def corpus_mutants(n: int, seed: str) -> list[str]:
                 del data[i]
         out.append(data.decode("utf-8", errors="replace"))
     return out
+
+
+def token_mutants(n: int, seed: str) -> list[str]:
+    """``n`` files of ``MUTANT_SOURCES`` as their token texts joined by spaces,
+    each with one to three tokens replaced by a text of the same kind (an
+    identifier, number or string; a keyword or symbol is its own kind),
+    inserted from any of the files, or deleted."""
+    from minijif.lexer import tokenize
+
+    rng = random.Random(seed)
+    files = []
+    for name in MUTANT_SOURCES:
+        tokens = tokenize((CORPUS_DIR / name).read_text())
+        files.append(list(zip(tokens.kinds[:-1], tokens.texts[:-1])))  # all but EOF
+    every = sorted({token for tokens in files for token in tokens})
+    of_kind: dict[str, list[tuple[str, str]]] = {}
+    for token in every:
+        of_kind.setdefault(token[0], []).append(token)
+    out = []
+    for _ in range(n):
+        tokens = list(rng.choice(files))
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(tokens)), rng.randrange(3)
+            if op == 0:
+                tokens[i] = rng.choice(of_kind[tokens[i][0]])
+            elif op == 1:
+                tokens.insert(i, rng.choice(every))
+            else:
+                del tokens[i]
+        out.append(" ".join(text for _, text in tokens))
+    return out

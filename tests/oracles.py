@@ -30,12 +30,11 @@ from minijif import syntax as ast
 from minijif.checker import RULES, Checker, MethodContext, _types_match
 from minijif.diagnostics import Diagnostic
 from minijif.labels import (
-    ConfPolicy,
     EmptyLabel,
-    IntegPolicy,
     JoinNode,
     Label,
     MeetNode,
+    Policy,
     SemLabel,
     conf_owners,
     flows_to,
@@ -97,10 +96,9 @@ class SemOracle:
     def sem(self, label: Label) -> tuple[frozenset, frozenset]:
         if isinstance(label, EmptyLabel):
             return self.universe, frozenset({TOP})
-        if isinstance(label, ConfPolicy):
-            return self.policy_members(label.owner, label.readers), self.universe
-        if isinstance(label, IntegPolicy):
-            return self.universe, self.policy_members(label.owner, label.writers)
+        if isinstance(label, Policy):
+            members = self.policy_members(label.owner, label.members)
+            return (members, self.universe) if label.arrow == "->" else (self.universe, members)
         ra, wa = self.sem(label.left)
         rb, wb = self.sem(label.right)
         if isinstance(label, JoinNode):
@@ -229,9 +227,7 @@ def random_policy(rng: random.Random, pool) -> Label:
     members = tuple(
         random_principal(rng, pool) for _ in range(rng.randint(1, 2))
     )
-    if rng.random() < 0.5:
-        return ConfPolicy(owner, members)
-    return IntegPolicy(owner, members)
+    return Policy(owner, "->" if rng.random() < 0.5 else "<-", members)
 
 
 def random_label(rng: random.Random, pool, depth: int = 3) -> Label:

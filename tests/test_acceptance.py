@@ -15,10 +15,9 @@ from minijif.checker import check_program
 from minijif.cli import _read_expectations
 from minijif.diagnostics import CATALOG
 from minijif.labels import (
-    ConfPolicy,
     EMPTY,
-    IntegPolicy,
     JoinNode,
+    Policy,
     interpret_label,
     flows_to,
     join,
@@ -86,8 +85,8 @@ def _policy_family():
         for k in (1, 2, 3)
         for ms in itertools.combinations(prs, k)
     ]
-    conf = [ConfPolicy(o, ms) for o in prs for ms in member_sets]
-    integ = [IntegPolicy(o, ms) for o in prs for ms in member_sets]
+    conf = [Policy(o, "->", ms) for o in prs for ms in member_sets]
+    integ = [Policy(o, "<-", ms) for o in prs for ms in member_sets]
     return prs, conf, integ
 
 
@@ -128,8 +127,8 @@ def _check_lattice_laws(prs, conf, integ, combos, edges):
 
     # oracle policy interpretations, independent of the production path
     oracle = SemOracle(h)
-    conf_r = [_mask(index, oracle.policy_members(p.owner, p.readers)) for p in conf]
-    integ_w = [_mask(index, oracle.policy_members(p.owner, p.writers)) for p in integ]
+    conf_r = [_mask(index, oracle.policy_members(p.owner, p.members)) for p in conf]
+    integ_w = [_mask(index, oracle.policy_members(p.owner, p.members)) for p in integ]
 
     def combo_and(masks, picks):
         out = full

@@ -1,5 +1,6 @@
 import ast as pyast
 import gc
+import re
 import time
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from minijif.parser import ParseError, _Parser, parse_label, parse_program
 from minijif.principals import PrincipalHierarchy, TOP, UnknownPrincipal
 from minijif.span import Span
 from minijif import syntax as ast
-from conftest import bench_gen, corpus_mutants
+from conftest import bench_gen, corpus_mutants, token_mutants
 from mutants import MUTANTS
 from oracles import SemOracle, decoded, oracle_decide, random_hierarchy, random_label
 
@@ -903,6 +904,16 @@ class TestDeclarations:
     def test_void_local_rejected(self):
         assert codes(wrap("        void v;")) == ["E-TYPE"]
 
+    def test_void_is_only_a_return_type(self):
+        # a void field, parameter and local are each one error; a void return
+        # type is kept, and any other return type is resolved
+        src = ("class C {\n    void f;\n    void m{}(void p) {\n        void v;\n    }\n"
+               "    Missing n{}() { }\n}\n")
+        found = [(d.code, d.span.start[0], d.message) for d in check_program(parse_program(src))]
+        void = "void is only valid as a return type"
+        assert found == [("E-TYPE", 2, void), ("E-TYPE", 3, void), ("E-TYPE", 4, void),
+                         ("E-UNDEF", 6, "unknown class 'Missing'")]
+
 
 class TestTrustConfig:
     def test_extra_delegation_enables_flow(self):
@@ -941,10 +952,10 @@ class TestDeterminism:
             Diagnostic("E-BOGUS", Span("f.mjif", (1, 1), (1, 2)), "message")
 
 
-def test_no_mutated_corpus_file_that_parses_makes_the_checker_raise():
-    # one to three bytes changed in a corpus file; about 950 of the 3,000 parse
+def parse_and_check(sources) -> int:
+    """Check each of ``sources`` that parses under both trust settings; how many parsed."""
     parsed = 0
-    for source in corpus_mutants(3000, "checker-fuzz"):
+    for source in sources:
         try:
             program = parse_program(source, "f.mjif")
         except (LexError, ParseError):
@@ -952,7 +963,17 @@ def test_no_mutated_corpus_file_that_parses_makes_the_checker_raise():
         parsed += 1
         for trust in (TrustConfig(), TrustConfig(grant_main_authority=False)):
             check_program(program, trust)
-    assert parsed >= 800
+    return parsed
+
+
+def test_no_mutated_corpus_file_that_parses_makes_the_checker_raise():
+    # one to three bytes changed in a corpus file; about 950 of the 3,000 parse
+    assert parse_and_check(corpus_mutants(3000, "checker-fuzz")) >= 800
+
+
+def test_no_token_mutant_of_a_corpus_file_that_parses_makes_the_checker_raise():
+    # one to three tokens changed in a corpus file; about 570 of the 3,000 parse
+    assert parse_and_check(token_mutants(3000, "checker-token-fuzz")) >= 450
 
 
 # flows_to and label_to_text calls in checking each benchmark workload at seed 1
@@ -1092,6 +1113,16 @@ def test_the_rules_doc_has_a_row_per_rule(corpus_dir):
         assert example.startswith("`") and example.endswith(".mjif`")
         assert (corpus_dir / example.strip("`")).is_file()
         assert mutant in {m.name for m in MUTANTS}
+
+
+def test_the_soundness_doc_argues_every_rule(corpus_dir):
+    # docs/soundness.md says why each rule of RULES preserves the property,
+    # and each corpus file it names exists
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "soundness.md").read_text(
+        encoding="utf-8")
+    assert [rule for rule in checker_module.RULES if f"- `{rule}`: " not in doc] == []
+    named = re.findall(r"`corpus/(\w+\.mjif)`", doc)
+    assert named and all((corpus_dir / name).is_file() for name in named)
 
 
 def substitutions(monkeypatch, *, loops: bool) -> list:
@@ -1289,6 +1320,21 @@ def test_every_package_definition_is_referenced_in_the_package():
                           if name not in referenced
                           and not (name.startswith("__") and name.endswith("__")))
     assert unreferenced == []
+
+
+def test_only_labels_reads_a_policy_arrow():
+    # one policy class: labels.py alone reads which side a policy's members
+    # are on, and the checker holds no arrow of its own
+    readers, arrows = set(), []
+    for path in sorted(Path(checker_module.__file__).parent.glob("*.py")):
+        for node in pyast.walk(pyast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, pyast.Attribute) and node.attr == "arrow":
+                readers.add(path.name)
+            elif (path.name == "checker.py" and isinstance(node, pyast.Constant)
+                  and node.value in ("->", "<-")):
+                arrows.append(node.lineno)
+    assert readers == {"labels.py"}
+    assert arrows == []
 
 
 def test_no_package_module_names_namedtuple():

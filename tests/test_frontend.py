@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minijif.labels import ConfPolicy, EMPTY, IntegPolicy, JoinNode, LabelVar, MeetNode
+from minijif.labels import EMPTY, JoinNode, LabelVar, MeetNode, Policy
 from minijif import parser
 from minijif.lexer import KEYWORDS, SYMBOLS, LexError, tokenize
 from minijif.parser import ParseError, parse_label, parse_program
@@ -177,7 +177,7 @@ class TestLexerOracle:
 # tokens, file by file and cut by cut, so adding a corpus file changes it.
 # Update it only together with a CHANGES.md line that says why the outcome of
 # a parse or the set of corpus files changed.
-TRUNCATIONS_SHA256 = "fec5e711355b49bdc9ca72a7f86adb2a7e74027b08d99b490894035b4a342ddc"
+TRUNCATIONS_SHA256 = "a56209a13d850d000da84bbb5296b87d7fa3ba3fb22ba1ad92532cb857744516"
 
 
 def truncations() -> list[str]:
@@ -201,7 +201,7 @@ def test_sources_that_end_mid_construct_parse_as_pinned():
     cuts = truncations()
     for source in cuts:
         digest.update(repr(parse_outcome(source)).encode())
-    assert len(cuts) == 2_288
+    assert len(cuts) == 2_412
     assert digest.hexdigest() == TRUNCATIONS_SHA256
 
 
@@ -257,7 +257,7 @@ def label_principals(node) -> list:
     policies, stack = {}, [node]
     while stack:
         match stack.pop():
-            case ConfPolicy(owner, listed) | IntegPolicy(owner, listed) as policy:
+            case Policy(owner, _, listed) as policy:
                 policies[policy] = (owner, *listed)
             case JoinNode(left, right) | MeetNode(left, right):
                 stack += left, right
@@ -284,12 +284,12 @@ def test_equal_names_are_one_string(name):
 
 class TestParseLabel:
     def test_owner_star(self):
-        assert parse_label("{Owner->*}") == ConfPolicy("Owner", (TOP,))
+        assert parse_label("{Owner->*}") == Policy("Owner", "->", (TOP,))
 
     def test_meet(self):
         lab = parse_label("{Alice->Chuck meet Bob->Chuck}")
         assert isinstance(lab, MeetNode)
-        assert lab.left == ConfPolicy("Alice", ("Chuck",))
+        assert lab.left == Policy("Alice", "->", ("Chuck",))
 
     def test_empty(self):
         assert parse_label("{}") == EMPTY
@@ -297,13 +297,13 @@ class TestParseLabel:
     def test_pair_form_desugars_to_join(self):
         lab = parse_label("{Alice->_; Alice<-*}")
         assert lab == JoinNode(
-            ConfPolicy("Alice", (BOTTOM,)),
-            IntegPolicy("Alice", (TOP,)),
+            Policy("Alice", "->", (BOTTOM,)),
+            Policy("Alice", "<-", (TOP,)),
         )
 
     def test_reader_list(self):
-        assert parse_label("{A->B,C,*}") == ConfPolicy(
-            "A", ("B", "C", TOP)
+        assert parse_label("{A->B,C,*}") == Policy(
+            "A", "->", ("B", "C", TOP)
         )
 
     def test_label_variable(self):
@@ -351,7 +351,7 @@ class TestParseLabel:
         assert parser.MAX_NESTING == 150
         chain = " meet ".join(["A->B"] * 151)
         assert isinstance(parse_label("{" + chain + "}"), MeetNode)
-        assert parse_label("{" + "(" * 150 + "A->B" + ")" * 150 + "}") == ConfPolicy("A", ("B",))
+        assert parse_label("{" + "(" * 150 + "A->B" + ")" * 150 + "}") == Policy("A", "->", ("B",))
         assert isinstance(parse_label("{" + "(" * 149 + "A->B meet A->B" + ")" * 149 + "}"), MeetNode)
 
 
@@ -366,8 +366,7 @@ class TestParseProgram:
         assert isinstance(stmt, ast.VarDecl)
         assert stmt.type == ast.INT
         assert isinstance(stmt.label, JoinNode)
-        assert isinstance(stmt.label.left, ConfPolicy)
-        assert isinstance(stmt.label.right, IntegPolicy)
+        assert (stmt.label.left.arrow, stmt.label.right.arrow) == ("->", "<-")
 
     def test_principal_parameterized_class(self):
         program = parse_program(
@@ -379,7 +378,7 @@ class TestParseProgram:
         assert cls.principal_params == ("Owner", "Operator")
         assert cls.authority == ("Owner",)
         assert len(cls.fields) == 1
-        assert cls.fields[0].label == ConfPolicy("Owner", (TOP,))
+        assert cls.fields[0].label == Policy("Owner", "->", (TOP,))
 
     def test_truncated_class_header(self):
         with pytest.raises(ParseError) as err:
@@ -395,10 +394,10 @@ class TestParseProgram:
             "}"
         )
         m = program.decls[0].methods[0]
-        assert m.begin_label == ConfPolicy("A", (TOP,))
-        assert m.end_label == ConfPolicy("A", ("B",))
+        assert m.begin_label == Policy("A", "->", (TOP,))
+        assert m.end_label == Policy("A", "->", ("B",))
         assert m.authority == ("A",)
-        assert m.params[0].label == ConfPolicy("A", (TOP,))
+        assert m.params[0].label == Policy("A", "->", (TOP,))
 
     def test_duplicate_principal_params_rejected(self):
         with pytest.raises(ParseError):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minijif.labels import (
-    ConfPolicy,
     EMPTY,
-    IntegPolicy,
     JoinNode,
     LabelVar,
     MeetNode,
+    Policy,
     conf_owners,
     flows_to,
     interpret_label,
@@ -42,11 +41,11 @@ OWNER, OPERATOR = "Owner", "Operator"
 
 
 def conf(owner, *readers):
-    return ConfPolicy(owner, readers)
+    return Policy(owner, "->", readers)
 
 
 def integ(owner, *writers):
-    return IntegPolicy(owner, writers)
+    return Policy(owner, "<-", writers)
 
 
 class TestPolicyInterpretation:
@@ -79,9 +78,9 @@ class TestPolicyInterpretation:
 
     def test_policies_need_members(self):
         with pytest.raises(ValueError):
-            ConfPolicy(ALICE, ())
+            Policy(ALICE, "->", ())
         with pytest.raises(ValueError):
-            IntegPolicy(ALICE, ())
+            Policy(ALICE, "<-", ())
 
 
 class TestLabelInterpretation:
@@ -362,7 +361,7 @@ class TestEquivalence:
 
     def test_duplicate_reader_irrelevant(self):
         h = hierarchy_from_edges(["Alice", "Bob"], [])
-        assert equivalent(conf(ALICE, BOB), ConfPolicy(ALICE, (BOB, BOB)), h)
+        assert equivalent(conf(ALICE, BOB), Policy(ALICE, "->", (BOB, BOB)), h)
 
     def test_different_owners_not_equivalent(self):
         h = hierarchy_from_edges(["Alice", "Bob"], [])
@@ -396,7 +395,7 @@ class TestOracleEquivalence:
             h2 = h.delegate((sup, inf))
             owner = rng.choice(pool)
             members = (rng.choice(pool),)
-            cp, ip = ConfPolicy(owner, members), IntegPolicy(owner, members)
+            cp, ip = Policy(owner, "->", members), Policy(owner, "<-", members)
             assert decoded(interpret_label(cp, h), h)[0] <= decoded(interpret_label(cp, h2), h2)[0]
             assert decoded(interpret_label(ip, h), h)[1] <= decoded(interpret_label(ip, h2), h2)[1]
 
@@ -406,7 +405,7 @@ class TestPrettyText:
         assert label_to_text(EMPTY) == "{}"
 
     def test_policy_lists(self):
-        lab = JoinNode(ConfPolicy(ALICE, (BOB, CHUCK)), IntegPolicy(ALICE, (TOP,)))
+        lab = JoinNode(Policy(ALICE, "->", (BOB, CHUCK)), Policy(ALICE, "<-", (TOP,)))
         assert label_to_text(lab) == "{Alice->Bob,Chuck; Alice<-*}"
 
     def test_distinguished_tokens(self):
@@ -437,8 +436,8 @@ class TestInterning:
 
     def test_labels_intern_by_principal_value(self):
         # strings built at run time are distinct objects; the label is still one
-        assert parse_label("{Alice->*}") is ConfPolicy("Alice", (TOP,))
-        assert ConfPolicy("".join(["Ali", "ce"]), ("*",)) is conf(ALICE, TOP)
+        assert parse_label("{Alice->*}") is Policy("Alice", "->", (TOP,))
+        assert Policy("".join(["Ali", "ce"]), "".join(["-", ">"]), ("*",)) is conf(ALICE, TOP)
         assert ast.ClassType("C", ("".join(["Ali", "ce"]),)) is ast.ClassType("C", (ALICE,))
 
     def test_types_of_different_kinds_stay_distinct(self):
@@ -469,13 +468,13 @@ class TestInterning:
         with pytest.raises(AttributeError):
             label.owner = BOB
         with pytest.raises(AttributeError):
-            del label.readers
+            del label.members
         with pytest.raises(AttributeError):
             ast.ClassType("C").name = "D"
         assert label is conf(ALICE, BOB) and label.owner == ALICE
 
     def test_repr_names_the_fields(self):
-        assert repr(conf(ALICE, TOP)) == "ConfPolicy(owner='Alice', readers=('*',))"
+        assert repr(conf(ALICE, TOP)) == "Policy(owner='Alice', arrow='->', members=('*',))"
         assert repr(ast.ClassType("C")) == "ClassType(name='C', principal_args=())"
 
     def test_dropped_labels_leave_the_table(self):

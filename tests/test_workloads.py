@@ -78,12 +78,16 @@ CORPUS_SHA256 = {
                          "141c4d2fbe3c69607032da7e6a85f9a23429be65a9439a31c51976167791c0e9"),
     "nested_loop_return_leak": ("35e7e6592f388f00c071007a2366be9c71cd77792db4deb857318bbd04cc0bf9",
                                 "35e7e6592f388f00c071007a2366be9c71cd77792db4deb857318bbd04cc0bf9"),
+    "nonrobust_declassify": ("37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+                             "68eed49f36ac4c8557fe9ddd456a0246d6ec0cde4b8c6f6fe4f67ff90b6321e7"),
     "pc_mismatch": ("bbbe5dd69889aeb8a3fb5799c4e534583f6495d4c3e73c8bfcd0ad5ab1bf83e4",
                     "bbbe5dd69889aeb8a3fb5799c4e534583f6495d4c3e73c8bfcd0ad5ab1bf83e4"),
     "secret_declaration": ("37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
                            "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     "short_circuit_leak": ("e24a98419aa6d5a725689f118be6b7192535160b9d60d5abe6fe5f84670d8874",
                            "e24a98419aa6d5a725689f118be6b7192535160b9d60d5abe6fe5f84670d8874"),
+    "termination_channel": ("37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+                            "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     "type_errors": ("8bea7663d936a11e44b80b1f504d6b0ef916ca222b81f4f1faf4285074309a7c",
                     "8bea7663d936a11e44b80b1f504d6b0ef916ca222b81f4f1faf4285074309a7c"),
     "undefined_names": ("4f6fbc40c18d7a13981bc9846cea80e1adb114260b6d40d9b32d73004755c845",
